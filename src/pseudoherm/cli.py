@@ -28,7 +28,7 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -39,16 +39,10 @@ from .exceptions import (
     DegenerateModelError,
     EvolutionRangeError,
     NotDiagonalizableError,
-    NotPseudohermitianError,
     SingularIntertwinerError,
     ZeroSplittingError,
 )
-from .spectral import (
-    DEFAULT_COND_CEILING,
-    DEFAULT_TOL,
-    biorthonormal_system,
-    classify_spectrum,
-)
+from .spectral import DEFAULT_COND_CEILING, DEFAULT_TOL, _is_real, biorthonormal_system
 from .spin_rotation import (
     ModelParams,
     coupling_ratio,
@@ -62,12 +56,10 @@ from .spin_rotation import (
     spin_flip_probability,
 )
 from .symmetry import (
-    build_antilinear_symmetry,
+    _kramers_verdict,
     build_intertwiner,
-    commutator_residual,
     intertwining_residual,
     kramers_test,
-    square_residual,
 )
 
 __all__ = [
@@ -98,7 +90,9 @@ def _pair(z) -> list[float]:
 
 
 def _matrix_pairs(m) -> list[list[list[float]]]:
-    return [[_pair(z) for z in row] for row in np.asarray(m, dtype=complex)]
+    m = np.asarray(m, dtype=complex)
+    return [[[_g12(a), _g12(b)] for a, b in zip(re_row, im_row)]
+            for re_row, im_row in zip(m.real.tolist(), m.imag.tolist())]
 
 
 @dataclass
@@ -163,7 +157,8 @@ class AnalysisReport:
     witness_residuals: dict | None
 
     def to_json(self) -> str:
-        return json.dumps(asdict(self), indent=2)
+        # the fields already hold fresh JSON-ready values: no deep copy
+        return json.dumps(vars(self), indent=2)
 
     @classmethod
     def from_json(cls, text: str) -> "AnalysisReport":
@@ -180,50 +175,34 @@ def build_analysis_report(matrix, tol: float = DEFAULT_TOL,
         Propagated from the eigendecomposition.
     """
     system = biorthonormal_system(matrix, tol=tol, cond_ceiling=cond_ceiling)
-    spectrum = []
-    real_degeneracies = []
-    for value, mult in zip(system.eigenvalues, system.multiplicities):
-        is_real = abs(value.imag) <= tol * max(1.0, abs(value))
-        spectrum.append({
-            "value": _pair(value),
-            "multiplicity": int(mult),
-            "kind": "real" if is_real else "complex",
-        })
-        if is_real:
-            real_degeneracies.append([_g12(value.real), int(mult)])
-    all_even = all(mult % 2 == 0 for _, mult in real_degeneracies)
-
-    try:
-        classification = classify_spectrum(system.expanded_eigenvalues(), tol)
-        pseudohermitian = True
-    except NotPseudohermitianError:
-        classification = None
-        pseudohermitian = False
-
-    intertwiner = None
-    witness_residuals = None
-    if pseudohermitian:
+    verdict, classification = _kramers_verdict(matrix, system, tol)
+    spectrum = [{"value": _pair(value), "multiplicity": int(mult),
+                 "kind": "real" if is_real else "complex"}
+                for value, mult, is_real in zip(system.eigenvalues, system.multiplicities,
+                                                _is_real(system.eigenvalues, tol))]
+    intertwiner = witness_residuals = None
+    if classification is not None:
         eta = build_intertwiner(system, classification)
         intertwiner = {
             "matrix": _matrix_pairs(eta.matrix),
             "residual": _g12(intertwining_residual(matrix, eta)),
         }
-        if all_even:
-            witness = build_antilinear_symmetry(system, classification)
-            witness_residuals = {
-                "commutator": _g12(commutator_residual(matrix, witness)),
-                "square": _g12(square_residual(witness)),
-            }
+    if verdict.witness is not None:
+        witness_residuals = {
+            "commutator": _g12(verdict.commutator_residual),
+            "square": _g12(verdict.square_residual),
+        }
     return AnalysisReport(
         version=__version__,
         dim=system.dim,
         tolerance=_g12(tol),
         cond_ceiling=_g12(cond_ceiling),
-        pseudohermitian=pseudohermitian,
+        pseudohermitian=verdict.pseudohermitian,
         spectrum=spectrum,
-        real_degeneracies=real_degeneracies,
-        all_even=all_even,
-        admits_symmetry=pseudohermitian and all_even,
+        real_degeneracies=[[_g12(value), mult]
+                           for value, mult in verdict.real_degeneracies],
+        all_even=verdict.all_even,
+        admits_symmetry=verdict.admits_symmetry,
         intertwiner=intertwiner,
         witness_residuals=witness_residuals,
     )

@@ -49,44 +49,52 @@ def _square_complex(matrix) -> np.ndarray:
     return a
 
 
+def _is_real(values, tol: float):
+    """Whether each value lies within ``tol * max(1, |value|)`` of the real axis."""
+    return np.abs(np.imag(values)) <= tol * np.maximum(1.0, np.abs(values))
+
+
 def _cluster(values: np.ndarray, tol: float):
     """Group nearly equal eigenvalues.
 
     Returns ``(perm, means, mults)`` where ``perm`` reorders the input so
-    that members of each group are adjacent and groups are sorted by
-    (real, imag) of their mean.  Two values belong to the same group when
-    they sit within ``tol * max(1, spectral_radius)`` of its running mean.
+    that members of each group are adjacent, in (real, imag) order, and
+    groups are sorted by (real, imag) of their mean.  Values chained
+    within ``tol * max(1, spectral_radius)`` of each other form one group
+    (a connected component), whatever the input order.
     """
     values = np.asarray(values, dtype=complex)
     order = np.lexsort((values.imag, values.real))
     ws = values[order]
     scale = tol * max(1.0, float(np.max(np.abs(ws))))
-    # Greedy join against every existing group, not just the previous
-    # value: solver jitter in the real part can interleave members of
-    # +ib / -ib groups under the lexicographic sort.
-    groups: list[list[int]] = []
-    for i in range(len(ws)):
-        best = None
-        best_dist = np.inf
-        for g in groups:
-            dist = abs(ws[i] - np.mean(ws[g]))
-            if dist < best_dist:
-                best, best_dist = g, dist
-        if best is not None and best_dist <= scale:
-            best.append(i)
-        else:
-            groups.append([i])
-    means = [complex(np.mean(ws[g])) for g in groups]
-    gorder = sorted(range(len(groups)), key=lambda k: (means[k].real, means[k].imag))
-    perm = np.array([order[i] for k in gorder for i in groups[k]])
-    values_out = np.array([means[k] for k in gorder])
-    mults = np.array([len(groups[k]) for k in gorder])
-    return perm, values_out, mults
+    near = np.abs(ws[:, None] - ws) <= scale
+    # label each value with the smallest index it reaches: solver jitter can
+    # interleave +ib / -ib members under the sort, so groups need not be runs
+    root = np.arange(len(ws))
+    while True:
+        step = np.where(near, root, len(ws)).min(axis=1)
+        step = step[step]
+        if np.array_equal(step, root):
+            break
+        root = step
+    groups: dict[int, list[int]] = {}
+    for i, head in enumerate(root.tolist()):
+        groups.setdefault(head, []).append(i)
+    members = list(groups.values())
+    means = np.array([np.mean(ws[g]) for g in members])
+    gorder = np.lexsort((means.imag, means.real))
+    perm = order[[i for k in gorder for i in members[k]]]
+    return perm, means[gorder], np.array([len(members[k]) for k in gorder])
 
 
 @dataclass
 class BiorthonormalSystem:
     """Eigenvalue groups plus paired right/left eigenvector columns.
+
+    Eigenvalues are clustered once, when the system is built: values
+    chained within ``tolerance * max(1, spectral_radius)`` form one group,
+    whatever order the solver returns them in.  Analyses of the system
+    classify these groups instead of clustering again.
 
     Attributes
     ----------
@@ -234,6 +242,10 @@ def biorthonormal_system(matrix, tol: float = DEFAULT_TOL,
 def classify_spectrum(eigenvalues, tol: float = DEFAULT_TOL) -> SpectrumClassification:
     """Split a raw spectrum into real groups and conjugate pairs.
 
+    The spectrum is clustered by the rule of :class:`BiorthonormalSystem`
+    and its groups are classified; analyses of a matrix classify the
+    groups of its biorthonormal system instead.
+
     Parameters
     ----------
     eigenvalues : array_like
@@ -242,7 +254,7 @@ def classify_spectrum(eigenvalues, tol: float = DEFAULT_TOL) -> SpectrumClassifi
         multiplicities will all come out as one.
     tol : float
         Relative tolerance, applied against ``max(1, spectral_radius)``
-        for clustering and realness and against the group magnitudes for
+        for clustering and against the group magnitudes for realness and
         pairing.
 
     Returns
@@ -264,13 +276,18 @@ def classify_spectrum(eigenvalues, tol: float = DEFAULT_TOL) -> SpectrumClassifi
     if tol <= 0:
         raise ValueError("tol must be positive")
     _, values, mults = _cluster(w, tol)
+    return _classify_groups(values, mults, tol)
 
+
+def _classify_groups(values: np.ndarray, mults: np.ndarray,
+                     tol: float) -> SpectrumClassification:
+    """Classify already clustered groups, sorted as :func:`_cluster` sorts them."""
     real_groups: list[tuple[float, int]] = []
     real_idx: list[int] = []
     upper: list[int] = []
     lower: list[int] = []
-    for k, val in enumerate(values):
-        if abs(val.imag) <= tol * max(1.0, abs(val)):
+    for k, (val, real) in enumerate(zip(values, _is_real(values, tol))):
+        if real:
             real_groups.append((float(val.real), int(mults[k])))
             real_idx.append(k)
         elif val.imag > 0:

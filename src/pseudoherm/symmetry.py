@@ -34,9 +34,10 @@ from .spectral import (
     DEFAULT_TOL,
     BiorthonormalSystem,
     SpectrumClassification,
+    _classify_groups,
+    _is_real,
     _square_complex,
     biorthonormal_system,
-    classify_spectrum,
 )
 
 __all__ = [
@@ -131,9 +132,10 @@ class KramersReport:
 
 def _resolve_classification(system: BiorthonormalSystem,
                             classification: SpectrumClassification | None) -> SpectrumClassification:
-    """Derive or validate a classification against the system's groups."""
+    """Classify the system's own groups, or validate a given classification."""
     if classification is None:
-        return classify_spectrum(system.expanded_eigenvalues(), system.tolerance)
+        return _classify_groups(system.eigenvalues, system.multiplicities,
+                                system.tolerance)
     ngroups = len(system.eigenvalues)
     covered = (len(classification.real_group_indices)
                + 2 * len(classification.pair_group_indices))
@@ -172,8 +174,8 @@ def build_intertwiner(system: BiorthonormalSystem,
     ----------
     system : BiorthonormalSystem
     classification : SpectrumClassification, optional
-        Reuse an existing classification; derived from the system when
-        omitted.  Must describe the same groups.
+        Reuse an existing classification; derived from the system's
+        groups when omitted.  Must describe the same groups.
 
     Raises
     ------
@@ -284,7 +286,7 @@ def kramers_test(matrix, tol: float = DEFAULT_TOL,
                  cond_ceiling: float = DEFAULT_COND_CEILING) -> KramersReport:
     """Decide whether a matrix admits an antilinear symmetry with square -1.
 
-    Diagonalizes the matrix, classifies its spectrum, checks the two
+    Diagonalizes the matrix, classifies its groups once, checks the two
     structural requirements (real-or-paired spectrum, even multiplicity
     of every real eigenvalue), and when both hold, constructs the witness
     and measures its residuals instead of trusting the construction.
@@ -307,30 +309,32 @@ def kramers_test(matrix, tol: float = DEFAULT_TOL,
     """
     h = _square_complex(matrix)
     system = biorthonormal_system(h, tol=tol, cond_ceiling=cond_ceiling)
+    return _kramers_verdict(h, system, tol)[0]
+
+
+def _kramers_verdict(matrix, system: BiorthonormalSystem, tol: float):
+    """The Kramers report on ``system``'s own groups, classified once, and
+    the classification (``None`` when the spectrum is not real-or-paired)."""
+    real = _is_real(system.eigenvalues, tol)
     real_degeneracies = [
         (float(value.real), int(mult))
-        for value, mult in zip(system.eigenvalues, system.multiplicities)
-        if abs(value.imag) <= tol * max(1.0, abs(value))
+        for value, mult in zip(system.eigenvalues[real], system.multiplicities[real])
     ]
     all_even = all(mult % 2 == 0 for _, mult in real_degeneracies)
     try:
-        cls = classify_spectrum(system.expanded_eigenvalues(), tol)
-        pseudohermitian = True
+        cls = _classify_groups(system.eigenvalues, system.multiplicities, tol)
     except NotPseudohermitianError:
         cls = None
-        pseudohermitian = False
-    witness = None
-    comm = None
-    square = None
-    if pseudohermitian and all_even:
+    witness = comm = square = None
+    if cls is not None and all_even:
         witness = build_antilinear_symmetry(system, cls)
-        comm = commutator_residual(h, witness)
+        comm = commutator_residual(matrix, witness)
         square = square_residual(witness)
     return KramersReport(
-        pseudohermitian=pseudohermitian,
+        pseudohermitian=cls is not None,
         real_degeneracies=real_degeneracies,
         all_even=all_even,
         witness=witness,
         commutator_residual=comm,
         square_residual=square,
-    )
+    ), cls

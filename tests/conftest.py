@@ -6,6 +6,8 @@ similarity S of bounded condition number (singular values drawn from
 defective regime and makes 1e-9 residual targets meaningful.
 """
 
+import math
+
 import numpy as np
 
 
@@ -32,13 +34,38 @@ def with_spectrum(rng, eigenvalues):
     return s @ np.diag(values) @ np.linalg.inv(s)
 
 
+def _room(placed, gap, lo, hi):
+    """How many more values fit in ``[lo, hi]``, more than ``gap`` apart
+    from each other and from every value in ``placed``."""
+    room, start = 0, lo
+    for y in [*sorted(placed), math.inf]:
+        end = min(hi, y - gap)
+        if end > start:
+            # k values fit in an open stretch of length L when (k-1)*gap < L
+            room += math.ceil((end - start) / gap)
+        start = max(start, y + gap)
+    return room
+
+
 def separated_reals(rng, count, taken=(), gap=0.1, lo=-3.0, hi=3.0):
-    """Draw reals pairwise separated by at least ``gap``."""
+    """Draw reals pairwise separated by more than ``gap``.
+
+    Raises ``ValueError`` before a draw that could never be accepted
+    because the values still wanted no longer fit in ``[lo, hi]``; the
+    check consumes no random numbers, so it leaves every corpus that
+    does fit unchanged.
+    """
     picked = []
     while len(picked) < count:
-        x = float(rng.uniform(lo, hi))
-        if all(abs(x - y) > gap for y in [*taken, *picked]):
-            picked.append(x)
+        if _room([*taken, *picked], gap, lo, hi) < count - len(picked):
+            raise ValueError(
+                f"{count - len(picked)} more reals do not fit in [{lo}, {hi}] "
+                f"more than {gap} apart from the {len(taken) + len(picked)} placed")
+        while True:
+            x = float(rng.uniform(lo, hi))
+            if all(abs(x - y) > gap for y in [*taken, *picked]):
+                picked.append(x)
+                break
     return picked
 
 

@@ -1,14 +1,18 @@
 """Command-line interface: parsing, report schema, exit codes, determinism."""
 
+import dataclasses
 import json
 
 import numpy as np
 import pytest
+from conftest import kramers_spectrum, with_spectrum
 
 from pseudoherm.cli import (
     AnalysisReport,
     MatrixFile,
     MatrixFormatError,
+    _matrix_pairs,
+    _pair,
     build_analysis_report,
     main,
 )
@@ -110,10 +114,21 @@ def test_analyze_input_failures_exit_3(tmp_path, capsys):
 
 
 def test_analyze_report_round_trip():
+    rng = np.random.default_rng(43)
     for matrix in (np.diag([2.0, 2.0]), np.diag([1j, 2j]),
-                   np.array([[1.0, 0.4j], [-0.15j, 1.0]])):
+                   np.array([[1.0, 0.4j], [-0.15j, 1.0]]),
+                   with_spectrum(rng, kramers_spectrum(rng, 32))):
         report = build_analysis_report(matrix)
         assert AnalysisReport.from_json(report.to_json()) == report
+        assert report.to_json() == json.dumps(dataclasses.asdict(report), indent=2)
+
+
+def test_matrix_pairs_match_elementwise_rounding():
+    m = np.array([[-0.0, 1e-300 - 0.0j, 3.0 + 1e300j],
+                  [-7.0 + 2.0j, 0.1 + 1.0 / 3.0 * 1j, complex(2 ** 53, -0.0)]])
+    expected = [[_pair(z) for z in row] for row in m]
+    # json spells out -0.0, which == would not tell from 0.0
+    assert json.dumps(_matrix_pairs(m)) == json.dumps(expected)
 
 
 def test_analyze_output_is_deterministic(tmp_path, capsys):

@@ -2,7 +2,12 @@
 
 import numpy as np
 import pytest
-from conftest import bounded_similarity, kramers_spectrum, with_spectrum
+from conftest import (
+    bounded_similarity,
+    kramers_spectrum,
+    separated_reals,
+    with_spectrum,
+)
 
 from pseudoherm import (
     NotDiagonalizableError,
@@ -131,11 +136,32 @@ def test_classify_rejects_missing_partner():
 
 def test_classify_conjugation_equivariance():
     rng = np.random.default_rng(23)
-    spectrum = kramers_spectrum(rng, 8)
-    forward = classify_spectrum(spectrum)
-    backward = classify_spectrum(np.conj(spectrum))
-    assert forward.real_groups == backward.real_groups
-    assert forward.conjugate_pairs == backward.conjugate_pairs
+    # jitter in the real part interleaves the members of the 1+2i and
+    # 1-2i groups under the lexicographic sort
+    jittered = np.array([1 + 2j, 1 + 1e-12 - 2j, 1 + 1e-12 + 2j, 1 - 2j,
+                         3.0, 3.0 + 1e-13])
+    for spectrum in (kramers_spectrum(rng, 8), jittered):
+        forward = classify_spectrum(spectrum)
+        for moved in (np.conj(spectrum), spectrum[rng.permutation(len(spectrum))]):
+            other = classify_spectrum(moved)
+            assert forward.real_groups == other.real_groups
+            assert forward.conjugate_pairs == other.conjugate_pairs
+    assert [mult for _, mult in forward.real_groups] == [2]
+    assert [mult for _, _, mult in forward.conjugate_pairs] == [2]
+
+
+def test_separated_reals_refuses_what_cannot_fit():
+    rng = np.random.default_rng(5)
+    state = rng.bit_generator.state
+    with pytest.raises(ValueError):
+        separated_reals(rng, 100)
+    with pytest.raises(ValueError):
+        separated_reals(rng, 1, taken=[-1.0, -0.5, 0.0, 0.5, 1.0], gap=0.25,
+                        lo=-1.0, hi=1.0)
+    assert rng.bit_generator.state == state  # refused before any draw
+    # large corpora used to jam part way and draw forever
+    with pytest.raises(ValueError):
+        kramers_spectrum(np.random.default_rng(0), 256)
 
 
 def test_classify_multiplicities_sum_to_dim():

@@ -21,8 +21,10 @@ from pseudoherm import (
     commutator_residual,
     intertwining_residual,
     kramers_test,
+    spectral,
     square_residual,
 )
+from pseudoherm.cli import build_analysis_report
 
 SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 
@@ -226,3 +228,22 @@ def test_non_pseudohermitian_spectrum_raises_in_builders():
         build_intertwiner(system)
     with pytest.raises(NotPseudohermitianError):
         build_antilinear_symmetry(system)
+
+
+def test_each_analysis_clusters_once(monkeypatch):
+    calls = []
+    cluster = spectral._cluster
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return cluster(*args, **kwargs)
+
+    monkeypatch.setattr(spectral, "_cluster", counted)
+    rng = np.random.default_rng(41)
+    for h in (with_spectrum(rng, kramers_spectrum(rng, 6)),
+              with_spectrum(rng, odd_real_spectrum(rng, 5)),
+              np.diag([1j, 2j])):
+        for analyze in (kramers_test, build_analysis_report):
+            calls.clear()
+            analyze(h)
+            assert len(calls) == 1
