@@ -19,7 +19,9 @@ produce byte-identical output.
 
 Matrix files hold the dimension on the first line followed by dim*dim
 whitespace-separated row-major complex tokens of the form ``a+bi``,
-``a-bi``, ``a`` or ``bi`` (``j`` is accepted for the imaginary unit too).
+``a-bi``, ``a`` or ``bi`` (``j`` is accepted for the imaginary unit too):
+a token is whatever ``complex()`` accepts once ``i`` and ``I`` read as
+``j``, and must be finite.
 """
 
 from __future__ import annotations
@@ -29,6 +31,7 @@ import json
 import math
 import sys
 from dataclasses import dataclass
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -89,15 +92,75 @@ def _pair(z) -> list[float]:
     return [_g12(z.real), _g12(z.imag)]
 
 
+def _g12_texts(values: list[float]) -> list[str]:
+    """``'%.12g'`` text of each float, from one C-level format call."""
+    return (("%.12g\n" * len(values)) % tuple(values)).split("\n")[:-1]
+
+
 def _matrix_pairs(m) -> list[list[list[float]]]:
-    m = np.asarray(m, dtype=complex)
-    return [[[_g12(a), _g12(b)] for a, b in zip(re_row, im_row)]
-            for re_row, im_row in zip(m.real.tolist(), m.imag.tolist())]
+    """Rows of ``[re, im]`` pairs, each float rounded as by :func:`_g12`."""
+    m = np.ascontiguousarray(m, dtype=complex)
+    rows, cols = m.shape
+    # the float view interleaves re and im in row-major order
+    values = iter(map(float, _g12_texts(m.view(float).ravel().tolist())))
+    pairs = list(map(list, zip(values, values)))
+    return [pairs[k * cols:(k + 1) * cols] for k in range(rows)]
+
+
+def _json_floats(values: list[float]) -> list[str]:
+    """The text ``json.dumps`` writes for each float.
+
+    ``'%.12g'`` and ``repr`` spell a float with at most 12 significant
+    digits the same way, except that ``'%.12g'`` drops the ``.0`` of an
+    integral value and writes an exponent from 1e12 on, where ``repr``
+    does from 1e16 on; ``'%.1f'`` spells those integral values as
+    ``repr`` does.  Subnormals, non-finite values and floats that need
+    more than 12 digits take json's own spelling.
+    """
+    texts = _g12_texts(values)
+    a = np.array(values)
+    magnitude = np.abs(a)
+    integral = (a == np.trunc(a)) & (magnitude < 1e16)
+    special = ((np.array(texts, dtype=float) != a)
+               | ~np.isfinite(a)
+               | ((magnitude < np.finfo(float).tiny) & (a != 0)))
+    for k in np.flatnonzero(integral).tolist():
+        texts[k] = "%.1f" % values[k]
+    for k in np.flatnonzero(special).tolist():
+        texts[k] = json.dumps(values[k])
+    return texts
+
+
+def _pairs_block(matrix, indent: str) -> str | None:
+    """``json.dumps(matrix, indent=2)`` nested at ``indent``, written in C.
+
+    ``None`` unless ``matrix`` is a list of equally long, non-empty rows
+    of two-float lists, the shape :func:`_matrix_pairs` returns.
+    """
+    if type(matrix) is not list or set(map(type, matrix)) != {list}:
+        return None
+    pairs = list(chain.from_iterable(matrix))
+    if (len(set(map(len, matrix))) != 1 or set(map(type, pairs)) != {list}
+            or set(map(len, pairs)) != {2}):
+        return None
+    values = list(chain.from_iterable(pairs))
+    if set(map(type, values)) != {float}:
+        return None
+    row_nl, pair_nl, value_nl = (f"\n{indent}{' ' * k}" for k in (2, 4, 6))
+    pair = f"[{value_nl}%s,{value_nl}%s{pair_nl}]"
+    row = f"[{pair_nl}" + f",{pair_nl}".join([pair] * len(matrix[0])) + f"{row_nl}]"
+    template = f"[{row_nl}" + f",{row_nl}".join([row] * len(matrix)) + f"\n{indent}]"
+    return template % tuple(_json_floats(values))
 
 
 @dataclass
 class MatrixFile:
-    """Parsed matrix file: dimension plus row-major entries."""
+    """Parsed matrix file: dimension plus row-major entries.
+
+    An entry token is whatever ``complex()`` accepts once ``i`` and ``I``
+    read as ``j``, and must be finite; a parse error names the first bad
+    token in file order.
+    """
 
     dim: int
     entries: list[complex]
@@ -114,25 +177,38 @@ class MatrixFile:
 
     @classmethod
     def parse(cls, text: str) -> "MatrixFile":
-        tokens = text.split()
-        if not tokens:
+        parts = text.split(None, 1)
+        if not parts:
             raise MatrixFormatError("empty matrix file")
         try:
-            dim = int(tokens[0])
+            dim = int(parts[0])
         except ValueError:
             raise MatrixFormatError(
-                f"first token must be the dimension, got {tokens[0]!r}") from None
+                f"first token must be the dimension, got {parts[0]!r}") from None
         if dim <= 0:
             raise MatrixFormatError(f"dimension must be positive, got {dim}")
-        body = tokens[1:]
-        if len(body) != dim * dim:
+        body = parts[1] if len(parts) > 1 else ""
+        tokens = body.replace("i", "j").replace("I", "j").split()
+        if len(tokens) != dim * dim:
             raise MatrixFormatError(
                 f"expected {dim * dim} entries for dimension {dim}, "
-                f"found {len(body)}")
-        return cls(dim=dim, entries=[cls._parse_token(tok) for tok in body])
+                f"found {len(tokens)}")
+        try:
+            entries = list(map(complex, tokens))
+        except ValueError:
+            entries = None
+        if entries is None or not np.isfinite(entries).all():
+            # some token is bad: raise for the first one in file order
+            for token in body.split():
+                cls._parse_token(token)
+        return cls(dim=dim, entries=entries)
 
     def to_matrix(self) -> np.ndarray:
         return np.array(self.entries, dtype=complex).reshape(self.dim, self.dim)
+
+
+# stands in for the metric matrix while json writes the rest of a report
+_MATRIX_MARK = "\0intertwiner matrix\0"
 
 
 @dataclass
@@ -141,7 +217,9 @@ class AnalysisReport:
 
     Complex values appear as ``[re, im]`` pairs and every float is
     pre-rounded to 12 significant digits, so ``from_json(r.to_json())``
-    compares equal to ``r``.
+    compares equal to ``r``.  ``to_json()`` is byte for byte
+    ``json.dumps(dataclasses.asdict(r), indent=2)``: identical reports
+    print identical text.
     """
 
     version: str
@@ -157,8 +235,18 @@ class AnalysisReport:
     witness_residuals: dict | None
 
     def to_json(self) -> str:
-        # the fields already hold fresh JSON-ready values: no deep copy
-        return json.dumps(vars(self), indent=2)
+        fields = vars(self)
+        # the n x n metric is most of the text; json's indent=2 encoder
+        # runs in Python, so that block is written by _pairs_block
+        block = (_pairs_block(self.intertwiner.get("matrix"), " " * 4)
+                 if isinstance(self.intertwiner, dict) else None)
+        if block is not None:
+            text = json.dumps({**fields, "intertwiner": {
+                **self.intertwiner, "matrix": _MATRIX_MARK}}, indent=2)
+            mark = json.dumps(_MATRIX_MARK)
+            if text.count(mark) == 1:
+                return text.replace(mark, block)
+        return json.dumps(fields, indent=2)
 
     @classmethod
     def from_json(cls, text: str) -> "AnalysisReport":

@@ -45,6 +45,27 @@ class EvolutionOperator:
         return self.matrix.shape[0]
 
 
+def _phases(system: BiorthonormalSystem, t: float) -> np.ndarray:
+    """``exp(-i E_n t)`` per column, refusing times that would overflow."""
+    if not np.isfinite(t):
+        raise ValueError("time must be finite")
+    energies = system.expanded_eigenvalues()
+    growth = float(np.max(np.abs(energies.imag))) * abs(t)
+    if growth > EXP_ARG_LIMIT:
+        raise EvolutionRangeError(
+            f"|Im E| * |t| = {growth:.3e} exceeds the representable "
+            f"exponent range {EXP_ARG_LIMIT:g}")
+    return np.exp(-1j * energies * t)
+
+
+def _state(state, dim: int) -> np.ndarray:
+    v = np.asarray(state, dtype=complex)
+    if v.shape != (dim,):
+        raise ValueError(
+            f"state shape {v.shape} does not match dimension {dim}")
+    return v
+
+
 def evolution_operator(system: BiorthonormalSystem, t: float) -> EvolutionOperator:
     """Build the propagator at time ``t`` from an eigensystem.
 
@@ -65,26 +86,14 @@ def evolution_operator(system: BiorthonormalSystem, t: float) -> EvolutionOperat
         range, where the non-unitary channels would overflow.
     """
     t = float(t)
-    if not np.isfinite(t):
-        raise ValueError("time must be finite")
-    energies = system.expanded_eigenvalues()
-    growth = float(np.max(np.abs(energies.imag))) * abs(t)
-    if growth > EXP_ARG_LIMIT:
-        raise EvolutionRangeError(
-            f"|Im E| * |t| = {growth:.3e} exceeds the representable "
-            f"exponent range {EXP_ARG_LIMIT:g}")
-    phases = np.exp(-1j * energies * t)
+    phases = _phases(system, t)
     u = (system.right_vectors * phases) @ system.left_vectors.conj().T
     return EvolutionOperator(time=t, matrix=u)
 
 
 def propagate(operator: EvolutionOperator, state) -> np.ndarray:
     """Apply a propagator to a state vector."""
-    v = np.asarray(state, dtype=complex)
-    if v.shape != (operator.dim,):
-        raise ValueError(
-            f"state shape {v.shape} does not match dimension {operator.dim}")
-    return operator.matrix @ v
+    return operator.matrix @ _state(state, operator.dim)
 
 
 def transition_probability(system: BiorthonormalSystem, initial, final,
@@ -94,10 +103,15 @@ def transition_probability(system: BiorthonormalSystem, initial, final,
     Computes ``|<final| U(t) |initial>|**2`` with the states taken as
     given; callers supply unit-norm vectors when a probability reading is
     intended.  For non-Hermitian generators the result is not bounded by
-    one and the forward and backward values generally differ.
+    one and the forward and backward values generally differ.  The
+    amplitude is ``<final| Psi (phases * (Phi^H |initial>))``, so ``U(t)``
+    itself is never formed.
     """
-    u = evolution_operator(system, t)
-    amplitude = np.vdot(np.asarray(final, dtype=complex), propagate(u, initial))
+    phases = _phases(system, float(t))
+    v = _state(initial, system.dim)
+    coefficients = system.left_vectors.conj().T @ v
+    amplitude = np.vdot(np.asarray(final, dtype=complex),
+                        system.right_vectors @ (phases * coefficients))
     return float(np.abs(amplitude) ** 2)
 
 

@@ -46,6 +46,9 @@ def test_matrix_file_token_forms():
                           np.array([[1 + 2j, -3j], [2.5, 4j]]))
     scientific = MatrixFile.parse("1 1e-3+2e2I")
     assert scientific.entries == [0.001 + 200j]
+    # a token is whatever complex() accepts once i and I read as j
+    accepted = MatrixFile.parse("2 4J (1+2i) 1_0 (-3)")
+    assert accepted.entries == [4j, 1 + 2j, 10 + 0j, -3 + 0j]
 
 
 def test_matrix_file_row_major_order():
@@ -55,9 +58,17 @@ def test_matrix_file_row_major_order():
 
 def test_matrix_file_rejections():
     for text in ("", "x 1", "0", "-1 1", "2 1 2 3", "2 1 2 3 4 5",
-                 "1 1+bogus", "1 nan", "1 inf+2i"):
+                 "1 1+bogus", "1 nan", "1 inf+2i", "1 1e500"):
         with pytest.raises(MatrixFormatError):
             MatrixFile.parse(text)
+    # the first offending token in file order is named, with its kind
+    for text, message in (("2 1 nan x 4", "non-finite entry 'nan'"),
+                          ("2 1 x nan 4", "bad complex token 'x'"),
+                          ("1 1e500", "non-finite entry '1e500'"),
+                          ("2 1 2 3 oops", "bad complex token 'oops'")):
+        with pytest.raises(MatrixFormatError) as caught:
+            MatrixFile.parse(text)
+        assert str(caught.value) == message
 
 
 # ---------------------------------------------------------------- analyze
@@ -113,6 +124,14 @@ def test_analyze_input_failures_exit_3(tmp_path, capsys):
     assert _run(capsys, ["analyze", str(tmp_path / "missing.txt")])[0] == 3
 
 
+# floats whose '%.12g' and repr spellings differ, or that sit next to them
+EDGE_VALUES = np.array([
+    [complex(5e-324, 2.5e-310), complex(1e12, -1e12), complex(-0.0, 42.0)],
+    [complex(9.99999999999e11, 123456789012.0), complex(1e15, 1e16),
+     complex(-1e-5, 1e-4)],
+    [complex(1234567890123.0, 1.5e16), complex(-3.0, 0.0), complex(0.5, -0.0)],
+])
+
 def test_analyze_report_round_trip():
     rng = np.random.default_rng(43)
     for matrix in (np.diag([2.0, 2.0]), np.diag([1j, 2j]),
@@ -121,14 +140,28 @@ def test_analyze_report_round_trip():
         report = build_analysis_report(matrix)
         assert AnalysisReport.from_json(report.to_json()) == report
         assert report.to_json() == json.dumps(dataclasses.asdict(report), indent=2)
+    # metrics holding edge values, unrounded floats, non-finite values,
+    # ints, ragged rows and an empty matrix are written as json writes them
+    unrounded = rng.standard_normal((3, 5, 2)).tolist()
+    for metric in (_matrix_pairs(EDGE_VALUES), unrounded,
+                   [[[0.5, float("nan")], [float("-inf"), 1.0]]],
+                   [[[1, 0.5]], [[2.0, True]]], [[[0.5, 1.0]], [[1.5, 2.0], [3.0, 4.0]]],
+                   [[[0.5, 1.0, 2.0]]], []):
+        edited = dataclasses.replace(report, intertwiner={"matrix": metric,
+                                                          "residual": 1e-13})
+        assert edited.to_json() == json.dumps(dataclasses.asdict(edited), indent=2)
+    edited = dataclasses.replace(report, intertwiner={"matrix": _matrix_pairs(EDGE_VALUES),
+                                                      "residual": 1e-13})
+    assert AnalysisReport.from_json(edited.to_json()) == edited
 
 
 def test_matrix_pairs_match_elementwise_rounding():
     m = np.array([[-0.0, 1e-300 - 0.0j, 3.0 + 1e300j],
                   [-7.0 + 2.0j, 0.1 + 1.0 / 3.0 * 1j, complex(2 ** 53, -0.0)]])
-    expected = [[_pair(z) for z in row] for row in m]
-    # json spells out -0.0, which == would not tell from 0.0
-    assert json.dumps(_matrix_pairs(m)) == json.dumps(expected)
+    for matrix in (m, EDGE_VALUES, EDGE_VALUES.T):
+        expected = [[_pair(z) for z in row] for row in matrix]
+        # json spells out -0.0, which == would not tell from 0.0
+        assert json.dumps(_matrix_pairs(matrix)) == json.dumps(expected)
 
 
 def test_analyze_output_is_deterministic(tmp_path, capsys):

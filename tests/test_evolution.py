@@ -81,6 +81,21 @@ def test_propagate_validates_dimension():
     u = evolution_operator(_p1_system(), 0.5)
     with pytest.raises(ValueError):
         propagate(u, np.ones(3))
+    with pytest.raises(ValueError):
+        transition_probability(_p1_system(), np.ones(3), BASIS_UP, 0.5)
+
+
+def test_transition_probability_matches_propagator():
+    rng = np.random.default_rng(19)
+    spectrum = kramers_spectrum(rng, 64)
+    assert np.any(spectrum.imag != 0)  # non-unitary channels present
+    system = biorthonormal_system(with_spectrum(rng, spectrum))
+    initial, final = rng.standard_normal((2, 64)) + 1j * rng.standard_normal((2, 64))
+    for t in (0.4, -0.4, 1.7, -1.7):
+        u = evolution_operator(system, t).matrix
+        expected = abs(np.vdot(final, u @ initial)) ** 2
+        value = transition_probability(system, initial, final, t)
+        assert abs(value - expected) <= 1e-12 * expected
 
 
 def test_orthogonal_states_at_zero_time():
@@ -147,3 +162,9 @@ def test_overflow_guard():
         evolution_operator(system, 1e6)
     with pytest.raises(ValueError):
         evolution_operator(system, np.inf)
+    state = np.array([1.0, 0.0])
+    transition_probability(system, state, state, 300.0)
+    with pytest.raises(EvolutionRangeError):
+        transition_probability(system, state, state, -1e6)
+    with pytest.raises(ValueError):
+        transition_probability(system, state, state, np.nan)
