@@ -97,6 +97,14 @@ def _g12_texts(values: list[float]) -> list[str]:
     return (("%.12g\n" * len(values)) % tuple(values)).split("\n")[:-1]
 
 
+def _csv_rows(columns: np.ndarray) -> str:
+    """CSV lines of :func:`_fmt` cells, one per row of a 2-d float array,
+    from one C-level format call."""
+    rows, width = columns.shape
+    line = ",".join(["%.12g"] * width) + "\n"
+    return (line * rows) % tuple(columns.ravel().tolist())
+
+
 def _matrix_pairs(m) -> list[list[list[float]]]:
     """Rows of ``[re, im]`` pairs, each float rounded as by :func:`_g12`."""
     m = np.ascontiguousarray(m, dtype=complex)
@@ -319,14 +327,14 @@ def _parse_range(token: str) -> list[float]:
     return values
 
 
-def _time_grid(args) -> list[float]:
+def _time_grid(args) -> np.ndarray:
     if not (math.isfinite(args.t_start) and math.isfinite(args.t_stop)):
         raise ValueError("time grid bounds must be finite")
     if args.t_start > args.t_stop:
         raise ValueError("time grid start exceeds stop")
     if args.t_count < 1:
         raise ValueError("time grid count must be at least 1")
-    return [float(t) for t in np.linspace(args.t_start, args.t_stop, args.t_count)]
+    return np.linspace(args.t_start, args.t_stop, args.t_count)
 
 
 def cmd_analyze(args) -> int:
@@ -354,14 +362,15 @@ def cmd_model(args) -> int:
     h = effective_hamiltonian(params)
     hermitian = bool(np.linalg.norm(h - h.conj().T)
                      <= 1e-12 * max(1.0, np.linalg.norm(h)))
-    rows = [[t,
-             spin_flip_probability(params, t),
-             probe_probability(params, t),
-             probe_probability(params, -t),
-             probe_asymmetry(params, t)] for t in grid]
+    # whole-grid closed forms; the spin flip, with the largest exponent,
+    # goes first so a range error names the same time a per-time loop would
+    flip = spin_flip_probability(params, grid)
+    forward = probe_probability(params, grid)
+    backward = probe_probability(params, -grid)
+    asymmetry = probe_asymmetry(params, grid)
     # non-unitary evolution can push raw probabilities past one; report
     # them untouched but flag the excursion
-    exceeds = bool(any(value > 1.0 for row in rows for value in row[1:4]))
+    exceeds = bool(max(flip.max(), forward.max(), backward.max()) > 1.0)
     summary = {
         "version": __version__,
         "params": {"E": _g12(params.E), "muB": _g12(params.muB),
@@ -387,8 +396,8 @@ def cmd_model(args) -> int:
     print(json.dumps(summary, indent=2))
     print()
     print("t,spin_flip,probe_forward,probe_backward,asymmetry")
-    for row in rows:
-        print(",".join(_fmt(x) for x in row))
+    print(_csv_rows(np.column_stack([grid, flip, forward, backward, asymmetry])),
+          end="")
     return 0
 
 
@@ -412,7 +421,7 @@ def cmd_scan(args) -> int:
                 except NotDiagonalizableError:
                     cells.append("")
                 try:
-                    peak = max(abs(probe_asymmetry(params, t)) for t in grid)
+                    peak = np.abs(probe_asymmetry(params, grid)).max()
                     cells.append(_fmt(peak))
                 except (DegenerateModelError, EvolutionRangeError):
                     cells.append("")

@@ -8,8 +8,13 @@ assembled spectrally,
 so no matrix exponential iteration is involved and ``U(t) U(s) = U(t+s)``
 holds to roundoff by construction.  Complex eigenvalues make ``U``
 non-unitary with exponentially growing or decaying channels; the module
-refuses time arguments whose exponentials would overflow rather than
-silently returning infinities.
+refuses time arguments whose exponentials would overflow, and a
+probability that overflows even though every exponential is
+representable, rather than silently returning infinities.
+
+``transition_probability`` and ``time_asymmetry`` take a float time or
+an ndarray of times: a float in gives a float out, an array in gives an
+array of the same shape out.
 """
 
 from __future__ import annotations
@@ -45,17 +50,45 @@ class EvolutionOperator:
         return self.matrix.shape[0]
 
 
-def _phases(system: BiorthonormalSystem, t: float) -> np.ndarray:
-    """``exp(-i E_n t)`` per column, refusing times that would overflow."""
-    if not np.isfinite(t):
+def _finite_time(t) -> np.ndarray:
+    """``t`` as a float array (0-d for a scalar), refusing non-finite entries."""
+    t = np.asarray(t, dtype=float)
+    if not np.isfinite(t).all():
         raise ValueError("time must be finite")
-    energies = system.expanded_eigenvalues()
-    growth = float(np.max(np.abs(energies.imag))) * abs(t)
-    if growth > EXP_ARG_LIMIT:
+    return t
+
+
+def _first(values, mask):
+    """The entry of ``values`` at the first true entry of ``mask``, in
+    array order."""
+    return np.ravel(values)[np.argmax(np.ravel(mask))]
+
+
+def _refuse_overflow(value, t):
+    """``value`` as a float for a 0-d ``t``, else as an array shaped like it.
+
+    Raises ``EvolutionRangeError`` naming the first time, in array order,
+    whose value overflowed to ``inf`` or ``nan``.
+    """
+    finite = np.isfinite(value)
+    if not finite.all():
         raise EvolutionRangeError(
-            f"|Im E| * |t| = {growth:.3e} exceeds the representable "
-            f"exponent range {EXP_ARG_LIMIT:g}")
-    return np.exp(-1j * energies * t)
+            f"the value at t = {_first(t, ~finite):.6g} overflows "
+            f"double precision")
+    return float(value) if np.ndim(value) == 0 else np.ascontiguousarray(value)
+
+
+def _phases(system: BiorthonormalSystem, t) -> np.ndarray:
+    """``exp(-i E_n t)`` along a last axis of length n, for a time or an
+    array of times; refuses the first time that would overflow."""
+    t = _finite_time(t)
+    energies = system.expanded_eigenvalues()
+    growth = np.abs(energies.imag).max() * np.abs(t)
+    if (growth > EXP_ARG_LIMIT).any():
+        raise EvolutionRangeError(
+            f"|Im E| * |t| = {_first(growth, growth > EXP_ARG_LIMIT):.3e} "
+            f"exceeds the representable exponent range {EXP_ARG_LIMIT:g}")
+    return np.exp(np.multiply.outer(t, -1j * energies))
 
 
 def _state(state, dim: int) -> np.ndarray:
@@ -96,26 +129,46 @@ def propagate(operator: EvolutionOperator, state) -> np.ndarray:
     return operator.matrix @ _state(state, operator.dim)
 
 
-def transition_probability(system: BiorthonormalSystem, initial, final,
-                           t: float) -> float:
+def _amplitudes(system: BiorthonormalSystem, initial, final, t) -> np.ndarray:
+    """``<final| U(t) |initial>`` for a time or an array of times.
+
+    ``Phi^H |initial>`` and ``<final| Psi`` are formed once, so each time
+    costs O(n): the amplitude is ``sum_n (<final| Psi)_n exp(-i E_n t)
+    (Phi^H |initial>)_n``.
+    """
+    phases = _phases(system, t)
+    # Phi^H |initial> as the conjugate of <initial| Phi: no n x n copy
+    coefficients = (_state(initial, system.dim).conj() @ system.left_vectors).conj()
+    overlaps = np.asarray(final, dtype=complex).ravel().conj() @ system.right_vectors
+    return phases @ (overlaps * coefficients)
+
+
+def transition_probability(system: BiorthonormalSystem, initial, final, t):
     """Squared overlap of the evolved initial state with the final state.
 
     Computes ``|<final| U(t) |initial>|**2`` with the states taken as
     given; callers supply unit-norm vectors when a probability reading is
     intended.  For non-Hermitian generators the result is not bounded by
-    one and the forward and backward values generally differ.  The
-    amplitude is ``<final| Psi (phases * (Phi^H |initial>))``, so ``U(t)``
-    itself is never formed.
+    one and the forward and backward values generally differ.  ``U(t)``
+    itself is never formed, and each extra time costs O(n).
+
+    ``t`` is a float or an ndarray of times; a float gives a float and an
+    array gives an array of the same shape.
+
+    Raises
+    ------
+    ValueError
+        If any time is not finite or a state has the wrong shape.
+    EvolutionRangeError
+        If an exponential or the probability itself would overflow; the
+        message names the first such time in array order.
     """
-    phases = _phases(system, float(t))
-    v = _state(initial, system.dim)
-    coefficients = system.left_vectors.conj().T @ v
-    amplitude = np.vdot(np.asarray(final, dtype=complex),
-                        system.right_vectors @ (phases * coefficients))
-    return float(np.abs(amplitude) ** 2)
+    with np.errstate(over="ignore", invalid="ignore"):
+        probability = np.abs(_amplitudes(system, initial, final, t)) ** 2
+    return _refuse_overflow(probability, t)
 
 
-def time_asymmetry(system: BiorthonormalSystem, initial, final, t: float) -> float:
+def time_asymmetry(system: BiorthonormalSystem, initial, final, t):
     """Forward minus backward transition probability at time ``t``.
 
     For a Hermitian generator ``U(-t) = U(t).conj().T`` and the value
@@ -124,6 +177,14 @@ def time_asymmetry(system: BiorthonormalSystem, initial, final, t: float) -> flo
     different states when the generator couples them asymmetrically.  A
     nonzero value probes dynamics that are not invariant under motion
     reversal.
+
+    ``t`` is a float or an ndarray of times, as for
+    :func:`transition_probability`; both directions come from one pass
+    over the states, and the same errors are raised.
     """
-    return (transition_probability(system, initial, final, t)
-            - transition_probability(system, initial, final, -t))
+    t = np.asarray(t, dtype=float)
+    with np.errstate(over="ignore", invalid="ignore"):
+        forward, backward = np.abs(
+            _amplitudes(system, initial, final, np.array([t, -t]))) ** 2
+        asymmetry = forward - backward
+    return _refuse_overflow(asymmetry, t)

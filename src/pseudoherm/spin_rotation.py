@@ -25,6 +25,14 @@ oracle against which the generic eigensystem pipeline is tested:
 written with ``alpha*t*sinc(Rt)`` instead of ``sqrt(chi)*sin(Rt)`` so a
 single expression covers both spectral regimes and every sign of
 ``alpha`` without choosing a square-root branch.
+
+Each closed form takes a float time or an ndarray of times: a float in
+gives a float out, an array in gives an array of the same shape out, and
+every entry of the array equals the float result at that time bit for
+bit, so a time grid is evaluated in one call.  The arithmetic stays
+complex throughout: ``Rt`` is real or purely imaginary, so every complex
+product has a factor with zero imaginary part and rounds the same in
+numpy's array loops as in its scalar arithmetic.
 """
 
 from __future__ import annotations
@@ -34,7 +42,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .evolution import EXP_ARG_LIMIT
+from .evolution import EXP_ARG_LIMIT, _finite_time, _first, _refuse_overflow
 from .exceptions import (
     ComplexSpectrumRegimeError,
     DegenerateModelError,
@@ -111,25 +119,21 @@ def _require_coupling_ratio(params: ModelParams) -> None:
             "k2*omega2/2 - muB vanishes; the coupling ratio is undefined")
 
 
-def _check_range(z: complex) -> None:
-    if abs(z.imag) > EXP_ARG_LIMIT:
+def _check_range(z) -> None:
+    """Refuse growth beyond the exponent range; names the first entry."""
+    growth = np.abs(np.imag(z))
+    if (growth > EXP_ARG_LIMIT).any():
         raise EvolutionRangeError(
-            f"|Im(R t)| = {abs(z.imag):.3e} exceeds the representable "
-            f"exponent range {EXP_ARG_LIMIT:g}")
+            f"|Im(R t)| = {_first(growth, growth > EXP_ARG_LIMIT):.3e} exceeds "
+            f"the representable exponent range {EXP_ARG_LIMIT:g}")
 
 
-def _finite_time(t) -> float:
-    t = float(t)
-    if not math.isfinite(t):
-        raise ValueError("time must be finite")
-    return t
-
-
-def _sinc(z: complex) -> complex:
-    """sin(z)/z continued through z = 0; accepts complex z."""
-    if z == 0:
-        return 1.0
-    return complex(np.sin(z) / z)
+def _sinc(z) -> np.ndarray:
+    """sin(z)/z continued through z = 0; complex z, a scalar or an array."""
+    z = np.asarray(z, dtype=complex)
+    zero = z == 0
+    safe = np.where(zero, 1.0, z)
+    return np.where(zero, 1.0, np.sin(safe) / safe)
 
 
 def effective_hamiltonian(params: ModelParams) -> np.ndarray:
@@ -233,24 +237,31 @@ def model_intertwiner(params: ModelParams) -> Intertwiner:
     return Intertwiner(matrix=np.diag([1.0 / chi, 1.0]).astype(complex))
 
 
-def spin_flip_probability(params: ModelParams, t: float) -> float:
+def spin_flip_probability(params: ModelParams, t):
     """Probability of flipping from the second helicity state to the first.
 
     Evaluates ``(chi/2) (1 - cos 2Rt)``; in the complex-spectrum regime
     the cosine turns hyperbolic and the probability grows without bound.
+    ``t`` is a float or an ndarray of times; a float gives a float and an
+    array gives an array of the same shape.
 
     Raises
     ------
+    ValueError
+        If any time is not finite.
     DegenerateModelError
         If the coupling ratio is undefined.
     EvolutionRangeError
-        If the hyperbolic growth would overflow.
+        If the hyperbolic growth or the probability would overflow; the
+        message names the first such time in array order.
     """
     t = _finite_time(t)
     chi = coupling_ratio(params)
     z = 2.0 * level_splitting(params) * t
     _check_range(z)
-    return float(((chi / 2.0) * (1.0 - np.cos(z))).real)
+    with np.errstate(over="ignore", invalid="ignore"):
+        value = (chi / 2.0) * (1.0 - np.cos(z))
+    return _refuse_overflow(value.real, t)
 
 
 def probe_state() -> np.ndarray:
@@ -258,47 +269,61 @@ def probe_state() -> np.ndarray:
     return np.array([1.0, 1.0], dtype=complex) / math.sqrt(2.0)
 
 
-def probe_probability(params: ModelParams, t: float) -> float:
+def probe_probability(params: ModelParams, t):
     """Transition probability from the second helicity state to the probe.
 
     Evaluates ``(1/2) (cos Rt + alpha t sinc(Rt))**2``, the squared
     overlap of the evolved second basis state with
     ``(first + second)/sqrt(2)``.  Equals one half at ``t = 0`` since the
-    probe and the initial state are not orthogonal.
+    probe and the initial state are not orthogonal.  ``t`` is a float or
+    an ndarray of times; a float gives a float and an array gives an
+    array of the same shape.
 
     Raises
     ------
+    ValueError
+        If any time is not finite.
     DegenerateModelError
         If the coupling ratio is undefined.
     EvolutionRangeError
-        If the hyperbolic growth would overflow.
+        If the hyperbolic growth or the probability would overflow; the
+        message names the first such time in array order.
     """
     t = _finite_time(t)
     _require_coupling_ratio(params)
     z = level_splitting(params) * t
     _check_range(z)
-    amplitude = np.cos(z) + _alpha(params) * t * _sinc(z)
-    return float((0.5 * amplitude * amplitude).real)
+    with np.errstate(over="ignore", invalid="ignore"):
+        amplitude = np.cos(z) + _alpha(params) * t * _sinc(z)
+        value = 0.5 * amplitude * amplitude
+    return _refuse_overflow(value.real, t)
 
 
-def probe_asymmetry(params: ModelParams, t: float) -> float:
+def probe_asymmetry(params: ModelParams, t):
     """Forward minus backward probe transition probability.
 
     Evaluates ``2 alpha t sinc(2Rt)``, which vanishes identically only
     when the numerator coupling does.  It survives in the Hermitian
     equal-coupling limit, where the rotational term itself already breaks
     invariance under motion reversal, and it stays nonzero for generic
-    ``t`` throughout the real-spectrum regime.
+    ``t`` throughout the real-spectrum regime.  ``t`` is a float or an
+    ndarray of times; a float gives a float and an array gives an array
+    of the same shape.
 
     Raises
     ------
+    ValueError
+        If any time is not finite.
     DegenerateModelError
         If the coupling ratio is undefined.
     EvolutionRangeError
-        If the hyperbolic growth would overflow.
+        If the hyperbolic growth or the asymmetry would overflow; the
+        message names the first such time in array order.
     """
     t = _finite_time(t)
     _require_coupling_ratio(params)
     z = 2.0 * level_splitting(params) * t
     _check_range(z)
-    return float((2.0 * _alpha(params) * t * _sinc(z)).real)
+    with np.errstate(over="ignore", invalid="ignore"):
+        value = 2.0 * _alpha(params) * t * _sinc(z)
+    return _refuse_overflow(value.real, t)

@@ -7,10 +7,17 @@ import numpy as np
 import pytest
 from conftest import kramers_spectrum, with_spectrum
 
+from pseudoherm import (
+    ModelParams,
+    probe_asymmetry,
+    probe_probability,
+    spin_flip_probability,
+)
 from pseudoherm.cli import (
     AnalysisReport,
     MatrixFile,
     MatrixFormatError,
+    _fmt,
     _matrix_pairs,
     _pair,
     build_analysis_report,
@@ -237,6 +244,40 @@ def test_model_degenerate_regimes_exit_4(capsys):
     assert code == 4 and "model regime" in err
     code, _, err = _run(capsys, ["model", "--muB", "0.5", "--k2", "0.6"])
     assert code == 4 and "model regime" in err
+
+
+def test_model_csv_matches_per_time_scalar_calls(capsys):
+    cases = [  # (model flags, time grid)
+        (dict(muB=0.3, k2=0.5), (-3.0, 3.0, 7)),      # -0 flip at t = 0
+        (dict(muB=0.1, k2=0.5), (-2e-7, 1e12, 5)),    # exponents
+        (dict(), (-10.0, 10.0, 41)),                  # Hermitian limit
+        (dict(muB=0.1, k2=0.5, E=-2.0), (-7.5, 31.0, 23)),
+    ]
+    cells = set()
+    for flags, (start, stop, count) in cases:
+        params = ModelParams(**{"E": 1.0, "omega2": 1.0, "k1": 1.0, **flags})
+        argv = ["model", *(f"--{key}={value!r}" for key, value in flags.items()),
+                f"--t-start={start!r}", f"--t-stop={stop!r}", f"--t-count={count}"]
+        code, out, _ = _run(capsys, argv)
+        assert code == 0
+        _, _, rows = _split_model_output(out)
+        expected = [",".join(_fmt(x) for x in (
+            t, spin_flip_probability(params, t), probe_probability(params, t),
+            probe_probability(params, -t), probe_asymmetry(params, t)))
+            for t in np.linspace(start, stop, count).tolist()]
+        assert rows == expected
+        cells.update(",".join(rows).split(","))
+    assert "-0" in cells and "0" in cells and "-3" in cells
+    assert any("e-" in cell for cell in cells) and "1e+12" in cells
+
+
+def test_model_overflow_exits_2(capsys):
+    # every exponent is in range, but the probabilities overflow
+    code, out, err = _run(capsys, [
+        "model", "--k1=2000", "--k2=-2e-6", "--t-start=11000",
+        "--t-stop=11060", "--t-count=4"])
+    assert code == 2 and out == ""
+    assert "numeric error" in err and "t = 11000 overflows" in err
 
 
 def test_model_bad_time_grid_exits_3(capsys):

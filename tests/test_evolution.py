@@ -164,7 +164,64 @@ def test_overflow_guard():
         evolution_operator(system, np.inf)
     state = np.array([1.0, 0.0])
     transition_probability(system, state, state, 300.0)
+    # exp(600) is representable, its square is not
+    with pytest.raises(EvolutionRangeError, match="t = 600 overflows"):
+        transition_probability(system, state, state, 600.0)
+    with pytest.raises(EvolutionRangeError, match="t = 600 overflows"):
+        time_asymmetry(system, state, state, 600.0)
     with pytest.raises(EvolutionRangeError):
         transition_probability(system, state, state, -1e6)
     with pytest.raises(ValueError):
         transition_probability(system, state, state, np.nan)
+
+
+def _kramers_system(seed, n):
+    rng = np.random.default_rng(seed)
+    system = biorthonormal_system(with_spectrum(rng, kramers_spectrum(rng, n)))
+    initial, final = rng.standard_normal((2, n)) + 1j * rng.standard_normal((2, n))
+    return system, initial, final
+
+
+TIMES = np.array([0.0, -0.0, 1e-9, 0.4, -0.4, 1.7, -2.9, 5.0])
+
+
+def test_propagators_evaluate_time_arrays():
+    system, initial, final = _kramers_system(23, 16)
+    forward = transition_probability(system, initial, final, TIMES)
+    backward = transition_probability(system, initial, final, -TIMES)
+    asymmetry = time_asymmetry(system, initial, final, TIMES)
+    assert forward.shape == asymmetry.shape == TIMES.shape
+    for k, t in enumerate(TIMES):
+        value = transition_probability(system, initial, final, float(t))
+        assert type(value) is float
+        assert abs(forward[k] - value) <= 1e-12 * value
+        value = time_asymmetry(system, initial, final, float(t))
+        assert type(value) is float
+        assert abs(asymmetry[k] - value) <= 1e-12 * (forward[k] + backward[k])
+    grid = time_asymmetry(system, initial, final, TIMES.reshape(2, 4))
+    assert grid.shape == (2, 4)
+    assert np.allclose(grid.ravel(), asymmetry, rtol=1e-12, atol=0.0)
+
+
+def test_propagators_refuse_any_non_finite_time():
+    system, initial, final = _kramers_system(29, 4)
+    for bad in (np.nan, np.inf):
+        for position in (0, 3, -1):
+            times = TIMES.copy()
+            times[position] = bad
+            with pytest.raises(ValueError, match="time must be finite"):
+                transition_probability(system, initial, final, times)
+            with pytest.raises(ValueError, match="time must be finite"):
+                time_asymmetry(system, initial, final, times)
+
+
+def test_propagator_range_error_names_first_offending_time():
+    system = biorthonormal_system(np.diag([1j, -1j]))
+    state = np.array([1.0, 0.0])
+    times = np.array([1.0, -300.0, 800.0, -900.0, 750.0])
+    for evaluate in (transition_probability, time_asymmetry):
+        with pytest.raises(EvolutionRangeError) as scalar:
+            evaluate(system, state, state, 800.0)
+        with pytest.raises(EvolutionRangeError) as array:
+            evaluate(system, state, state, times)
+        assert str(array.value) == str(scalar.value)

@@ -204,6 +204,56 @@ def test_probability_range_guard():
         probe_asymmetry(COMPLEX_REGIME, -1e5)
     # real-regime splittings never overflow
     assert np.isfinite(probe_probability(P1, 1e5))
+    # |Im(R t)| = 450 is in range, but the squared amplitude overflows
+    with pytest.raises(EvolutionRangeError, match="t = 300 overflows"):
+        probe_probability(ModelParams(k1=3.0, k2=-3.0), 300.0)
+
+
+# both regimes, the Hermitian limit, and a vanishing splitting (R = 0,
+# where every z is zero and sinc takes its t = 0 branch)
+ARRAY_PARAMS = (P1, COMPLEX_REGIME, HERMITIAN,
+                ModelParams(E=1.0, muB=0.5, omega2=1.0, k1=1.0, k2=0.6))
+ARRAY_TIMES = np.array([0.0, -0.0, 1e-9, -1e-9, 0.4, -1.7, 3.0, -12.5, 40.0, 1e3])
+CLOSED_FORMS = (spin_flip_probability, probe_probability, probe_asymmetry)
+
+
+def test_closed_forms_evaluate_time_arrays_bit_for_bit():
+    for params in ARRAY_PARAMS:
+        for closed_form in CLOSED_FORMS:
+            values = closed_form(params, ARRAY_TIMES)
+            assert isinstance(values, np.ndarray) and values.dtype == float
+            scalars = [closed_form(params, float(t)) for t in ARRAY_TIMES]
+            assert all(type(value) is float for value in scalars)
+            # tobytes tells -0.0 from 0.0
+            assert values.tobytes() == np.array(scalars).tobytes()
+            grid = closed_form(params, ARRAY_TIMES.reshape(2, 5))
+            assert grid.shape == (2, 5)
+            assert grid.tobytes() == values.tobytes()
+
+
+def test_closed_forms_refuse_any_non_finite_time():
+    for bad in (np.nan, np.inf, -np.inf):
+        for position in (0, 4, -1):
+            times = ARRAY_TIMES.copy()
+            times[position] = bad
+            for closed_form in CLOSED_FORMS:
+                with pytest.raises(ValueError, match="time must be finite"):
+                    closed_form(P1, times)
+
+
+def test_closed_form_range_error_names_first_offending_time():
+    # 2 |Im R| t exceeds the exponent range from |t| = 3500 on
+    times = np.array([1.0, -2.0, 2e4, -5e4, 3e4])
+    for closed_form in CLOSED_FORMS:
+        with pytest.raises(EvolutionRangeError) as scalar:
+            closed_form(COMPLEX_REGIME, 2e4)
+        with pytest.raises(EvolutionRangeError) as array:
+            closed_form(COMPLEX_REGIME, times)
+        assert str(array.value) == str(scalar.value)
+    # the forward probe grows as exp(3t) and decays backward in time
+    growing = ModelParams(k1=3.0, k2=-3.0)
+    with pytest.raises(EvolutionRangeError, match="t = 310 overflows"):
+        probe_probability(growing, np.array([1.0, -400.0, 200.0, 310.0, 320.0]))
 
 
 def test_params_validation():
