@@ -161,7 +161,7 @@ def transition_probability(system: BiorthonormalSystem, initial, final, t):
         If any time is not finite or a state has the wrong shape.
     EvolutionRangeError
         If an exponential or the probability itself would overflow; the
-        message names the first such time in array order.
+        message describes the first such time in array order.
     """
     with np.errstate(over="ignore", invalid="ignore"):
         probability = np.abs(_amplitudes(system, initial, final, t)) ** 2

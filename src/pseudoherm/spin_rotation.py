@@ -253,7 +253,7 @@ def spin_flip_probability(params: ModelParams, t):
         If the coupling ratio is undefined.
     EvolutionRangeError
         If the hyperbolic growth or the probability would overflow; the
-        message names the first such time in array order.
+        message describes the first such time in array order.
     """
     t = _finite_time(t)
     chi = coupling_ratio(params)
@@ -287,7 +287,7 @@ def probe_probability(params: ModelParams, t):
         If the coupling ratio is undefined.
     EvolutionRangeError
         If the hyperbolic growth or the probability would overflow; the
-        message names the first such time in array order.
+        message describes the first such time in array order.
     """
     t = _finite_time(t)
     _require_coupling_ratio(params)
@@ -318,7 +318,7 @@ def probe_asymmetry(params: ModelParams, t):
         If the coupling ratio is undefined.
     EvolutionRangeError
         If the hyperbolic growth or the asymmetry would overflow; the
-        message names the first such time in array order.
+        message describes the first such time in array order.
     """
     t = _finite_time(t)
     _require_coupling_ratio(params)

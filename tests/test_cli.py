@@ -278,6 +278,13 @@ def test_model_overflow_exits_2(capsys):
         "--t-stop=11060", "--t-count=4"])
     assert code == 2 and out == ""
     assert "numeric error" in err and "t = 11000 overflows" in err
+    # out of exponent range: the spin flip's 2|Im R t| at the first time,
+    # as the per-time loop reported it
+    code, out, err = _run(capsys, [
+        "model", "--muB", "0.3", "--k2", "0.5", "--t-start=-8000",
+        "--t-stop=8000", "--t-count=9"])
+    assert code == 2 and out == ""
+    assert "|Im(R t)| = 1.600e+03 exceeds" in err
 
 
 def test_model_bad_time_grid_exits_3(capsys):
