@@ -32,7 +32,6 @@ from .spectral import (
     SpectrumClassification,
     biorthonormal_system,
     classify_spectrum,
-    diagonalize,
     reconstruct,
 )
 from .spin_rotation import (
@@ -85,7 +84,6 @@ __all__ = [
     "classify_spectrum",
     "commutator_residual",
     "coupling_ratio",
-    "diagonalize",
     "effective_hamiltonian",
     "evolution_operator",
     "intertwining_residual",

@@ -271,14 +271,14 @@ def build_analysis_report(matrix, tol: float = DEFAULT_TOL,
         Propagated from the eigendecomposition.
     """
     system = biorthonormal_system(matrix, tol=tol, cond_ceiling=cond_ceiling)
-    verdict, classification = _kramers_verdict(matrix, system, tol)
+    verdict = _kramers_verdict(matrix, system)
     spectrum = [{"value": _pair(value), "multiplicity": int(mult),
                  "kind": "real" if is_real else "complex"}
                 for value, mult, is_real in zip(system.eigenvalues, system.multiplicities,
                                                 _is_real(system.eigenvalues, tol))]
     intertwiner = witness_residuals = None
-    if classification is not None:
-        eta = build_intertwiner(system, classification)
+    if verdict.pseudohermitian:
+        eta = build_intertwiner(system)
         intertwiner = {
             "matrix": _matrix_pairs(eta.matrix),
             "residual": _g12(intertwining_residual(matrix, eta)),

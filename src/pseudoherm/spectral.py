@@ -18,7 +18,7 @@ groups into real ones and complex-conjugate partners.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -29,7 +29,6 @@ __all__ = [
     "SpectrumClassification",
     "biorthonormal_system",
     "classify_spectrum",
-    "diagonalize",
     "reconstruct",
 ]
 
@@ -47,6 +46,12 @@ def _square_complex(matrix) -> np.ndarray:
     if not np.all(np.isfinite(a.view(float))):
         raise ValueError("matrix entries must be finite")
     return a
+
+
+def _check_tolerance(name: str, value: float) -> None:
+    """Refuse a tolerance that is not finite and positive (NaN included)."""
+    if not 0 < value < np.inf:
+        raise ValueError(f"{name} must be finite and positive, got {value!r}")
 
 
 def _is_real(values, tol: float):
@@ -109,8 +114,6 @@ class BiorthonormalSystem:
         Columns are the left vectors ``phi``; satisfies
         ``left_vectors.conj().T @ right_vectors == 1`` exactly up to
         floating point because it is built from the inverse.
-    labels : list of (int, int)
-        For each column, the ``(group, member)`` index pair.
     tolerance : float
         Relative tolerance used to form the groups.
     """
@@ -119,7 +122,6 @@ class BiorthonormalSystem:
     multiplicities: np.ndarray
     right_vectors: np.ndarray
     left_vectors: np.ndarray
-    labels: list[tuple[int, int]] = field(repr=False)
     tolerance: float = DEFAULT_TOL
 
     @property
@@ -150,49 +152,16 @@ class SpectrumClassification:
         Positions of the real groups in the clustered group ordering.
     pair_group_indices : list of (int, int)
         Positions of the (upper, lower) members of each pair.
-    tolerance_used : float
     """
 
     real_groups: list[tuple[float, int]]
     conjugate_pairs: list[tuple[complex, complex, int]]
     real_group_indices: list[int]
     pair_group_indices: list[tuple[int, int]]
-    tolerance_used: float
 
     @property
     def is_entirely_real(self) -> bool:
         return not self.conjugate_pairs
-
-
-def diagonalize(matrix, tol: float = DEFAULT_TOL,
-                cond_ceiling: float = DEFAULT_COND_CEILING):
-    """Eigendecompose ``matrix``, refusing near-defective inputs.
-
-    Parameters
-    ----------
-    matrix : array_like
-        Square complex matrix.
-    tol : float
-        Relative tolerance for grouping degenerate eigenvalues.
-    cond_ceiling : float
-        Largest accepted condition number of the eigenvector matrix.
-
-    Returns
-    -------
-    eigenvalues : ndarray
-        One value per column of ``vectors`` (group representatives
-        repeated by multiplicity), groups sorted by (real, imag).
-    vectors : ndarray
-        Right eigenvectors as columns, unit norm.
-
-    Raises
-    ------
-    NotDiagonalizableError
-        If ``cond(vectors)`` exceeds ``cond_ceiling``; at finite
-        precision such a matrix is treated as defective.
-    """
-    system = biorthonormal_system(matrix, tol=tol, cond_ceiling=cond_ceiling)
-    return system.expanded_eigenvalues(), system.right_vectors
 
 
 def biorthonormal_system(matrix, tol: float = DEFAULT_TOL,
@@ -211,13 +180,11 @@ def biorthonormal_system(matrix, tol: float = DEFAULT_TOL,
         ``cond_ceiling``.
     ValueError
         If the input is not a finite square matrix or the tolerances are
-        not positive.
+        not finite and positive.
     """
     a = _square_complex(matrix)
-    if tol <= 0:
-        raise ValueError("tol must be positive")
-    if cond_ceiling <= 0:
-        raise ValueError("cond_ceiling must be positive")
+    _check_tolerance("tol", tol)
+    _check_tolerance("cond_ceiling", cond_ceiling)
     w, v = np.linalg.eig(a)
     v = v / np.linalg.norm(v, axis=0, keepdims=True)
     cond = np.linalg.cond(v)
@@ -228,13 +195,11 @@ def biorthonormal_system(matrix, tol: float = DEFAULT_TOL,
     perm, values, mults = _cluster(w, tol)
     v = v[:, perm]
     phi = np.linalg.inv(v).conj().T
-    labels = [(g, m) for g, size in enumerate(mults) for m in range(int(size))]
     return BiorthonormalSystem(
         eigenvalues=values,
         multiplicities=mults,
         right_vectors=v,
         left_vectors=phi,
-        labels=labels,
         tolerance=tol,
     )
 
@@ -273,8 +238,7 @@ def classify_spectrum(eigenvalues, tol: float = DEFAULT_TOL) -> SpectrumClassifi
         raise ValueError("expected at least one eigenvalue")
     if not np.all(np.isfinite(w.view(float))):
         raise ValueError("eigenvalues must be finite")
-    if tol <= 0:
-        raise ValueError("tol must be positive")
+    _check_tolerance("tol", tol)
     _, values, mults = _cluster(w, tol)
     return _classify_groups(values, mults, tol)
 
@@ -326,7 +290,6 @@ def _classify_groups(values: np.ndarray, mults: np.ndarray,
         conjugate_pairs=pairs,
         real_group_indices=real_idx,
         pair_group_indices=pair_idx,
-        tolerance_used=tol,
     )
 
 

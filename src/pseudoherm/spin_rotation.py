@@ -214,7 +214,6 @@ def model_eigenbasis(params: ModelParams) -> BiorthonormalSystem:
         multiplicities=np.array([1, 1]),
         right_vectors=right,
         left_vectors=left,
-        labels=[(0, 0), (1, 0)],
         tolerance=DEFAULT_TOL,
     )
 

@@ -33,7 +33,6 @@ from .spectral import (
     DEFAULT_COND_CEILING,
     DEFAULT_TOL,
     BiorthonormalSystem,
-    SpectrumClassification,
     _classify_groups,
     _is_real,
     _square_complex,
@@ -130,38 +129,7 @@ class KramersReport:
         return self.pseudohermitian and self.all_even
 
 
-def _resolve_classification(system: BiorthonormalSystem,
-                            classification: SpectrumClassification | None) -> SpectrumClassification:
-    """Classify the system's own groups, or validate a given classification."""
-    if classification is None:
-        return _classify_groups(system.eigenvalues, system.multiplicities,
-                                system.tolerance)
-    ngroups = len(system.eigenvalues)
-    covered = (len(classification.real_group_indices)
-               + 2 * len(classification.pair_group_indices))
-    if covered != ngroups:
-        raise ValueError("classification covers a different number of "
-                         "eigenvalue groups than the system")
-    scale = max(1.0, float(np.max(np.abs(system.eigenvalues))))
-    slack = max(classification.tolerance_used, system.tolerance) * scale
-
-    def check(k, value, mult):
-        if abs(system.eigenvalues[k] - value) > slack or system.multiplicities[k] != mult:
-            raise ValueError("classification does not match the system's "
-                             "eigenvalue groups")
-
-    for (value, mult), k in zip(classification.real_groups,
-                                classification.real_group_indices):
-        check(k, value, mult)
-    for (upper, lower, mult), (ku, kl) in zip(classification.conjugate_pairs,
-                                              classification.pair_group_indices):
-        check(ku, upper, mult)
-        check(kl, lower, mult)
-    return classification
-
-
-def build_intertwiner(system: BiorthonormalSystem,
-                      classification: SpectrumClassification | None = None) -> Intertwiner:
+def build_intertwiner(system: BiorthonormalSystem) -> Intertwiner:
     """Construct a Hermitian metric intertwining the matrix and its adjoint.
 
     With ``Phi`` the left-vector matrix, the metric is
@@ -170,19 +138,15 @@ def build_intertwiner(system: BiorthonormalSystem,
     ``P D = conj(D) P`` for the diagonal eigenvalue matrix ``D``, which is
     exactly the intertwining relation after conjugation by ``Phi``.
 
-    Parameters
-    ----------
-    system : BiorthonormalSystem
-    classification : SpectrumClassification, optional
-        Reuse an existing classification; derived from the system's
-        groups when omitted.  Must describe the same groups.
+    The system's own eigenvalue groups are classified, at its tolerance.
 
     Raises
     ------
     NotPseudohermitianError
         If the spectrum is not real-or-paired (no metric exists).
     """
-    cls = _resolve_classification(system, classification)
+    cls = _classify_groups(system.eigenvalues, system.multiplicities,
+                           system.tolerance)
     dim = system.dim
     p = np.zeros((dim, dim))
     for k in cls.real_group_indices:
@@ -223,8 +187,7 @@ def intertwining_residual(matrix, intertwiner) -> float:
                  / max(1.0, np.linalg.norm(h)))
 
 
-def build_antilinear_symmetry(system: BiorthonormalSystem,
-                              classification: SpectrumClassification | None = None) -> AntilinearOperator:
+def build_antilinear_symmetry(system: BiorthonormalSystem) -> AntilinearOperator:
     """Construct a commuting antilinear operator squaring to minus one.
 
     The witness is ``A = V S Phi.T`` with ``S`` a real signed pairing:
@@ -232,7 +195,8 @@ def build_antilinear_symmetry(system: BiorthonormalSystem,
     paired against the second half, and the two groups of each conjugate
     pair are paired against each other.  Because ``Phi.T conj(V) = 1``,
     the square ``A conj(A)`` collapses to ``V S S inv(V) = -1`` exactly;
-    floating point enters only through ``inv(V)``.
+    floating point enters only through ``inv(V)``.  The system's own
+    eigenvalue groups are classified, at its tolerance.
 
     Raises
     ------
@@ -242,7 +206,8 @@ def build_antilinear_symmetry(system: BiorthonormalSystem,
     NotPseudohermitianError
         If the spectrum is not real-or-paired.
     """
-    cls = _resolve_classification(system, classification)
+    cls = _classify_groups(system.eigenvalues, system.multiplicities,
+                           system.tolerance)
     odd = [(value, mult) for value, mult in cls.real_groups if mult % 2]
     if odd:
         raise OddDegeneracyError(odd)
@@ -306,35 +271,46 @@ def kramers_test(matrix, tol: float = DEFAULT_TOL,
     ------
     NotDiagonalizableError
         If the eigenvector matrix is too ill-conditioned.
+    ValueError
+        If the input is not a finite square matrix or a tolerance is not
+        finite and positive.
     """
     h = _square_complex(matrix)
     system = biorthonormal_system(h, tol=tol, cond_ceiling=cond_ceiling)
-    return _kramers_verdict(h, system, tol)[0]
+    return _kramers_verdict(h, system)
 
 
-def _kramers_verdict(matrix, system: BiorthonormalSystem, tol: float):
-    """The Kramers report on ``system``'s own groups, classified once, and
-    the classification (``None`` when the spectrum is not real-or-paired)."""
-    real = _is_real(system.eigenvalues, tol)
+def _kramers_verdict(matrix, system: BiorthonormalSystem) -> KramersReport:
+    """The Kramers report on ``system``'s own groups, classified once.
+
+    When every real group is even, building the witness is the
+    classification; otherwise the groups are classified only to decide
+    pseudohermiticity.
+    """
+    real = _is_real(system.eigenvalues, system.tolerance)
     real_degeneracies = [
         (float(value.real), int(mult))
         for value, mult in zip(system.eigenvalues[real], system.multiplicities[real])
     ]
     all_even = all(mult % 2 == 0 for _, mult in real_degeneracies)
-    try:
-        cls = _classify_groups(system.eigenvalues, system.multiplicities, tol)
-    except NotPseudohermitianError:
-        cls = None
     witness = comm = square = None
-    if cls is not None and all_even:
-        witness = build_antilinear_symmetry(system, cls)
+    pseudohermitian = True
+    try:
+        if all_even:
+            witness = build_antilinear_symmetry(system)
+        else:
+            _classify_groups(system.eigenvalues, system.multiplicities,
+                             system.tolerance)
+    except NotPseudohermitianError:
+        pseudohermitian = False
+    if witness is not None:
         comm = commutator_residual(matrix, witness)
         square = square_residual(witness)
     return KramersReport(
-        pseudohermitian=cls is not None,
+        pseudohermitian=pseudohermitian,
         real_degeneracies=real_degeneracies,
         all_even=all_even,
         witness=witness,
         commutator_residual=comm,
         square_residual=square,
-    ), cls
+    )

@@ -129,6 +129,13 @@ def test_analyze_input_failures_exit_3(tmp_path, capsys):
     bad = _write(tmp_path, "2 1 2 3 oops")
     assert _run(capsys, ["analyze", bad])[0] == 3
     assert _run(capsys, ["analyze", str(tmp_path / "missing.txt")])[0] == 3
+    # non-finite tolerances are input errors, also where a NaN ceiling would
+    # otherwise let a Jordan block through
+    for text, option in (("2 1 0 0 2", "--tol=nan"), ("2 1 0 0 2", "--tol=inf"),
+                         ("2 0 1 0 0", "--cond-ceiling=nan")):
+        code, out, err = _run(capsys, ["analyze", _write(tmp_path, text), option])
+        assert (code, out) == (3, "")
+        assert "must be finite and positive" in err
 
 
 # floats whose '%.12g' and repr spellings differ, or that sit next to them

@@ -14,21 +14,20 @@ from pseudoherm import (
     NotPseudohermitianError,
     biorthonormal_system,
     classify_spectrum,
-    diagonalize,
     reconstruct,
 )
 
 
 def test_diagonalize_diagonal_matrix():
-    values, vectors = diagonalize(np.diag([1.0, 2.0, 3.0]))
-    assert np.allclose(values, [1.0, 2.0, 3.0])
+    system = biorthonormal_system(np.diag([1.0, 2.0, 3.0]))
+    assert np.allclose(system.expanded_eigenvalues(), [1.0, 2.0, 3.0])
     # columns are standard basis vectors up to phase
-    assert np.allclose(np.abs(vectors), np.eye(3))
+    assert np.allclose(np.abs(system.right_vectors), np.eye(3))
 
 
 def test_diagonalize_rejects_jordan_block():
     with pytest.raises(NotDiagonalizableError):
-        diagonalize(np.array([[0.0, 1.0], [0.0, 0.0]]))
+        biorthonormal_system(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
 
 def test_diagonalize_eigen_equation_on_random_corpus():
@@ -37,7 +36,8 @@ def test_diagonalize_eigen_equation_on_random_corpus():
         for _ in range(10):
             h = bounded_similarity(rng, n) @ np.diag(rng.standard_normal(n)) \
                 @ np.linalg.inv(bounded_similarity(rng, n))
-            values, vectors = diagonalize(h)
+            system = biorthonormal_system(h)
+            values, vectors = system.expanded_eigenvalues(), system.right_vectors
             residual = np.linalg.norm(h @ vectors - vectors * values)
             assert residual <= 1e-9 * max(1.0, np.linalg.norm(h))
 
@@ -54,8 +54,15 @@ def test_input_validation():
         biorthonormal_system(np.zeros((2, 3)))
     with pytest.raises(ValueError):
         biorthonormal_system(np.array([[np.nan, 0], [0, 1]]))
-    with pytest.raises(ValueError):
-        biorthonormal_system(np.eye(2), tol=0.0)
+    # NaN passes a plain `tol <= 0` check; inf would merge every eigenvalue
+    for bad in (0.0, -1e-9, np.nan, np.inf):
+        with pytest.raises(ValueError, match="tol must be finite and positive"):
+            biorthonormal_system(np.eye(2), tol=bad)
+        with pytest.raises(ValueError, match="tol must be finite and positive"):
+            classify_spectrum([1.0, 2.0], tol=bad)
+    for bad in (0.0, np.nan, np.inf):
+        with pytest.raises(ValueError, match="cond_ceiling must be finite and positive"):
+            biorthonormal_system(np.eye(2), cond_ceiling=bad)
     with pytest.raises(ValueError):
         classify_spectrum([])
 
@@ -91,8 +98,6 @@ def test_degenerate_groups_are_clustered():
     # groups sorted by (real, imag) of the representative
     keys = [(v.real, v.imag) for v in system.eigenvalues]
     assert keys == sorted(keys)
-    assert system.labels == [(g, a) for g, mult in enumerate(system.multiplicities)
-                             for a in range(int(mult))]
 
 
 def test_group_columns_partition_the_basis():
