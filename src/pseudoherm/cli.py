@@ -29,8 +29,9 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import operator
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from itertools import chain
 from pathlib import Path
 
@@ -105,17 +106,30 @@ def _csv_rows(columns: np.ndarray) -> str:
     return (line * rows) % tuple(columns.ravel().tolist())
 
 
+def _rounded_parts(m: np.ndarray) -> tuple[list[str], list[float]]:
+    """The ``'%.12g'`` text of every real and imaginary part of ``m``,
+    row-major with re before im, and the floats those texts spell: the
+    one rounding pass, as by :func:`_g12`."""
+    m = np.ascontiguousarray(m, dtype=complex)
+    # the float view interleaves re and im in row-major order
+    texts = _g12_texts(m.view(float).ravel().tolist())
+    return texts, list(map(float, texts))
+
+
+def _nested_pairs(values: list[float], cols: int) -> list[list[list[float]]]:
+    """Rows of ``cols`` ``[re, im]`` pairs holding the objects of ``values``."""
+    parts = iter(values)
+    pairs = list(map(list, zip(parts, parts)))
+    return [pairs[k:k + cols] for k in range(0, len(pairs), cols)]
+
+
 def _matrix_pairs(m) -> list[list[list[float]]]:
     """Rows of ``[re, im]`` pairs, each float rounded as by :func:`_g12`."""
-    m = np.ascontiguousarray(m, dtype=complex)
-    rows, cols = m.shape
-    # the float view interleaves re and im in row-major order
-    values = iter(map(float, _g12_texts(m.view(float).ravel().tolist())))
-    pairs = list(map(list, zip(values, values)))
-    return [pairs[k * cols:(k + 1) * cols] for k in range(rows)]
+    m = np.asarray(m)
+    return _nested_pairs(_rounded_parts(m)[1], m.shape[1])
 
 
-def _json_floats(values: list[float]) -> list[str]:
+def _json_floats(values: list[float], texts: list[str] | None = None) -> list[str]:
     """The text ``json.dumps`` writes for each float.
 
     ``'%.12g'`` and ``repr`` spell a float with at most 12 significant
@@ -124,19 +138,45 @@ def _json_floats(values: list[float]) -> list[str]:
     does from 1e16 on; ``'%.1f'`` spells those integral values as
     ``repr`` does.  Subnormals, non-finite values and floats that need
     more than 12 digits take json's own spelling.
+
+    ``texts``, if given, are the ``'%.12g'`` texts that ``values`` were
+    parsed from; they are respelled in place instead of formatted again,
+    and no value can need more than 12 digits.
     """
-    texts = _g12_texts(values)
     a = np.array(values)
     magnitude = np.abs(a)
+    special = ~np.isfinite(a) | ((magnitude < np.finfo(float).tiny) & (a != 0))
+    if texts is None:
+        texts = _g12_texts(values)
+        special |= np.array(texts, dtype=float) != a
     integral = (a == np.trunc(a)) & (magnitude < 1e16)
-    special = ((np.array(texts, dtype=float) != a)
-               | ~np.isfinite(a)
-               | ((magnitude < np.finfo(float).tiny) & (a != 0)))
     for k in np.flatnonzero(integral).tolist():
         texts[k] = "%.1f" % values[k]
     for k in np.flatnonzero(special).tolist():
         texts[k] = json.dumps(values[k])
     return texts
+
+
+def _flat_pairs(matrix) -> list[list] | None:
+    """The pairs of ``matrix`` in row-major order, or ``None`` unless it
+    is a list of equally long, non-empty rows of two-element lists."""
+    if type(matrix) is not list or set(map(type, matrix)) != {list}:
+        return None
+    pairs = list(chain.from_iterable(matrix))
+    if (len(set(map(len, matrix))) != 1 or set(map(type, pairs)) != {list}
+            or set(map(len, pairs)) != {2}):
+        return None
+    return pairs
+
+
+def _render_block(texts: list[str], rows: int, cols: int, indent: str) -> str:
+    """``json.dumps`` indent-2 layout of a rows x cols matrix of pairs
+    spelled by ``texts``, nested at ``indent``, filled in by one ``%``."""
+    row_nl, pair_nl, value_nl = (f"\n{indent}{' ' * k}" for k in (2, 4, 6))
+    pair = f"[{value_nl}%s,{value_nl}%s{pair_nl}]"
+    row = f"[{pair_nl}" + f",{pair_nl}".join([pair] * cols) + f"{row_nl}]"
+    template = f"[{row_nl}" + f",{row_nl}".join([row] * rows) + f"\n{indent}]"
+    return template % tuple(texts)
 
 
 def _pairs_block(matrix, indent: str) -> str | None:
@@ -145,20 +185,52 @@ def _pairs_block(matrix, indent: str) -> str | None:
     ``None`` unless ``matrix`` is a list of equally long, non-empty rows
     of two-float lists, the shape :func:`_matrix_pairs` returns.
     """
-    if type(matrix) is not list or set(map(type, matrix)) != {list}:
-        return None
-    pairs = list(chain.from_iterable(matrix))
-    if (len(set(map(len, matrix))) != 1 or set(map(type, pairs)) != {list}
-            or set(map(len, pairs)) != {2}):
+    pairs = _flat_pairs(matrix)
+    if pairs is None:
         return None
     values = list(chain.from_iterable(pairs))
     if set(map(type, values)) != {float}:
         return None
-    row_nl, pair_nl, value_nl = (f"\n{indent}{' ' * k}" for k in (2, 4, 6))
-    pair = f"[{value_nl}%s,{value_nl}%s{pair_nl}]"
-    row = f"[{pair_nl}" + f",{pair_nl}".join([pair] * len(matrix[0])) + f"{row_nl}]"
-    template = f"[{row_nl}" + f",{row_nl}".join([row] * len(matrix)) + f"\n{indent}]"
-    return template % tuple(_json_floats(values))
+    return _render_block(_json_floats(values), len(matrix), len(matrix[0]), indent)
+
+
+# the metric block sits in the report's "intertwiner" object
+_METRIC_INDENT = " " * 4
+
+
+class _MetricText:
+    """The JSON block of a rounded metric, written from its one format pass.
+
+    Holds the rendered block and the float objects it spells, row-major
+    with re before im.  The block stands for a matrix only while that
+    matrix has the same shape and holds these very objects: a float
+    replaced by an equal one, or ``0.0`` by ``-0.0``, no longer matches.
+    """
+
+    __slots__ = ("rows", "cols", "values", "block")
+
+    def __init__(self, rows: int, cols: int, values: list[float], block: str):
+        self.rows, self.cols, self.values, self.block = rows, cols, values, block
+
+    def block_for(self, matrix) -> str | None:
+        pairs = _flat_pairs(matrix)
+        if (pairs is None or len(matrix) != self.rows
+                or len(matrix[0]) != self.cols):
+            return None
+        # rows x cols pairs of two: as many parts as values
+        if not all(map(operator.is_, chain.from_iterable(pairs), self.values)):
+            return None
+        return self.block
+
+
+def _metric_pairs(m: np.ndarray) -> tuple[list[list[list[float]]], _MetricText]:
+    """:func:`_matrix_pairs` of ``m`` and their JSON block, from one
+    ``'%.12g'`` pass; the texts are dropped once the block is written."""
+    rows, cols = m.shape
+    texts, values = _rounded_parts(m)
+    block = _render_block(_json_floats(values, texts), rows, cols, _METRIC_INDENT)
+    del texts
+    return _nested_pairs(values, cols), _MetricText(rows, cols, values, block)
 
 
 @dataclass
@@ -228,6 +300,14 @@ class AnalysisReport:
     compares equal to ``r``.  ``to_json()`` is byte for byte
     ``json.dumps(dataclasses.asdict(r), indent=2)``: identical reports
     print identical text.
+
+    The metric is formatted once: :func:`build_analysis_report` rounds it
+    and writes its JSON block from the same ``'%.12g'`` texts, and
+    ``to_json`` reuses that block while the metric still holds the very
+    float objects it was written from, in the same shape.  Any other
+    metric, edited or built by hand, is written afresh.  The block is
+    kept outside the dataclass fields, so ``asdict``, ``==``, ``repr``
+    and ``from_json`` do not see it.
     """
 
     version: str
@@ -242,19 +322,26 @@ class AnalysisReport:
     intertwiner: dict | None
     witness_residuals: dict | None
 
+    # the metric's block from build_analysis_report; not a field
+    _metric_text = None
+
     def to_json(self) -> str:
-        fields = vars(self)
+        values = {f.name: getattr(self, f.name) for f in fields(self)}
         # the n x n metric is most of the text; json's indent=2 encoder
-        # runs in Python, so that block is written by _pairs_block
-        block = (_pairs_block(self.intertwiner.get("matrix"), " " * 4)
-                 if isinstance(self.intertwiner, dict) else None)
+        # runs in Python, so that block is written in C
+        metric = (self.intertwiner.get("matrix")
+                  if isinstance(self.intertwiner, dict) else None)
+        block = (self._metric_text.block_for(metric)
+                 if self._metric_text is not None else None)
+        if block is None:
+            block = _pairs_block(metric, _METRIC_INDENT)
         if block is not None:
-            text = json.dumps({**fields, "intertwiner": {
+            text = json.dumps({**values, "intertwiner": {
                 **self.intertwiner, "matrix": _MATRIX_MARK}}, indent=2)
             mark = json.dumps(_MATRIX_MARK)
             if text.count(mark) == 1:
                 return text.replace(mark, block)
-        return json.dumps(fields, indent=2)
+        return json.dumps(values, indent=2)
 
     @classmethod
     def from_json(cls, text: str) -> "AnalysisReport":
@@ -276,11 +363,12 @@ def build_analysis_report(matrix, tol: float = DEFAULT_TOL,
                  "kind": "real" if is_real else "complex"}
                 for value, mult, is_real in zip(system.eigenvalues, system.multiplicities,
                                                 _is_real(system.eigenvalues, tol))]
-    intertwiner = witness_residuals = None
+    intertwiner = witness_residuals = metric_text = None
     if verdict.pseudohermitian:
         eta = build_intertwiner(system)
+        pairs, metric_text = _metric_pairs(eta.matrix)
         intertwiner = {
-            "matrix": _matrix_pairs(eta.matrix),
+            "matrix": pairs,
             "residual": _g12(intertwining_residual(matrix, eta)),
         }
     if verdict.witness is not None:
@@ -288,7 +376,7 @@ def build_analysis_report(matrix, tol: float = DEFAULT_TOL,
             "commutator": _g12(verdict.commutator_residual),
             "square": _g12(verdict.square_residual),
         }
-    return AnalysisReport(
+    report = AnalysisReport(
         version=__version__,
         dim=system.dim,
         tolerance=_g12(tol),
@@ -302,6 +390,8 @@ def build_analysis_report(matrix, tol: float = DEFAULT_TOL,
         intertwiner=intertwiner,
         witness_residuals=witness_residuals,
     )
+    report._metric_text = metric_text
+    return report
 
 
 def _parse_range(token: str) -> list[float]:

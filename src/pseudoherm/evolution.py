@@ -9,8 +9,8 @@ so no matrix exponential iteration is involved and ``U(t) U(s) = U(t+s)``
 holds to roundoff by construction.  Complex eigenvalues make ``U``
 non-unitary with exponentially growing or decaying channels; the module
 refuses time arguments whose exponentials would overflow, and a
-probability that overflows even though every exponential is
-representable, rather than silently returning infinities.
+propagator or probability that overflows even though every exponential
+is representable, rather than silently returning infinities.
 
 ``transition_probability`` and ``time_asymmetry`` take a float time or
 an ndarray of times: a float in gives a float out, an array in gives an
@@ -65,15 +65,17 @@ def _first(values, mask):
 
 
 def _refuse_overflow(value, t):
-    """``value`` as a float for a 0-d ``t``, else as an array shaped like it.
+    """``value`` as a float if it is 0-d, else as an array.
 
-    Raises ``EvolutionRangeError`` naming the first time, in array order,
-    whose value overflowed to ``inf`` or ``nan``.
+    ``value``'s leading axes are ``t``'s.  Raises ``EvolutionRangeError``
+    naming the first time, in array order, whose value holds an entry
+    that overflowed to ``inf`` or ``nan``.
     """
     finite = np.isfinite(value)
     if not finite.all():
+        overflowed = ~finite.reshape(np.size(t), -1).all(axis=1)
         raise EvolutionRangeError(
-            f"the value at t = {_first(t, ~finite):.6g} overflows "
+            f"the value at t = {_first(t, overflowed):.6g} overflows "
             f"double precision")
     return float(value) if np.ndim(value) == 0 else np.ascontiguousarray(value)
 
@@ -116,12 +118,15 @@ def evolution_operator(system: BiorthonormalSystem, t: float) -> EvolutionOperat
     ------
     EvolutionRangeError
         If ``max|Im E| * |t|`` exceeds the double-precision exponent
-        range, where the non-unitary channels would overflow.
+        range, where the non-unitary channels would overflow, or if an
+        entry of the propagator overflows although every exponential is
+        representable.
     """
     t = float(t)
     phases = _phases(system, t)
-    u = (system.right_vectors * phases) @ system.left_vectors.conj().T
-    return EvolutionOperator(time=t, matrix=u)
+    with np.errstate(over="ignore", invalid="ignore"):
+        u = (system.right_vectors * phases) @ system.left_vectors.conj().T
+    return EvolutionOperator(time=t, matrix=_refuse_overflow(u, t))
 
 
 def propagate(operator: EvolutionOperator, state) -> np.ndarray:
@@ -139,7 +144,7 @@ def _amplitudes(system: BiorthonormalSystem, initial, final, t) -> np.ndarray:
     phases = _phases(system, t)
     # Phi^H |initial> as the conjugate of <initial| Phi: no n x n copy
     coefficients = (_state(initial, system.dim).conj() @ system.left_vectors).conj()
-    overlaps = np.asarray(final, dtype=complex).ravel().conj() @ system.right_vectors
+    overlaps = _state(final, system.dim).conj() @ system.right_vectors
     return phases @ (overlaps * coefficients)
 
 

@@ -168,8 +168,17 @@ def intertwining_residual(matrix, intertwiner) -> float:
     Returns ``norm(eta H inv(eta) - H.conj().T, 'fro')`` divided by
     ``max(1, norm(H, 'fro'))``.
 
+    The metric's 2-norm condition number, its largest over its smallest
+    singular value, decides whether it can be inverted.  A metric that
+    equals its conjugate transpose exactly, as :func:`build_intertwiner`
+    returns it, takes its singular values from its eigenvalues
+    (``eigvalsh``); any other metric goes through the general SVD.
+
     Raises
     ------
+    ValueError
+        If the metric's shape differs from the matrix's or it has a
+        non-finite entry.
     SingularIntertwinerError
         If the metric is too ill-conditioned to invert meaningfully.
     """
@@ -177,7 +186,12 @@ def intertwining_residual(matrix, intertwiner) -> float:
     eta = np.asarray(getattr(intertwiner, "matrix", intertwiner), dtype=complex)
     if eta.shape != h.shape:
         raise ValueError("metric and matrix dimensions disagree")
-    cond = np.linalg.cond(eta)
+    if not np.isfinite(eta).all():
+        raise ValueError("metric has non-finite entries")
+    singular = np.linalg.svd(eta, compute_uv=False,
+                             hermitian=np.array_equal(eta, eta.conj().T))
+    with np.errstate(over="ignore"):
+        cond = singular[0] / singular[-1] if singular[-1] > 0 else np.inf
     if not np.isfinite(cond) or cond > SINGULAR_COND:
         raise SingularIntertwinerError(
             f"metric condition number {cond:.3e} exceeds {SINGULAR_COND:.1e}")

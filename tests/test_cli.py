@@ -1,11 +1,12 @@
 """Command-line interface: parsing, report schema, exit codes, determinism."""
 
+import copy
 import dataclasses
 import json
 
 import numpy as np
 import pytest
-from conftest import kramers_spectrum, with_spectrum
+from conftest import kramers_spectrum, odd_real_spectrum, with_spectrum
 
 from pseudoherm import (
     ModelParams,
@@ -13,6 +14,7 @@ from pseudoherm import (
     probe_probability,
     spin_flip_probability,
 )
+from pseudoherm import cli
 from pseudoherm.cli import (
     AnalysisReport,
     MatrixFile,
@@ -169,6 +171,93 @@ def test_analyze_report_round_trip():
     # a string field that spells the writer's stand-in for the metric
     odd = dataclasses.replace(report, version="\0intertwiner matrix\0")
     assert odd.to_json() == json.dumps(dataclasses.asdict(odd), indent=2)
+
+def _written_as_json(report):
+    return report.to_json() == json.dumps(dataclasses.asdict(report), indent=2)
+
+
+def _edits():
+    """In-place edits of a built report's metric, each by name."""
+    def equal_float(m):
+        new = m[0][0][0] + 0.0
+        assert new == m[0][0][0] and new is not m[0][0][0]
+        m[0][0][0] = new
+
+    def negative_zero(m):
+        assert m[0][0][1] == 0.0  # imaginary part of a Hermitian diagonal
+        m[0][0][1] = -0.0
+
+    def other_float(m):
+        m[1][0][0] = 0.5 if m[1][0][0] != 0.5 else 0.25
+
+    def three_entries(m):
+        m[0][1].append(1.0)
+
+    def pair_moved(m):
+        # same float objects, one pair longer and one shorter
+        m[0][0].append(m[0][1].pop(0))
+
+    def drop_row(m):
+        del m[-1]
+
+    def reshape(m):
+        # the same pairs, in the same order, as one row
+        flat = [pair for row in m for pair in row]
+        m[:] = [flat]
+
+    def tuple_pair(m):
+        m[0][0] = tuple(m[0][0])
+
+    return (equal_float, negative_zero, other_float, three_entries, pair_moved,
+            drop_row, reshape, tuple_pair)
+
+
+def test_edited_metric_is_written_afresh():
+    rng = np.random.default_rng(47)
+    h = with_spectrum(rng, kramers_spectrum(rng, 4))
+    for edit in _edits():
+        report = build_analysis_report(h)
+        assert _written_as_json(report)
+        edit(report.intertwiner["matrix"])
+        assert _written_as_json(report), edit.__name__
+        # a shallow copy shares the metric; replace() builds a new report
+        assert _written_as_json(copy.copy(report)), edit.__name__
+        assert _written_as_json(dataclasses.replace(report, dim=5)), edit.__name__
+    # a 1 x 1 metric grown by a pair keeps every float it had, in order
+    single = build_analysis_report(np.array([[2.0]]))
+    single.intertwiner["matrix"][0].append([0.5, 0.25])
+    assert _written_as_json(single)
+    report = build_analysis_report(h)
+    shallow = copy.copy(report)
+    shallow.intertwiner = copy.deepcopy(report.intertwiner)
+    shallow.intertwiner["matrix"][0][0][1] = -0.0
+    assert _written_as_json(shallow) and _written_as_json(report)
+    assert shallow.to_json() != report.to_json()
+    # the stored block is no field: equality, repr and asdict ignore it
+    parsed = AnalysisReport.from_json(report.to_json())
+    assert parsed == report and repr(parsed) == repr(report)
+    assert dataclasses.asdict(parsed) == dataclasses.asdict(report)
+    assert [f.name for f in dataclasses.fields(report)] == list(
+        json.loads(report.to_json()))
+
+
+def test_each_metric_is_formatted_once(monkeypatch):
+    formatted = []
+    g12_texts = cli._g12_texts
+
+    def counted(values):
+        formatted.append(len(values))
+        return g12_texts(values)
+
+    monkeypatch.setattr(cli, "_g12_texts", counted)
+    rng = np.random.default_rng(53)
+    for n, spectrum in ((6, kramers_spectrum(rng, 6)), (5, odd_real_spectrum(rng, 5))):
+        formatted.clear()
+        report = build_analysis_report(with_spectrum(rng, spectrum))
+        text = report.to_json()
+        assert formatted.count(2 * n * n) == 1
+        assert text == json.dumps(dataclasses.asdict(report), indent=2)
+
 
 def test_matrix_pairs_match_elementwise_rounding():
     m = np.array([[-0.0, 1e-300 - 0.0j, 3.0 + 1e300j],

@@ -83,6 +83,11 @@ def test_propagate_validates_dimension():
         propagate(u, np.ones(3))
     with pytest.raises(ValueError):
         transition_probability(_p1_system(), np.ones(3), BASIS_UP, 0.5)
+    # the final state is held to the same shape as the initial one
+    for final in (BASIS_UP.reshape(1, 2), BASIS_UP.reshape(2, 1), np.ones(3)):
+        for evaluate in (transition_probability, time_asymmetry):
+            with pytest.raises(ValueError, match="does not match dimension 2"):
+                evaluate(_p1_system(), BASIS_UP, final, 0.5)
 
 
 def test_transition_probability_matches_propagator():
@@ -162,6 +167,11 @@ def test_overflow_guard():
         evolution_operator(system, 1e6)
     with pytest.raises(ValueError):
         evolution_operator(system, np.inf)
+    # every exponential is representable, the propagator's entries are not
+    skewed = biorthonormal_system(np.array([[1j, 1e5], [0.0, -1j]]))
+    evolution_operator(skewed, 600.0)
+    with pytest.raises(EvolutionRangeError, match="t = 699 overflows"):
+        evolution_operator(skewed, 699.0)
     state = np.array([1.0, 0.0])
     transition_probability(system, state, state, 300.0)
     # exp(600) is representable, its square is not

@@ -82,6 +82,37 @@ def test_intertwining_residual_rejects_singular_metric():
         intertwining_residual(np.eye(2), np.diag([1.0, 1e-20]))
     with pytest.raises(ValueError):
         intertwining_residual(np.eye(3), np.eye(2))
+    for bad in (np.nan, np.inf, -np.inf, complex(0.0, np.nan)):
+        with pytest.raises(ValueError, match="non-finite"):
+            intertwining_residual(np.eye(2), [[bad, 0.0], [0.0, 1.0]])
+
+
+def test_metric_condition_boundary(monkeypatch):
+    # Hermitian metrics: cond(eta) = 1e20 is refused, 5e13 accepted
+    with pytest.raises(SingularIntertwinerError, match="1.000e[+]20"):
+        intertwining_residual(np.eye(2), np.diag([1.0, 1e-20]))
+    assert intertwining_residual(np.eye(2), np.diag([1.0, 2e-14])) == 0.0
+    with pytest.raises(SingularIntertwinerError, match="inf exceeds"):
+        intertwining_residual(np.eye(2), np.zeros((2, 2)))
+    # non-Hermitian metrics: cond about 2e15 refused, about 2e13 accepted
+    with pytest.raises(SingularIntertwinerError, match="2.000e[+]15"):
+        intertwining_residual(np.eye(2), [[1.0, 1.0], [0.0, 1e-15]])
+    intertwining_residual(np.eye(2), [[1.0, 1.0], [0.0, 1e-13]])
+    # the exactly Hermitian metric of the analysis takes the eigvalsh route
+    routes = []
+    svd = np.linalg.svd
+
+    def spied(a, *args, **kwargs):
+        routes.append(kwargs.get("hermitian"))
+        return svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", spied)
+    rng = np.random.default_rng(59)
+    h = with_spectrum(rng, kramers_spectrum(rng, 8))
+    build_analysis_report(h)
+    eta = build_intertwiner(biorthonormal_system(h)).matrix
+    intertwining_residual(h, eta + np.triu(np.full((8, 8), 1e-9), 1))
+    assert routes == [True, False]
 
 
 def test_witness_for_doubly_degenerate_real_eigenvalue():
