@@ -10,9 +10,7 @@ unequal couplings cross-checks the generic machinery end to end.
 """
 
 from .evolution import (
-    EvolutionOperator,
     evolution_operator,
-    propagate,
     time_asymmetry,
     transition_probability,
 )
@@ -66,7 +64,6 @@ __all__ = [
     "BiorthonormalSystem",
     "ComplexSpectrumRegimeError",
     "DegenerateModelError",
-    "EvolutionOperator",
     "EvolutionRangeError",
     "Intertwiner",
     "KramersReport",
@@ -94,7 +91,6 @@ __all__ = [
     "probe_asymmetry",
     "probe_probability",
     "probe_state",
-    "propagate",
     "real_spectrum_regime",
     "reconstruct",
     "spin_flip_probability",

@@ -129,44 +129,26 @@ def _matrix_pairs(m) -> list[list[list[float]]]:
     return _nested_pairs(_rounded_parts(m)[1], m.shape[1])
 
 
-def _json_floats(values: list[float], texts: list[str] | None = None) -> list[str]:
-    """The text ``json.dumps`` writes for each float.
+def _json_floats(values: list[float], texts: list[str]) -> list[str]:
+    """The text ``json.dumps`` writes for each float, respelled in place
+    from ``texts``, the ``'%.12g'`` texts that ``values`` were parsed from.
 
     ``'%.12g'`` and ``repr`` spell a float with at most 12 significant
     digits the same way, except that ``'%.12g'`` drops the ``.0`` of an
     integral value and writes an exponent from 1e12 on, where ``repr``
     does from 1e16 on; ``'%.1f'`` spells those integral values as
-    ``repr`` does.  Subnormals, non-finite values and floats that need
-    more than 12 digits take json's own spelling.
-
-    ``texts``, if given, are the ``'%.12g'`` texts that ``values`` were
-    parsed from; they are respelled in place instead of formatted again,
-    and no value can need more than 12 digits.
+    ``repr`` does.  Subnormals and non-finite values take json's own
+    spelling.
     """
     a = np.array(values)
     magnitude = np.abs(a)
     special = ~np.isfinite(a) | ((magnitude < np.finfo(float).tiny) & (a != 0))
-    if texts is None:
-        texts = _g12_texts(values)
-        special |= np.array(texts, dtype=float) != a
     integral = (a == np.trunc(a)) & (magnitude < 1e16)
     for k in np.flatnonzero(integral).tolist():
         texts[k] = "%.1f" % values[k]
     for k in np.flatnonzero(special).tolist():
         texts[k] = json.dumps(values[k])
     return texts
-
-
-def _flat_pairs(matrix) -> list[list] | None:
-    """The pairs of ``matrix`` in row-major order, or ``None`` unless it
-    is a list of equally long, non-empty rows of two-element lists."""
-    if type(matrix) is not list or set(map(type, matrix)) != {list}:
-        return None
-    pairs = list(chain.from_iterable(matrix))
-    if (len(set(map(len, matrix))) != 1 or set(map(type, pairs)) != {list}
-            or set(map(len, pairs)) != {2}):
-        return None
-    return pairs
 
 
 def _render_block(texts: list[str], rows: int, cols: int, indent: str) -> str:
@@ -177,21 +159,6 @@ def _render_block(texts: list[str], rows: int, cols: int, indent: str) -> str:
     row = f"[{pair_nl}" + f",{pair_nl}".join([pair] * cols) + f"{row_nl}]"
     template = f"[{row_nl}" + f",{row_nl}".join([row] * rows) + f"\n{indent}]"
     return template % tuple(texts)
-
-
-def _pairs_block(matrix, indent: str) -> str | None:
-    """``json.dumps(matrix, indent=2)`` nested at ``indent``, written in C.
-
-    ``None`` unless ``matrix`` is a list of equally long, non-empty rows
-    of two-float lists, the shape :func:`_matrix_pairs` returns.
-    """
-    pairs = _flat_pairs(matrix)
-    if pairs is None:
-        return None
-    values = list(chain.from_iterable(pairs))
-    if set(map(type, values)) != {float}:
-        return None
-    return _render_block(_json_floats(values), len(matrix), len(matrix[0]), indent)
 
 
 # the metric block sits in the report's "intertwiner" object
@@ -213,9 +180,12 @@ class _MetricText:
         self.rows, self.cols, self.values, self.block = rows, cols, values, block
 
     def block_for(self, matrix) -> str | None:
-        pairs = _flat_pairs(matrix)
-        if (pairs is None or len(matrix) != self.rows
-                or len(matrix[0]) != self.cols):
+        if (type(matrix) is not list or len(matrix) != self.rows
+                or set(map(type, matrix)) != {list}
+                or set(map(len, matrix)) != {self.cols}):
+            return None
+        pairs = list(chain.from_iterable(matrix))
+        if set(map(type, pairs)) != {list} or set(map(len, pairs)) != {2}:
             return None
         # rows x cols pairs of two: as many parts as values
         if not all(map(operator.is_, chain.from_iterable(pairs), self.values)):
@@ -305,9 +275,9 @@ class AnalysisReport:
     and writes its JSON block from the same ``'%.12g'`` texts, and
     ``to_json`` reuses that block while the metric still holds the very
     float objects it was written from, in the same shape.  Any other
-    metric, edited or built by hand, is written afresh.  The block is
-    kept outside the dataclass fields, so ``asdict``, ``==``, ``repr``
-    and ``from_json`` do not see it.
+    metric, edited or built by hand, is written by ``json.dumps`` itself.
+    The block is kept outside the dataclass fields, so ``asdict``, ``==``,
+    ``repr`` and ``from_json`` do not see it.
     """
 
     version: str
@@ -328,13 +298,11 @@ class AnalysisReport:
     def to_json(self) -> str:
         values = {f.name: getattr(self, f.name) for f in fields(self)}
         # the n x n metric is most of the text; json's indent=2 encoder
-        # runs in Python, so that block is written in C
+        # runs in Python, so the block written in C at build time is reused
         metric = (self.intertwiner.get("matrix")
                   if isinstance(self.intertwiner, dict) else None)
         block = (self._metric_text.block_for(metric)
                  if self._metric_text is not None else None)
-        if block is None:
-            block = _pairs_block(metric, _METRIC_INDENT)
         if block is not None:
             text = json.dumps({**values, "intertwiner": {
                 **self.intertwiner, "matrix": _MATRIX_MARK}}, indent=2)
@@ -584,7 +552,8 @@ def main(argv=None) -> int:
             ComplexSpectrumRegimeError) as exc:
         print(f"pseudoherm: model regime error: {exc}", file=sys.stderr)
         return 4
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, MemoryError) as exc:
+        # an oversized grid fails to allocate: an input error too
         print(f"pseudoherm: input error: {exc}", file=sys.stderr)
         return 3
 

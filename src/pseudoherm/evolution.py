@@ -19,35 +19,19 @@ array of the same shape out.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .exceptions import EvolutionRangeError
 from .spectral import BiorthonormalSystem
 
 __all__ = [
-    "EvolutionOperator",
     "evolution_operator",
-    "propagate",
     "time_asymmetry",
     "transition_probability",
 ]
 
 # exp overflows double precision near exp(709); stay just below
 EXP_ARG_LIMIT = 700.0
-
-
-@dataclass
-class EvolutionOperator:
-    """Propagator matrix tagged with the time it was built for."""
-
-    time: float
-    matrix: np.ndarray
-
-    @property
-    def dim(self) -> int:
-        return self.matrix.shape[0]
 
 
 def _finite_time(t) -> np.ndarray:
@@ -101,7 +85,7 @@ def _state(state, dim: int) -> np.ndarray:
     return v
 
 
-def evolution_operator(system: BiorthonormalSystem, t: float) -> EvolutionOperator:
+def evolution_operator(system: BiorthonormalSystem, t: float) -> np.ndarray:
     """Build the propagator at time ``t`` from an eigensystem.
 
     Parameters
@@ -112,7 +96,8 @@ def evolution_operator(system: BiorthonormalSystem, t: float) -> EvolutionOperat
 
     Returns
     -------
-    EvolutionOperator
+    numpy.ndarray
+        The n x n matrix ``U(t)``; ``U(t) @ state`` evolves a state.
 
     Raises
     ------
@@ -126,12 +111,7 @@ def evolution_operator(system: BiorthonormalSystem, t: float) -> EvolutionOperat
     phases = _phases(system, t)
     with np.errstate(over="ignore", invalid="ignore"):
         u = (system.right_vectors * phases) @ system.left_vectors.conj().T
-    return EvolutionOperator(time=t, matrix=_refuse_overflow(u, t))
-
-
-def propagate(operator: EvolutionOperator, state) -> np.ndarray:
-    """Apply a propagator to a state vector."""
-    return operator.matrix @ _state(state, operator.dim)
+    return _refuse_overflow(u, t)
 
 
 def _amplitudes(system: BiorthonormalSystem, initial, final, t) -> np.ndarray:

@@ -142,26 +142,43 @@ class BiorthonormalSystem:
 class SpectrumClassification:
     """Partition of eigenvalue groups into real and conjugate-paired ones.
 
+    Holds the clustered groups and the positions of the real and the
+    paired ones among them; the value lists are derived from these.
+
     Attributes
     ----------
+    eigenvalues : list of complex
+        Group representatives in the clustered group ordering.
+    multiplicities : list of int
+        Multiplicity of each group.
+    real_group_indices : list of int
+        Positions of the real groups, in ascending order of value.
+    pair_group_indices : list of (int, int)
+        Positions of the (upper, lower) members of each pair.
     real_groups : list of (float, int)
         Real eigenvalue and multiplicity, in ascending order.
     conjugate_pairs : list of (complex, complex, int)
         Upper half-plane member, its partner, and the shared multiplicity.
-    real_group_indices : list of int
-        Positions of the real groups in the clustered group ordering.
-    pair_group_indices : list of (int, int)
-        Positions of the (upper, lower) members of each pair.
     """
 
-    real_groups: list[tuple[float, int]]
-    conjugate_pairs: list[tuple[complex, complex, int]]
+    eigenvalues: list[complex]
+    multiplicities: list[int]
     real_group_indices: list[int]
     pair_group_indices: list[tuple[int, int]]
 
     @property
+    def real_groups(self) -> list[tuple[float, int]]:
+        return [(self.eigenvalues[k].real, self.multiplicities[k])
+                for k in self.real_group_indices]
+
+    @property
+    def conjugate_pairs(self) -> list[tuple[complex, complex, int]]:
+        return [(self.eigenvalues[ku], self.eigenvalues[kl], self.multiplicities[ku])
+                for ku, kl in self.pair_group_indices]
+
+    @property
     def is_entirely_real(self) -> bool:
-        return not self.conjugate_pairs
+        return not self.pair_group_indices
 
 
 def biorthonormal_system(matrix, tol: float = DEFAULT_TOL,
@@ -246,20 +263,17 @@ def classify_spectrum(eigenvalues, tol: float = DEFAULT_TOL) -> SpectrumClassifi
 def _classify_groups(values: np.ndarray, mults: np.ndarray,
                      tol: float) -> SpectrumClassification:
     """Classify already clustered groups, sorted as :func:`_cluster` sorts them."""
-    real_groups: list[tuple[float, int]] = []
     real_idx: list[int] = []
     upper: list[int] = []
     lower: list[int] = []
     for k, (val, real) in enumerate(zip(values, _is_real(values, tol))):
         if real:
-            real_groups.append((float(val.real), int(mults[k])))
             real_idx.append(k)
         elif val.imag > 0:
             upper.append(k)
         else:
             lower.append(k)
 
-    pairs: list[tuple[complex, complex, int]] = []
     pair_idx: list[tuple[int, int]] = []
     unused = list(lower)
     for k in upper:
@@ -278,7 +292,6 @@ def _classify_groups(values: np.ndarray, mults: np.ndarray,
                 f"conjugate pair {values[k]:g} / {values[jbest]:g} has "
                 f"mismatched multiplicities {mults[k]} and {mults[jbest]}")
         unused.remove(jbest)
-        pairs.append((complex(values[k]), complex(values[jbest]), int(mults[k])))
         pair_idx.append((k, jbest))
     if unused:
         stray = ", ".join(f"{values[j]:g}" for j in unused)
@@ -286,8 +299,8 @@ def _classify_groups(values: np.ndarray, mults: np.ndarray,
             f"eigenvalues without conjugate partners: {stray}")
 
     return SpectrumClassification(
-        real_groups=real_groups,
-        conjugate_pairs=pairs,
+        eigenvalues=values.tolist(),
+        multiplicities=mults.tolist(),
         real_group_indices=real_idx,
         pair_group_indices=pair_idx,
     )

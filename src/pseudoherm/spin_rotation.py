@@ -83,7 +83,8 @@ class ModelParams:
     omega2 : float
         Rotation rate entering the helicity coupling.
     k1, k2 : float
-        Coupling strengths of the two helicity states; any reals.
+        Coupling strengths of the two helicity states; any reals for
+        which the couplings ``k*omega2/2 - muB`` stay finite.
     """
 
     E: float = 1.0
@@ -98,6 +99,9 @@ class ModelParams:
             if not math.isfinite(value):
                 raise ValueError(f"{name} must be finite")
             object.__setattr__(self, name, value)
+        for name, coupling in (("k1", _alpha(self)), ("k2", _beta(self))):
+            if not math.isfinite(coupling):
+                raise ValueError(f"{name}*omega2/2 - muB must be finite")
 
 
 def _alpha(params: ModelParams) -> float:

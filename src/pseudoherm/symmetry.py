@@ -60,10 +60,6 @@ class Intertwiner:
 
     matrix: np.ndarray
 
-    @property
-    def dim(self) -> int:
-        return self.matrix.shape[0]
-
 
 @dataclass
 class AntilinearOperator:

@@ -264,7 +264,7 @@ def test_criterion_7_hermitian_limit():
         params = ModelParams(E=energy, muB=0.0, omega2=omega2, k1=k, k2=k)
         system = biorthonormal_system(effective_hamiltonian(params))
         for t in (0.5, 10.0, 333.3, 1000.0, -1000.0):
-            u = evolution_operator(system, t).matrix
+            u = evolution_operator(system, t)
             defect = np.linalg.norm(u.conj().T @ u - np.eye(2))
             assert defect <= 1e-10
             worst = max(worst, defect)

@@ -386,6 +386,19 @@ def test_model_overflow_exits_2(capsys):
 def test_model_bad_time_grid_exits_3(capsys):
     assert _run(capsys, ["model", "--t-start", "5", "--t-stop", "1"])[0] == 3
     assert _run(capsys, ["model", "--t-count", "0"])[0] == 3
+    # a grid too large to allocate fails at once, committing no memory
+    code, out, err = _run(capsys, ["model", f"--t-count={10**15}"])
+    assert code == 3 and out == "" and "input error: Unable to allocate" in err
+
+
+def test_overflowing_coupling_exits_3(capsys):
+    flags = ["--k1=1e308", "--omega2=10"]
+    code, out, err = _run(capsys, ["model", *flags])
+    assert code == 3 and out == ""
+    assert "input error: k1*omega2/2 - muB must be finite" in err
+    code, out, err = _run(capsys, ["scan", *flags])
+    assert code == 3 and out.startswith("k1,k2,muB,") and len(out.splitlines()) == 1
+    assert "input error: k1*omega2/2 - muB must be finite" in err
 
 
 # ---------------------------------------------------------------- scan
@@ -435,6 +448,8 @@ def test_scan_blank_cells_at_defective_point(capsys):
 def test_scan_bad_range_exits_3(capsys):
     assert _run(capsys, ["scan", "--k1", "1:2"])[0] == 3
     assert _run(capsys, ["scan", "--k1", "oops"])[0] == 3
+    code, out, err = _run(capsys, ["scan", f"--k1=0:1:{10**15}"])
+    assert code == 3 and out == "" and "input error: Unable to allocate" in err
 
 
 # ---------------------------------------------------------------- parser

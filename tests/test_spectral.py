@@ -147,6 +147,7 @@ def test_classify_conjugation_equivariance():
                          3.0, 3.0 + 1e-13])
     for spectrum in (kramers_spectrum(rng, 8), jittered):
         forward = classify_spectrum(spectrum)
+        assert forward == classify_spectrum(spectrum)
         for moved in (np.conj(spectrum), spectrum[rng.permutation(len(spectrum))]):
             other = classify_spectrum(moved)
             assert forward.real_groups == other.real_groups

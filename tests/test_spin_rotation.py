@@ -261,6 +261,11 @@ def test_params_validation():
         ModelParams(E=np.nan)
     with pytest.raises(ValueError):
         ModelParams(k1=np.inf)
+    # finite fields whose couplings k*omega2/2 - muB overflow
+    with pytest.raises(ValueError, match=r"k1\*omega2/2 - muB must be finite"):
+        ModelParams(k1=1e308, omega2=10.0)
+    with pytest.raises(ValueError, match=r"k2\*omega2/2 - muB must be finite"):
+        ModelParams(k2=-1e308, omega2=1.0, muB=1.7e308)
     with pytest.raises(ValueError):
         spin_flip_probability(P1, np.nan)
 
@@ -273,7 +278,7 @@ def test_probe_state_is_normalized():
 
 def test_evolution_operator_from_model_basis():
     # the closed-form basis feeds the generic propagator directly
-    u_model = evolution_operator(model_eigenbasis(P1), 1.0).matrix
+    u_model = evolution_operator(model_eigenbasis(P1), 1.0)
     u_generic = evolution_operator(
-        biorthonormal_system(effective_hamiltonian(P1)), 1.0).matrix
+        biorthonormal_system(effective_hamiltonian(P1)), 1.0)
     assert np.linalg.norm(u_model - u_generic) <= 1e-12
