@@ -32,7 +32,7 @@ import math
 import operator
 import sys
 from dataclasses import dataclass, fields
-from itertools import chain
+from itertools import chain, product
 from pathlib import Path
 
 import numpy as np
@@ -46,7 +46,13 @@ from .exceptions import (
     SingularIntertwinerError,
     ZeroSplittingError,
 )
-from .spectral import DEFAULT_COND_CEILING, DEFAULT_TOL, _is_real, biorthonormal_system
+from .spectral import (
+    DEFAULT_COND_CEILING,
+    DEFAULT_TOL,
+    _biorthonormal_stack,
+    _is_real,
+    biorthonormal_system,
+)
 from .spin_rotation import (
     ModelParams,
     coupling_ratio,
@@ -61,9 +67,9 @@ from .spin_rotation import (
 )
 from .symmetry import (
     _kramers_verdict,
+    _real_parity,
     build_intertwiner,
     intertwining_residual,
-    kramers_test,
 )
 
 __all__ = [
@@ -459,31 +465,57 @@ def cmd_model(args) -> int:
     return 0
 
 
+# grid points per stacked spectral pass: bounds what a block holds in
+# memory while rows still stream
+SCAN_BLOCK = 256
+
+
+def _scan_blocks(args, k1_values, k2_values, muB_values):
+    """The grid's model parameters, ``SCAN_BLOCK`` points at a time, k1
+    outer and muB inner.  A point the model refuses ends the last block,
+    and its ``ValueError`` is raised once that block has been taken."""
+    block = []
+    for k1, k2, muB in product(k1_values, k2_values, muB_values):
+        try:
+            params = ModelParams(E=args.E, muB=muB, omega2=args.omega2,
+                                 k1=k1, k2=k2)
+        except ValueError:
+            # the rows before the refused point still print
+            if block:
+                yield block
+            raise
+        block.append(params)
+        if len(block) == SCAN_BLOCK:
+            yield block
+            block = []
+    if block:
+        yield block
+
+
 def cmd_scan(args) -> int:
     k1_values = _parse_range(args.k1)
     k2_values = _parse_range(args.k2)
     muB_values = _parse_range(args.muB)
     grid = _time_grid(args)
     print("k1,k2,muB,real_spectrum_regime,kramers_all_even,max_abs_asymmetry")
-    # row order follows grid index (k1 outer, muB inner) by construction
-    for k1 in k1_values:
-        for k2 in k2_values:
-            for muB in muB_values:
-                params = ModelParams(E=args.E, muB=muB, omega2=args.omega2,
-                                     k1=k1, k2=k2)
-                cells = [_fmt(k1), _fmt(k2), _fmt(muB),
-                         _bool_str(real_spectrum_regime(params))]
-                try:
-                    report = kramers_test(effective_hamiltonian(params))
-                    cells.append(_bool_str(report.all_even))
-                except NotDiagonalizableError:
-                    cells.append("")
-                try:
-                    peak = np.abs(probe_asymmetry(params, grid)).max()
-                    cells.append(_fmt(peak))
-                except (DegenerateModelError, EvolutionRangeError):
-                    cells.append("")
-                print(",".join(cells))
+    for block in _scan_blocks(args, k1_values, k2_values, muB_values):
+        # one spectral pass per block; a defective point blanks its own cell
+        systems = _biorthonormal_stack(
+            np.stack([effective_hamiltonian(params) for params in block]),
+            DEFAULT_TOL, DEFAULT_COND_CEILING)
+        for params, system in zip(block, systems):
+            cells = [_fmt(params.k1), _fmt(params.k2), _fmt(params.muB),
+                     _bool_str(real_spectrum_regime(params))]
+            if isinstance(system, NotDiagonalizableError):
+                cells.append("")
+            else:
+                cells.append(_bool_str(_real_parity(system)[1]))
+            try:
+                peak = np.abs(probe_asymmetry(params, grid)).max()
+                cells.append(_fmt(peak))
+            except (DegenerateModelError, EvolutionRangeError):
+                cells.append("")
+            print(",".join(cells))
     return 0
 
 

@@ -59,37 +59,60 @@ def _is_real(values, tol: float):
     return np.abs(np.imag(values)) <= tol * np.maximum(1.0, np.abs(values))
 
 
-def _cluster(values: np.ndarray, tol: float):
-    """Group nearly equal eigenvalues.
+def _cluster_stack(values: np.ndarray, tol: float):
+    """Group nearly equal eigenvalues, row by row of an ``(N, n)`` stack.
 
-    Returns ``(perm, means, mults)`` where ``perm`` reorders the input so
-    that members of each group are adjacent, in (real, imag) order, and
-    groups are sorted by (real, imag) of their mean.  Values chained
-    within ``tol * max(1, spectral_radius)`` of each other form one group
-    (a connected component), whatever the input order.
+    Values chained within ``tol * max(1, spectral_radius)`` of others in
+    their row form one group (a connected component), whatever the input
+    order.  A group's representative is ``np.mean`` of its members in
+    (real, imag) order, bit for bit, so the group order does not hang on
+    how the means are summed.
+
+    Returns ``(perm, means, mults, groups)``.  ``perm`` reorders each row
+    so that the members of each group are adjacent, in (real, imag)
+    order, and the groups are sorted by (real, imag) of their mean.
+    ``means`` and ``mults`` list the groups' representatives and sizes in
+    that order, row after row; row ``e`` has ``groups[e]`` of them.
     """
-    values = np.asarray(values, dtype=complex)
-    order = np.lexsort((values.imag, values.real))
-    ws = values[order]
-    scale = tol * max(1.0, float(np.max(np.abs(ws))))
-    near = np.abs(ws[:, None] - ws) <= scale
+    count, n = values.shape
+    size = count * n
+    # the rows index one flat array: a label is a flat position
+    offset = np.arange(0, size, n)[:, None]
+    order = np.lexsort((values.imag, values.real)) + offset
+    ws = values.ravel()[order]
+    scale = tol * np.abs(ws).max(axis=1, initial=1.0)
+    near = np.abs(ws[:, :, None] - ws[:, None, :]) <= scale[:, None, None]
     # label each value with the smallest index it reaches: solver jitter can
     # interleave +ib / -ib members under the sort, so groups need not be runs
-    root = np.arange(len(ws))
+    root = np.arange(size).reshape(count, n)
     while True:
-        step = np.where(near, root, len(ws)).min(axis=1)
-        step = step[step]
-        if np.array_equal(step, root):
+        step = np.where(near, root[:, None, :], size).min(axis=2)
+        step = step.ravel()[step]
+        if (step == root).all():
             break
         root = step
-    groups: dict[int, list[int]] = {}
-    for i, head in enumerate(root.tolist()):
-        groups.setdefault(head, []).append(i)
-    members = list(groups.values())
-    means = np.array([np.mean(ws[g]) for g in members])
-    gorder = np.lexsort((means.imag, means.real))
-    perm = order[[i for k in gorder for i in members[k]]]
-    return perm, means[gorder], np.array([len(members[k]) for k in gorder])
+    labels = root.ravel()
+    sizes = np.bincount(labels, minlength=size)
+    # members by group size, then group, then position: the groups of one
+    # size fill a block of that many columns, averaged in one call
+    of_size = sizes[labels]
+    members = np.lexsort((labels, of_size))
+    ws = ws.ravel()
+    means = np.empty(size, dtype=complex)
+    start = 0
+    for k, total in enumerate(np.bincount(of_size).tolist()):
+        if total:
+            block = members[start:start + total].reshape(-1, k)
+            # np.mean's sum and division, without its Python overhead
+            means[block[:, 0]] = np.add.reduce(ws[block], axis=1) / k
+            start += total
+    # each value keyed by its group's mean; tied groups keep label order
+    key = means[root]
+    within = np.lexsort((root, key.imag, key.real)) + offset
+    first = labels[within] == within
+    heads = within[first]
+    return (order.ravel()[within] - offset, means[heads], sizes[heads],
+            first.sum(axis=1).tolist())
 
 
 @dataclass
@@ -190,6 +213,10 @@ def biorthonormal_system(matrix, tol: float = DEFAULT_TOL,
     hold to machine precision whenever the inverse is accurate, which the
     condition-number ceiling enforces.
 
+    This is the stacked spectral pass of :func:`_biorthonormal_stack` on
+    a stack of one matrix (N = 1): a system built alone is bit for bit
+    the one built for the same matrix inside a larger stack.
+
     Raises
     ------
     NotDiagonalizableError
@@ -200,25 +227,60 @@ def biorthonormal_system(matrix, tol: float = DEFAULT_TOL,
         not finite and positive.
     """
     a = _square_complex(matrix)
+    (system,) = _biorthonormal_stack(a[None], tol, cond_ceiling)
+    if isinstance(system, NotDiagonalizableError):
+        raise system
+    return system
+
+
+def _biorthonormal_stack(stack: np.ndarray, tol: float, cond_ceiling: float
+                         ) -> list[BiorthonormalSystem | NotDiagonalizableError]:
+    """The biorthonormal system of each matrix of an ``(N, n, n)`` stack.
+
+    One pass over the whole stack: one eigensolve, the eigenvector
+    condition numbers, one clustering and one inverse.  A matrix whose
+    eigenvector condition number is not finite or exceeds
+    ``cond_ceiling`` takes no further part; its place in the returned
+    list holds the :class:`NotDiagonalizableError` that
+    :func:`biorthonormal_system` raises for it alone.
+
+    Raises
+    ------
+    ValueError
+        If an entry is not finite (``LinAlgError`` from the eigensolver)
+        or the tolerances are not finite and positive.
+    """
     _check_tolerance("tol", tol)
     _check_tolerance("cond_ceiling", cond_ceiling)
-    w, v = np.linalg.eig(a)
-    v = v / np.linalg.norm(v, axis=0, keepdims=True)
+    w, v = np.linalg.eig(stack)
+    v = v / np.linalg.norm(v, axis=-2, keepdims=True)
     cond = np.linalg.cond(v)
-    if not np.isfinite(cond) or cond > cond_ceiling:
-        raise NotDiagonalizableError(
-            f"eigenvector matrix condition number {cond:.3e} exceeds "
+    # NaN and inf fail the comparison too
+    kept = (cond <= cond_ceiling).tolist()
+    results: list[BiorthonormalSystem | NotDiagonalizableError] = [
+        None if keep else NotDiagonalizableError(
+            f"eigenvector matrix condition number {c:.3e} exceeds "
             f"ceiling {cond_ceiling:.3e}")
-    perm, values, mults = _cluster(w, tol)
-    v = v[:, perm]
-    phi = np.linalg.inv(v).conj().T
-    return BiorthonormalSystem(
-        eigenvalues=values,
-        multiplicities=mults,
-        right_vectors=v,
-        left_vectors=phi,
-        tolerance=tol,
-    )
+        for c, keep in zip(cond.tolist(), kept)]
+    index = np.flatnonzero(kept)
+    if index.size:
+        perm, values, mults, groups = _cluster_stack(w[index], tol)
+        # columns gathered as rows: each system's right vectors are the
+        # Fortran-ordered matrix a column gather ``v[:, perm]`` gives, and
+        # the products built on them round as they do on that layout
+        rows = v.swapaxes(1, 2)[index[:, None], perm]
+        phi = np.linalg.inv(rows.swapaxes(1, 2)).conj()
+        start = 0
+        for e, n_groups, right, left in zip(index.tolist(), groups, rows, phi):
+            results[e] = BiorthonormalSystem(
+                eigenvalues=values[start:start + n_groups],
+                multiplicities=mults[start:start + n_groups],
+                right_vectors=right.T,
+                left_vectors=left.T,
+                tolerance=tol,
+            )
+            start += n_groups
+    return results
 
 
 def classify_spectrum(eigenvalues, tol: float = DEFAULT_TOL) -> SpectrumClassification:
@@ -256,13 +318,13 @@ def classify_spectrum(eigenvalues, tol: float = DEFAULT_TOL) -> SpectrumClassifi
     if not np.all(np.isfinite(w.view(float))):
         raise ValueError("eigenvalues must be finite")
     _check_tolerance("tol", tol)
-    _, values, mults = _cluster(w, tol)
+    _, values, mults, _ = _cluster_stack(w[None], tol)
     return _classify_groups(values, mults, tol)
 
 
 def _classify_groups(values: np.ndarray, mults: np.ndarray,
                      tol: float) -> SpectrumClassification:
-    """Classify already clustered groups, sorted as :func:`_cluster` sorts them."""
+    """Classify already clustered groups, sorted as :func:`_cluster_stack` sorts them."""
     real_idx: list[int] = []
     upper: list[int] = []
     lower: list[int] = []

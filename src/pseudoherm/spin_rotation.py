@@ -84,7 +84,11 @@ class ModelParams:
         Rotation rate entering the helicity coupling.
     k1, k2 : float
         Coupling strengths of the two helicity states; any reals for
-        which the couplings ``k*omega2/2 - muB`` stay finite.
+        which the couplings ``alpha, beta = k*omega2/2 - muB`` stay
+        finite.
+
+    The generator's squared Frobenius norm ``2*E**2 + alpha**2 + beta**2``
+    must be finite too, so that every norm and product of the model is.
     """
 
     E: float = 1.0
@@ -99,9 +103,13 @@ class ModelParams:
             if not math.isfinite(value):
                 raise ValueError(f"{name} must be finite")
             object.__setattr__(self, name, value)
-        for name, coupling in (("k1", _alpha(self)), ("k2", _beta(self))):
+        alpha, beta = _alpha(self), _beta(self)
+        for name, coupling in (("k1", alpha), ("k2", beta)):
             if not math.isfinite(coupling):
                 raise ValueError(f"{name}*omega2/2 - muB must be finite")
+        if not math.isfinite(2.0 * self.E * self.E + alpha * alpha + beta * beta):
+            raise ValueError("the squared generator norm "
+                             "2*E**2 + alpha**2 + beta**2 must be finite")
 
 
 def _alpha(params: ModelParams) -> float:

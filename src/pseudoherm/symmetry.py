@@ -290,6 +290,17 @@ def kramers_test(matrix, tol: float = DEFAULT_TOL,
     return _kramers_verdict(h, system)
 
 
+def _real_parity(system: BiorthonormalSystem) -> tuple[list[tuple[float, int]], bool]:
+    """The real groups of ``system`` as (value, multiplicity), and whether
+    every one is even: the rule behind ``KramersReport.all_even``."""
+    real = _is_real(system.eigenvalues, system.tolerance)
+    real_degeneracies = [
+        (float(value.real), int(mult))
+        for value, mult in zip(system.eigenvalues[real], system.multiplicities[real])
+    ]
+    return real_degeneracies, all(mult % 2 == 0 for _, mult in real_degeneracies)
+
+
 def _kramers_verdict(matrix, system: BiorthonormalSystem) -> KramersReport:
     """The Kramers report on ``system``'s own groups, classified once.
 
@@ -297,12 +308,7 @@ def _kramers_verdict(matrix, system: BiorthonormalSystem) -> KramersReport:
     classification; otherwise the groups are classified only to decide
     pseudohermiticity.
     """
-    real = _is_real(system.eigenvalues, system.tolerance)
-    real_degeneracies = [
-        (float(value.real), int(mult))
-        for value, mult in zip(system.eigenvalues[real], system.multiplicities[real])
-    ]
-    all_even = all(mult % 2 == 0 for _, mult in real_degeneracies)
+    real_degeneracies, all_even = _real_parity(system)
     witness = comm = square = None
     pseudohermitian = True
     try:

@@ -10,6 +10,9 @@ from conftest import kramers_spectrum, odd_real_spectrum, with_spectrum
 
 from pseudoherm import (
     ModelParams,
+    NotDiagonalizableError,
+    effective_hamiltonian,
+    kramers_test,
     probe_asymmetry,
     probe_probability,
     spin_flip_probability,
@@ -399,6 +402,25 @@ def test_overflowing_coupling_exits_3(capsys):
     code, out, err = _run(capsys, ["scan", *flags])
     assert code == 3 and out.startswith("k1,k2,muB,") and len(out.splitlines()) == 1
     assert "input error: k1*omega2/2 - muB must be finite" in err
+    # finite couplings whose squares overflow the generator's norm
+    for flags in (["--k1=1e200", "--k2=1e200"], ["--k1=1e200", "--k2=1e-100"]):
+        code, out, err = _run(capsys, ["model", *flags, "--t-count", "3"])
+        assert code == 3 and out == ""
+        assert err == ("pseudoherm: input error: the squared generator norm "
+                       "2*E**2 + alpha**2 + beta**2 must be finite\n")
+        code, out, err = _run(capsys, ["scan", *flags, "--t-count", "3"])
+        assert code == 3 and len(out.splitlines()) == 1
+        assert "Warning" not in err and "squared generator norm" in err
+
+
+def test_scan_refusal_mid_grid_keeps_earlier_rows(capsys):
+    code, out, err = _run(capsys, ["scan", "--k1=0:1e308:3", "--omega2=10",
+                                   "--t-count=3"])
+    assert code == 3
+    assert out.splitlines() == [
+        "k1,k2,muB,real_spectrum_regime,kramers_all_even,max_abs_asymmetry",
+        "0,1,0,false,,0"]
+    assert err == "pseudoherm: input error: k1*omega2/2 - muB must be finite\n"
 
 
 # ---------------------------------------------------------------- scan
@@ -443,6 +465,40 @@ def test_scan_blank_cells_at_defective_point(capsys):
     assert cells[3] == "false"
     assert cells[4] == ""  # Jordan block, no Kramers verdict
     assert cells[5] == ""  # degenerate denominator, no asymmetry curve
+
+
+def test_scan_defective_point_blanks_only_its_cells(capsys):
+    argv = ["scan", "--k1", "1", "--k2", "0.5", "--muB=0.15:0.35:3",
+            "--t-count", "5"]
+    code, out, _ = _run(capsys, argv)
+    assert code == 0
+    rows = [line.split(",") for line in out.strip().splitlines()[1:]]
+    # muB = 0.25 makes k2*omega2/2 - muB vanish: a Jordan block
+    assert [r[:5] for r in rows] == [["1", "0.5", "0.15", "true", "false"],
+                                     ["1", "0.5", "0.25", "false", ""],
+                                     ["1", "0.5", "0.35", "false", "true"]]
+    assert rows[1][5] == "" and float(rows[0][5]) > 0 and float(rows[2][5]) > 0
+
+
+def test_scan_column_matches_per_point_kramers_test(capsys):
+    # more points than one stacked block, with Jordan blocks and
+    # Hermitian points among them
+    k1 = np.linspace(-1.0, 1.0, 9)
+    mu = np.linspace(-0.5, 0.5, 5)
+    assert len(k1) * len(k1) * len(mu) > cli.SCAN_BLOCK
+    code, out, _ = _run(capsys, ["scan", "--k1=-1:1:9", "--k2=-1:1:9",
+                                 "--muB=-0.5:0.5:5", "--t-count=3"])
+    assert code == 0
+    rows = out.strip().splitlines()[1:]
+    expected = []
+    for a, b, m in ((a, b, m) for a in k1 for b in k1 for m in mu):
+        h = effective_hamiltonian(ModelParams(muB=m, k1=a, k2=b))
+        try:
+            expected.append("true" if kramers_test(h).all_even else "false")
+        except NotDiagonalizableError:
+            expected.append("")
+    assert [row.split(",")[4] for row in rows] == expected
+    assert "" in expected and "true" in expected and "false" in expected
 
 
 def test_scan_bad_range_exits_3(capsys):

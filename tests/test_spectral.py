@@ -5,6 +5,7 @@ import pytest
 from conftest import (
     bounded_similarity,
     kramers_spectrum,
+    odd_real_spectrum,
     separated_reals,
     with_spectrum,
 )
@@ -15,6 +16,7 @@ from pseudoherm import (
     biorthonormal_system,
     classify_spectrum,
     reconstruct,
+    spectral,
 )
 
 
@@ -65,6 +67,56 @@ def test_input_validation():
             biorthonormal_system(np.eye(2), cond_ceiling=bad)
     with pytest.raises(ValueError):
         classify_spectrum([])
+
+
+def test_stacked_pass_equals_single_matrix_calls():
+    rng = np.random.default_rng(43)
+    for n in (2, 4, 16):
+        jordan = np.eye(n, dtype=complex)
+        jordan[0, 1] = 1.0
+        stack = np.stack([
+            with_spectrum(rng, kramers_spectrum(rng, n)),
+            with_spectrum(rng, odd_real_spectrum(rng, n)),
+            jordan,
+            # an unpaired complex eigenvalue
+            with_spectrum(rng, [0.5 + 1j, *separated_reals(rng, n - 1)]),
+            with_spectrum(rng, kramers_spectrum(rng, n)),
+        ])
+        results = spectral._biorthonormal_stack(stack, 1e-9, 1e12)
+        refused = [isinstance(r, NotDiagonalizableError) for r in results]
+        assert refused == [False, False, True, False, False]
+        for h, stacked in zip(stack, results):
+            try:
+                alone = biorthonormal_system(h)
+            except NotDiagonalizableError as exc:
+                assert str(stacked) == str(exc)
+                continue
+            for name in ("eigenvalues", "multiplicities",
+                         "right_vectors", "left_vectors"):
+                mine, single = getattr(stacked, name), getattr(alone, name)
+                assert mine.dtype == single.dtype and mine.shape == single.shape
+                assert mine.tobytes() == single.tobytes(), (n, name)
+            assert stacked.tolerance == alone.tolerance
+
+
+def test_group_representatives_are_member_means():
+    # a representative is np.mean of its members in (real, imag) order,
+    # bit for bit: a sum taken in another order can differ in the last
+    # bit and reorder groups whose real parts tie
+    rng = np.random.default_rng(47)
+    rows, expected = [], []
+    for sizes in ((1, 2, 3, 5, 8, 9, 17, 130), (130, 17, 9, 8, 5, 3, 2, 1)):
+        centres = np.arange(len(sizes)) * 0.25 + 1j * rng.choice([0.0, 1.0], len(sizes))
+        groups = [centre + 1e-12 * (rng.standard_normal(k) + 1j * rng.standard_normal(k))
+                  for centre, k in zip(centres, sizes)]
+        rows.append(rng.permutation(np.concatenate(groups)))
+        members = [g[np.lexsort((g.imag, g.real))] for g in groups]
+        expected.append(sorted((np.mean(m) for m in members),
+                               key=lambda z: (z.real, z.imag)))
+    _, means, mults, counts = spectral._cluster_stack(np.array(rows), 1e-9)
+    assert counts == [8, 8]
+    assert means.tobytes() == np.array(expected).ravel().tobytes()
+    assert mults.tolist() == [1, 2, 3, 5, 8, 9, 17, 130, 130, 17, 9, 8, 5, 3, 2, 1]
 
 
 def test_biorthonormality_and_completeness():

@@ -266,6 +266,12 @@ def test_params_validation():
         ModelParams(k1=1e308, omega2=10.0)
     with pytest.raises(ValueError, match=r"k2\*omega2/2 - muB must be finite"):
         ModelParams(k2=-1e308, omega2=1.0, muB=1.7e308)
+    # finite couplings whose squares overflow the generator's norm
+    norm = r"squared generator norm 2\*E\*\*2 \+ alpha\*\*2 \+ beta\*\*2 must be finite"
+    for fields in ({"k1": 1e200, "k2": 1e200}, {"k1": 1e200, "k2": 1e-100},
+                   {"E": 1e155}, {"muB": 1e160}):
+        with pytest.raises(ValueError, match=norm):
+            ModelParams(**fields)
     with pytest.raises(ValueError):
         spin_flip_probability(P1, np.nan)
 

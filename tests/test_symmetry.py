@@ -254,7 +254,7 @@ def test_non_pseudohermitian_spectrum_raises_in_builders():
 
 def test_each_analysis_clusters_once(monkeypatch):
     clusters, classifications = [], []
-    cluster, classify = spectral._cluster, spectral._classify_groups
+    cluster, classify = spectral._cluster_stack, spectral._classify_groups
 
     def counted_cluster(*args, **kwargs):
         clusters.append(args)
@@ -264,7 +264,7 @@ def test_each_analysis_clusters_once(monkeypatch):
         classifications.append(args)
         return classify(*args, **kwargs)
 
-    monkeypatch.setattr(spectral, "_cluster", counted_cluster)
+    monkeypatch.setattr(spectral, "_cluster_stack", counted_cluster)
     monkeypatch.setattr(spectral, "_classify_groups", counted_classify)
     monkeypatch.setattr(symmetry, "_classify_groups", counted_classify)
     rng = np.random.default_rng(41)
