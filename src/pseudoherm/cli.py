@@ -467,11 +467,11 @@ def cmd_model(args) -> int:
 
 # grid points per stacked spectral pass: bounds what a block holds in
 # memory while rows still stream
-SCAN_BLOCK = 256
+_SCAN_BLOCK = 256
 
 
 def _scan_blocks(args, k1_values, k2_values, muB_values):
-    """The grid's model parameters, ``SCAN_BLOCK`` points at a time, k1
+    """The grid's model parameters, ``_SCAN_BLOCK`` points at a time, k1
     outer and muB inner.  A point the model refuses ends the last block,
     and its ``ValueError`` is raised once that block has been taken."""
     block = []
@@ -485,7 +485,7 @@ def _scan_blocks(args, k1_values, k2_values, muB_values):
                 yield block
             raise
         block.append(params)
-        if len(block) == SCAN_BLOCK:
+        if len(block) == _SCAN_BLOCK:
             yield block
             block = []
     if block:

@@ -485,7 +485,7 @@ def test_scan_column_matches_per_point_kramers_test(capsys):
     # Hermitian points among them
     k1 = np.linspace(-1.0, 1.0, 9)
     mu = np.linspace(-0.5, 0.5, 5)
-    assert len(k1) * len(k1) * len(mu) > cli.SCAN_BLOCK
+    assert len(k1) * len(k1) * len(mu) > cli._SCAN_BLOCK
     code, out, _ = _run(capsys, ["scan", "--k1=-1:1:9", "--k2=-1:1:9",
                                  "--muB=-0.5:0.5:5", "--t-count=3"])
     assert code == 0

@@ -72,19 +72,25 @@ def test_input_validation():
 def test_stacked_pass_equals_single_matrix_calls():
     rng = np.random.default_rng(43)
     for n in (2, 4, 16):
-        jordan = np.eye(n, dtype=complex)
-        jordan[0, 1] = 1.0
+        # a Jordan block split by 1e-14: eigenvector condition about 1e14
+        near_defective = np.diag(1.0 + 1e-14 * np.arange(n)).astype(complex)
+        near_defective[0, 1] = 1.0
         stack = np.stack([
             with_spectrum(rng, kramers_spectrum(rng, n)),
+            near_defective,
             with_spectrum(rng, odd_real_spectrum(rng, n)),
-            jordan,
             # an unpaired complex eigenvalue
             with_spectrum(rng, [0.5 + 1j, *separated_reals(rng, n - 1)]),
+            # a wide spectrum next to a fine one: each row clusters at
+            # its own radius, the fine levels 1e-5 apart stay apart
+            with_spectrum(rng, 1e6 * np.array(separated_reals(rng, n))),
+            with_spectrum(rng, 1.0 + 1e-5 * np.arange(n)),
             with_spectrum(rng, kramers_spectrum(rng, n)),
         ])
         results = spectral._biorthonormal_stack(stack, 1e-9, 1e12)
         refused = [isinstance(r, NotDiagonalizableError) for r in results]
-        assert refused == [False, False, True, False, False]
+        assert refused == [False, True, False, False, False, False, False]
+        assert results[5].multiplicities.tolist() == [1] * n
         for h, stacked in zip(stack, results):
             try:
                 alone = biorthonormal_system(h)
