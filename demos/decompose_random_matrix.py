@@ -42,9 +42,10 @@ def main():
 
     #
     # the spectrum is real-or-paired, so the matrix is pseudohermitian;
-    # the classifier separates the real groups from the conjugate pairs
+    # the classifier separates the system's real groups from its
+    # conjugate pairs
     #
-    classification = classify_spectrum(system.expanded_eigenvalues())
+    classification = classify_spectrum(system)
     print("\nclassification:")
     for value, mult in classification.real_groups:
         print(f"  real level   {value: .6f}  multiplicity {mult}")

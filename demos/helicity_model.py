@@ -32,7 +32,7 @@ def main():
     print(effective_hamiltonian(params))
     print(f"coupling ratio  {coupling_ratio(params):.6f}")
     print(f"level splitting {level_splitting(params).real:.6f}")
-    metric = np.diag(model_intertwiner(params).matrix).real
+    metric = np.diag(model_intertwiner(params)).real
     print(f"metric          diag({metric[0]:.6f}, {metric[1]:.6f})")
 
     #

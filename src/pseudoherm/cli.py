@@ -340,7 +340,7 @@ def build_analysis_report(matrix, tol: float = DEFAULT_TOL,
     intertwiner = witness_residuals = metric_text = None
     if verdict.pseudohermitian:
         eta = build_intertwiner(system)
-        pairs, metric_text = _metric_pairs(eta.matrix)
+        pairs, metric_text = _metric_pairs(eta)
         intertwiner = {
             "matrix": pairs,
             "residual": _g12(intertwining_residual(matrix, eta)),
@@ -371,6 +371,7 @@ def build_analysis_report(matrix, tol: float = DEFAULT_TOL,
 def _parse_range(token: str) -> list[float]:
     """Parse ``value`` or ``start:stop:count`` into a grid."""
     parts = token.split(":")
+    values = None
     try:
         if len(parts) == 1:
             values = [float(parts[0])]
@@ -379,13 +380,17 @@ def _parse_range(token: str) -> list[float]:
             count = int(parts[2])
             if count < 1:
                 raise ValueError
-            values = [float(v) for v in np.linspace(start, stop, count)]
         else:
             raise ValueError
     except ValueError:
         raise ValueError(
             f"bad range {token!r}; expected 'value' or 'start:stop:count' "
             f"with count >= 1") from None
+    if values is None:
+        # linspace over a span past the float range warns and fills in NaN
+        if not math.isfinite(stop - start):
+            raise ValueError(f"span stop - start of range {token!r} must be finite")
+        values = [float(v) for v in np.linspace(start, stop, count)]
     if not all(math.isfinite(v) for v in values):
         raise ValueError(f"range {token!r} contains non-finite values")
     return values
@@ -396,6 +401,8 @@ def _time_grid(args) -> np.ndarray:
         raise ValueError("time grid bounds must be finite")
     if args.t_start > args.t_stop:
         raise ValueError("time grid start exceeds stop")
+    if not math.isfinite(args.t_stop - args.t_start):
+        raise ValueError("time grid span t_stop - t_start must be finite")
     if args.t_count < 1:
         raise ValueError("time grid count must be at least 1")
     return np.linspace(args.t_start, args.t_stop, args.t_count)
@@ -450,8 +457,7 @@ def cmd_model(args) -> int:
     }
     try:
         eta = model_intertwiner(params)
-        summary["intertwiner_diag"] = [_g12(eta.matrix[0, 0].real),
-                                       _g12(eta.matrix[1, 1].real)]
+        summary["intertwiner_diag"] = [_g12(eta[0, 0].real), _g12(eta[1, 1].real)]
         summary["regime_note"] = None
     except ComplexSpectrumRegimeError:
         summary["intertwiner_diag"] = None

@@ -1,5 +1,11 @@
 """Exception types raised by the analysis and model routines."""
 
+__all__ = [
+    "ComplexSpectrumRegimeError", "DegenerateModelError", "EvolutionRangeError",
+    "NotDiagonalizableError", "NotPseudohermitianError", "OddDegeneracyError",
+    "PseudohermError", "SingularIntertwinerError", "ZeroSplittingError",
+]
+
 
 class PseudohermError(Exception):
     """Base class for all package-specific errors."""

@@ -12,8 +12,9 @@ which restores a resolution of the identity and the spectral expansion
 ``H = sum_n E_n |psi_n><phi_n|``.  Everything downstream (intertwining
 metrics, antilinear symmetries, non-unitary propagators) is built on
 these pairs, so this module also carries the eigenvalue bookkeeping:
-clustering a raw spectrum into degenerate groups and splitting the
-groups into real ones and complex-conjugate partners.
+clustering the spectrum into degenerate groups once, when the system is
+built, and splitting those groups into real ones and complex-conjugate
+partners.
 """
 
 from __future__ import annotations
@@ -37,14 +38,18 @@ DEFAULT_COND_CEILING = 1e12
 
 
 def _square_complex(matrix) -> np.ndarray:
-    """Validate and return ``matrix`` as a square complex ndarray."""
+    """``matrix`` as a square complex ndarray with a finite squared norm."""
     a = np.asarray(matrix, dtype=complex)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {a.shape}")
     if a.shape[0] == 0:
         raise ValueError("expected a nonempty matrix")
-    if not np.all(np.isfinite(a.view(float))):
+    parts = a.ravel().view(float)
+    if not np.all(np.isfinite(parts)):
         raise ValueError("matrix entries must be finite")
+    with np.errstate(over="ignore"):
+        if not np.isfinite(parts @ parts):
+            raise ValueError("the squared Frobenius norm of the matrix must be finite")
     return a
 
 
@@ -163,15 +168,17 @@ class BiorthonormalSystem:
 
 @dataclass
 class SpectrumClassification:
-    """Partition of eigenvalue groups into real and conjugate-paired ones.
+    """Partition of a system's eigenvalue groups into real and
+    conjugate-paired ones, as :func:`classify_spectrum` returns it.
 
-    Holds the clustered groups and the positions of the real and the
-    paired ones among them; the value lists are derived from these.
+    Holds the groups of the classified :class:`BiorthonormalSystem`, in
+    its order, and the positions of the real and the paired ones among
+    them; the value lists are derived from these.
 
     Attributes
     ----------
     eigenvalues : list of complex
-        Group representatives in the clustered group ordering.
+        Group representatives in the system's group ordering.
     multiplicities : list of int
         Multiplicity of each group.
     real_group_indices : list of int
@@ -283,23 +290,15 @@ def _biorthonormal_stack(stack: np.ndarray, tol: float, cond_ceiling: float
     return results
 
 
-def classify_spectrum(eigenvalues, tol: float = DEFAULT_TOL) -> SpectrumClassification:
-    """Split a raw spectrum into real groups and conjugate pairs.
+def classify_spectrum(system: BiorthonormalSystem) -> SpectrumClassification:
+    """Split the eigenvalue groups of ``system`` into real groups and
+    conjugate pairs.
 
-    The spectrum is clustered by the rule of :class:`BiorthonormalSystem`
-    and its groups are classified; analyses of a matrix classify the
-    groups of its biorthonormal system instead.
-
-    Parameters
-    ----------
-    eigenvalues : array_like
-        Raw eigenvalue sequence; repeats carry multiplicity.  Pass the
-        expanded spectrum, not the group representatives, or the
-        multiplicities will all come out as one.
-    tol : float
-        Relative tolerance, applied against ``max(1, spectral_radius)``
-        for clustering and against the group magnitudes for realness and
-        pairing.
+    The groups are the ones ``system`` was clustered into; they are
+    classified at its own tolerance, which is applied against the group
+    magnitudes for realness and pairing.  No spectrum is clustered here:
+    classify the system of a matrix, built once by
+    :func:`biorthonormal_system`.
 
     Returns
     -------
@@ -312,19 +311,7 @@ def classify_spectrum(eigenvalues, tol: float = DEFAULT_TOL) -> SpectrumClassifi
         or partners disagree in multiplicity.  Such a spectrum cannot
         belong to an operator similar to its own adjoint.
     """
-    w = np.asarray(eigenvalues, dtype=complex).ravel()
-    if w.size == 0:
-        raise ValueError("expected at least one eigenvalue")
-    if not np.all(np.isfinite(w.view(float))):
-        raise ValueError("eigenvalues must be finite")
-    _check_tolerance("tol", tol)
-    _, values, mults, _ = _cluster_stack(w[None], tol)
-    return _classify_groups(values, mults, tol)
-
-
-def _classify_groups(values: np.ndarray, mults: np.ndarray,
-                     tol: float) -> SpectrumClassification:
-    """Classify already clustered groups, sorted as :func:`_cluster_stack` sorts them."""
+    values, mults, tol = system.eigenvalues, system.multiplicities, system.tolerance
     real_idx: list[int] = []
     upper: list[int] = []
     lower: list[int] = []

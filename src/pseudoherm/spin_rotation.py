@@ -50,7 +50,6 @@ from .exceptions import (
     ZeroSplittingError,
 )
 from .spectral import DEFAULT_TOL, BiorthonormalSystem
-from .symmetry import Intertwiner
 
 __all__ = [
     "ModelParams",
@@ -230,8 +229,9 @@ def model_eigenbasis(params: ModelParams) -> BiorthonormalSystem:
     )
 
 
-def model_intertwiner(params: ModelParams) -> Intertwiner:
-    """Closed-form diagonal metric ``diag(1/chi, 1)``.
+def model_intertwiner(params: ModelParams) -> np.ndarray:
+    """Closed-form diagonal metric ``diag(1/chi, 1)``, as a 2x2 complex
+    ndarray.
 
     Only defined in the real-spectrum regime, where ``chi > 0`` makes the
     metric positive definite.
@@ -245,7 +245,7 @@ def model_intertwiner(params: ModelParams) -> Intertwiner:
         raise ComplexSpectrumRegimeError(
             "closed-form metric exists only for a real non-degenerate spectrum")
     chi = coupling_ratio(params)
-    return Intertwiner(matrix=np.diag([1.0 / chi, 1.0]).astype(complex))
+    return np.diag([1.0 / chi, 1.0]).astype(complex)
 
 
 def spin_flip_probability(params: ModelParams, t):

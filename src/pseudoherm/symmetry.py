@@ -33,15 +33,14 @@ from .spectral import (
     DEFAULT_COND_CEILING,
     DEFAULT_TOL,
     BiorthonormalSystem,
-    _classify_groups,
     _is_real,
     _square_complex,
     biorthonormal_system,
+    classify_spectrum,
 )
 
 __all__ = [
     "AntilinearOperator",
-    "Intertwiner",
     "KramersReport",
     "build_antilinear_symmetry",
     "build_intertwiner",
@@ -52,13 +51,6 @@ __all__ = [
 ]
 
 SINGULAR_COND = 1e14
-
-
-@dataclass
-class Intertwiner:
-    """Hermitian metric relating a matrix to its adjoint."""
-
-    matrix: np.ndarray
 
 
 @dataclass
@@ -125,24 +117,26 @@ class KramersReport:
         return self.pseudohermitian and self.all_even
 
 
-def build_intertwiner(system: BiorthonormalSystem) -> Intertwiner:
+def build_intertwiner(system: BiorthonormalSystem) -> np.ndarray:
     """Construct a Hermitian metric intertwining the matrix and its adjoint.
 
-    With ``Phi`` the left-vector matrix, the metric is
+    Returns the metric ``eta`` itself, an ``(n, n)`` complex ndarray with
+    ``eta H inv(eta) = H.conj().T``, equal to its conjugate transpose
+    exactly.  With ``Phi`` the left-vector matrix, the metric is
     ``Phi P Phi.conj().T`` where ``P`` is the identity on columns of real
     eigenvalue groups and swaps the paired columns of conjugate groups.
     ``P D = conj(D) P`` for the diagonal eigenvalue matrix ``D``, which is
     exactly the intertwining relation after conjugation by ``Phi``.
 
-    The system's own eigenvalue groups are classified, at its tolerance.
+    The system's own eigenvalue groups are classified by
+    :func:`classify_spectrum`, at its tolerance.
 
     Raises
     ------
     NotPseudohermitianError
         If the spectrum is not real-or-paired (no metric exists).
     """
-    cls = _classify_groups(system.eigenvalues, system.multiplicities,
-                           system.tolerance)
+    cls = classify_spectrum(system)
     dim = system.dim
     p = np.zeros((dim, dim))
     for k in cls.real_group_indices:
@@ -154,13 +148,15 @@ def build_intertwiner(system: BiorthonormalSystem) -> Intertwiner:
             p[b, a] = 1.0
     phi = system.left_vectors
     eta = phi @ p @ phi.conj().T
-    eta = 0.5 * (eta + eta.conj().T)
-    return Intertwiner(matrix=eta)
+    return 0.5 * (eta + eta.conj().T)
 
 
-def intertwining_residual(matrix, intertwiner) -> float:
+def intertwining_residual(matrix, metric) -> float:
     """Relative departure from the pseudohermiticity relation.
 
+    ``metric`` is the matrix ``eta`` (array_like), as
+    :func:`build_intertwiner` and
+    :func:`~pseudoherm.spin_rotation.model_intertwiner` return it.
     Returns ``norm(eta H inv(eta) - H.conj().T, 'fro')`` divided by
     ``max(1, norm(H, 'fro'))``.
 
@@ -179,7 +175,7 @@ def intertwining_residual(matrix, intertwiner) -> float:
         If the metric is too ill-conditioned to invert meaningfully.
     """
     h = _square_complex(matrix)
-    eta = np.asarray(getattr(intertwiner, "matrix", intertwiner), dtype=complex)
+    eta = np.asarray(metric, dtype=complex)
     if eta.shape != h.shape:
         raise ValueError("metric and matrix dimensions disagree")
     if not np.isfinite(eta).all():
@@ -206,7 +202,8 @@ def build_antilinear_symmetry(system: BiorthonormalSystem) -> AntilinearOperator
     pair are paired against each other.  Because ``Phi.T conj(V) = 1``,
     the square ``A conj(A)`` collapses to ``V S S inv(V) = -1`` exactly;
     floating point enters only through ``inv(V)``.  The system's own
-    eigenvalue groups are classified, at its tolerance.
+    eigenvalue groups are classified by :func:`classify_spectrum`, at its
+    tolerance.
 
     Raises
     ------
@@ -216,8 +213,7 @@ def build_antilinear_symmetry(system: BiorthonormalSystem) -> AntilinearOperator
     NotPseudohermitianError
         If the spectrum is not real-or-paired.
     """
-    cls = _classify_groups(system.eigenvalues, system.multiplicities,
-                           system.tolerance)
+    cls = classify_spectrum(system)
     odd = [(value, mult) for value, mult in cls.real_groups if mult % 2]
     if odd:
         raise OddDegeneracyError(odd)
@@ -315,8 +311,7 @@ def _kramers_verdict(matrix, system: BiorthonormalSystem) -> KramersReport:
         if all_even:
             witness = build_antilinear_symmetry(system)
         else:
-            _classify_groups(system.eigenvalues, system.multiplicities,
-                             system.tolerance)
+            classify_spectrum(system)
     except NotPseudohermitianError:
         pseudohermitian = False
     if witness is not None:

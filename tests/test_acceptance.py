@@ -228,7 +228,7 @@ def test_criterion_5_metric_certification(forward_corpus, necessity_corpus):
         residual = intertwining_residual(h, eta)
         assert residual <= 1e-8
         worst = max(worst, residual)
-    closed = model_intertwiner(P1).matrix
+    closed = model_intertwiner(P1)
     assert abs(closed[0, 0] - 0.375) <= 1e-12
     assert abs(closed[1, 1] - 1.0) <= 1e-15
     assert intertwining_residual(effective_hamiltonian(P1), closed) <= 1e-10

@@ -3,6 +3,7 @@
 import copy
 import dataclasses
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -141,6 +142,27 @@ def test_analyze_input_failures_exit_3(tmp_path, capsys):
         code, out, err = _run(capsys, ["analyze", _write(tmp_path, text), option])
         assert (code, out) == (3, "")
         assert "must be finite and positive" in err
+
+
+def test_analyze_overflowing_norm_exits_3(tmp_path, capsys):
+    # finite entries whose squared norm overflows: refused before any
+    # residual is divided by an infinite norm
+    for text in ("2\n1e300 1e300 1e300 1e300", "2 1e200 0 0 -1e200",
+                 "2 1e154 0 0 1e154"):
+        code, out, err = _run(capsys, ["analyze", _write(tmp_path, text)])
+        assert (code, out) == (3, "")
+        assert err == ("pseudoherm: input error: the squared Frobenius norm "
+                       "of the matrix must be finite\n")
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.raises(ValueError, match="squared Frobenius norm"):
+            kramers_test(np.diag([1e300, 1e300]))
+    assert caught == []
+    # the largest entries whose squared norm is still finite analyze
+    code, out, err = _run(capsys, ["analyze", _write(tmp_path, "2 1e150 0 0 1e150")])
+    assert code == 0 and err == ""
+    report = json.loads(out)
+    assert report["real_degeneracies"] == [[1e150, 2]] and report["admits_symmetry"]
 
 
 # floats whose '%.12g' and repr spellings differ, or that sit next to them
@@ -411,6 +433,21 @@ def test_overflowing_coupling_exits_3(capsys):
         code, out, err = _run(capsys, ["scan", *flags, "--t-count", "3"])
         assert code == 3 and len(out.splitlines()) == 1
         assert "Warning" not in err and "squared generator norm" in err
+
+
+def test_overflowing_grid_span_exits_3(capsys):
+    # finite bounds whose span overflows: refused before linspace warns
+    span = ["--t-start=-1e308", "--t-stop=1e308", "--t-count=3"]
+    for command in ("model", "scan"):
+        code, out, err = _run(capsys, [command, *span])
+        assert (code, out) == (3, "")
+        assert err == ("pseudoherm: input error: time grid span "
+                       "t_stop - t_start must be finite\n")
+    for token in ("-1e308:1e308:3", "inf:1:3"):
+        code, out, err = _run(capsys, ["scan", f"--k1={token}", "--t-count=3"])
+        assert (code, out) == (3, "")
+        assert err == (f"pseudoherm: input error: span stop - start of range "
+                       f"'{token}' must be finite\n")
 
 
 def test_scan_refusal_mid_grid_keeps_earlier_rows(capsys):

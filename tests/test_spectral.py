@@ -15,6 +15,7 @@ from pseudoherm import (
     NotPseudohermitianError,
     biorthonormal_system,
     classify_spectrum,
+    kramers_test,
     reconstruct,
     spectral,
 )
@@ -60,13 +61,21 @@ def test_input_validation():
     for bad in (0.0, -1e-9, np.nan, np.inf):
         with pytest.raises(ValueError, match="tol must be finite and positive"):
             biorthonormal_system(np.eye(2), tol=bad)
-        with pytest.raises(ValueError, match="tol must be finite and positive"):
-            classify_spectrum([1.0, 2.0], tol=bad)
     for bad in (0.0, np.nan, np.inf):
         with pytest.raises(ValueError, match="cond_ceiling must be finite and positive"):
             biorthonormal_system(np.eye(2), cond_ceiling=bad)
-    with pytest.raises(ValueError):
-        classify_spectrum([])
+
+
+def test_strided_complex_input():
+    # a transposed or column-reversed complex matrix is a view whose last
+    # axis is not contiguous; it is analyzed as its contiguous copy
+    rng = np.random.default_rng(61)
+    h = with_spectrum(rng, kramers_spectrum(rng, 4))
+    for view in (h.T, h[:, ::-1]):
+        system = biorthonormal_system(view)
+        copied = biorthonormal_system(view.copy())
+        assert system.eigenvalues.tobytes() == copied.eigenvalues.tobytes()
+        assert system.right_vectors.tobytes() == copied.right_vectors.tobytes()
 
 
 def test_stacked_pass_equals_single_matrix_calls():
@@ -172,13 +181,19 @@ def test_group_columns_partition_the_basis():
                            * system.eigenvalues[g], atol=1e-9)
 
 
+def _classify(spectrum):
+    """The classification of the diagonal matrix with this spectrum;
+    LAPACK returns a diagonal matrix's entries exactly."""
+    return classify_spectrum(biorthonormal_system(np.diag(spectrum)))
+
+
 def test_classify_real_and_paired():
-    cls = classify_spectrum([1.0, 2.0, 3.0])
+    cls = _classify([1.0, 2.0, 3.0])
     assert cls.real_groups == [(1.0, 1), (2.0, 1), (3.0, 1)]
     assert cls.conjugate_pairs == []
     assert cls.is_entirely_real
 
-    cls = classify_spectrum([1 + 2j, 1 - 2j, 5.0])
+    cls = _classify([1 + 2j, 1 - 2j, 5.0])
     assert cls.real_groups == [(5.0, 1)]
     assert len(cls.conjugate_pairs) == 1
     upper, lower, mult = cls.conjugate_pairs[0]
@@ -187,14 +202,14 @@ def test_classify_real_and_paired():
 
 def test_classify_rejects_unpaired_multiplicity():
     with pytest.raises(NotPseudohermitianError):
-        classify_spectrum([1j, 1j, -1j])
+        _classify([1j, 1j, -1j])
 
 
 def test_classify_rejects_missing_partner():
     with pytest.raises(NotPseudohermitianError):
-        classify_spectrum([1j, 2j])
+        _classify([1j, 2j])
     with pytest.raises(NotPseudohermitianError):
-        classify_spectrum([0.5 - 0.25j, 1.0])
+        _classify([0.5 - 0.25j, 1.0])
 
 
 def test_classify_conjugation_equivariance():
@@ -204,14 +219,37 @@ def test_classify_conjugation_equivariance():
     jittered = np.array([1 + 2j, 1 + 1e-12 - 2j, 1 + 1e-12 + 2j, 1 - 2j,
                          3.0, 3.0 + 1e-13])
     for spectrum in (kramers_spectrum(rng, 8), jittered):
-        forward = classify_spectrum(spectrum)
-        assert forward == classify_spectrum(spectrum)
+        forward = _classify(spectrum)
+        assert forward == _classify(spectrum)
         for moved in (np.conj(spectrum), spectrum[rng.permutation(len(spectrum))]):
-            other = classify_spectrum(moved)
+            other = _classify(moved)
             assert forward.real_groups == other.real_groups
             assert forward.conjugate_pairs == other.conjugate_pairs
     assert [mult for _, mult in forward.real_groups] == [2]
     assert [mult for _, _, mult in forward.conjugate_pairs] == [2]
+
+
+def test_classify_takes_a_system_only():
+    # a raw spectrum is not clustered and classified a second way
+    for raw in ([1.0, 2.0], np.array([1j, -1j])):
+        with pytest.raises(AttributeError):
+            classify_spectrum(raw)
+
+
+def test_classify_agrees_with_kramers_test():
+    rng = np.random.default_rng(53)
+    for n in (2, 4, 6):
+        for spectrum in (kramers_spectrum(rng, n), odd_real_spectrum(rng, n),
+                         [0.5 + 1j, *separated_reals(rng, n - 1)]):
+            h = with_spectrum(rng, spectrum)
+            report = kramers_test(h)
+            try:
+                cls = classify_spectrum(biorthonormal_system(h))
+            except NotPseudohermitianError:
+                assert not report.pseudohermitian
+                continue
+            assert report.pseudohermitian
+            assert cls.real_groups == report.real_degeneracies
 
 
 def test_separated_reals_refuses_what_cannot_fit():
@@ -232,7 +270,7 @@ def test_classify_multiplicities_sum_to_dim():
     rng = np.random.default_rng(29)
     for n in (2, 4, 6, 8):
         spectrum = kramers_spectrum(rng, n)
-        cls = classify_spectrum(spectrum)
+        cls = _classify(spectrum)
         total = sum(m for _, m in cls.real_groups)
         total += 2 * sum(m for _, _, m in cls.conjugate_pairs)
         assert total == n

@@ -117,8 +117,8 @@ def test_model_eigenbasis_degenerate_couplings():
 
 def test_model_intertwiner_values():
     eta = model_intertwiner(P1)
-    assert np.allclose(eta.matrix, np.diag([0.375, 1.0]), atol=1e-15)
-    assert np.allclose(model_intertwiner(HERMITIAN).matrix, np.eye(2),
+    assert np.allclose(eta, np.diag([0.375, 1.0]), atol=1e-15)
+    assert np.allclose(model_intertwiner(HERMITIAN), np.eye(2),
                        atol=1e-15)
     with pytest.raises(ComplexSpectrumRegimeError):
         model_intertwiner(COMPLEX_REGIME)
@@ -135,8 +135,8 @@ def test_model_and_generic_intertwiners_agree_up_to_scale():
     for params in (P1,
                    ModelParams(E=0.5, muB=-0.2, omega2=1.5, k1=2.0, k2=0.8)):
         h = effective_hamiltonian(params)
-        closed = model_intertwiner(params).matrix
-        generic = build_intertwiner(biorthonormal_system(h)).matrix
+        closed = model_intertwiner(params)
+        generic = build_intertwiner(biorthonormal_system(h))
         assert intertwining_residual(h, generic) <= 1e-10
         ratio = generic @ np.linalg.inv(closed)
         scale = ratio[0, 0].real

@@ -1,4 +1,4 @@
-"""Intertwiner construction, antilinear witnesses, and the Kramers test."""
+"""Intertwining metrics, antilinear witnesses, and the Kramers test."""
 
 import numpy as np
 import pytest
@@ -34,12 +34,12 @@ def test_intertwiner_of_hermitian_matrix_is_identity():
     z = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
     h = z + z.conj().T
     eta = build_intertwiner(biorthonormal_system(h))
-    assert np.allclose(eta.matrix, np.eye(4), atol=1e-9)
+    assert np.allclose(eta, np.eye(4), atol=1e-9)
 
 
 def test_intertwiner_of_conjugate_pair_is_swap():
     eta = build_intertwiner(biorthonormal_system(np.diag([1j, -1j])))
-    assert np.allclose(eta.matrix, SIGMA_X, atol=1e-12)
+    assert np.allclose(eta, SIGMA_X, atol=1e-12)
     assert intertwining_residual(np.diag([1j, -1j]), eta) <= 1e-12
 
 
@@ -47,7 +47,7 @@ def test_intertwiner_is_hermitian():
     rng = np.random.default_rng(5)
     for n in (2, 4, 6):
         h = with_spectrum(rng, kramers_spectrum(rng, n))
-        eta = build_intertwiner(biorthonormal_system(h)).matrix
+        eta = build_intertwiner(biorthonormal_system(h))
         assert np.linalg.norm(eta - eta.conj().T) <= 1e-10 * np.linalg.norm(eta)
 
 
@@ -110,7 +110,7 @@ def test_metric_condition_boundary(monkeypatch):
     rng = np.random.default_rng(59)
     h = with_spectrum(rng, kramers_spectrum(rng, 8))
     build_analysis_report(h)
-    eta = build_intertwiner(biorthonormal_system(h)).matrix
+    eta = build_intertwiner(biorthonormal_system(h))
     intertwining_residual(h, eta + np.triu(np.full((8, 8), 1e-9), 1))
     assert routes == [True, False]
 
@@ -254,7 +254,7 @@ def test_non_pseudohermitian_spectrum_raises_in_builders():
 
 def test_each_analysis_clusters_once(monkeypatch):
     clusters, classifications = [], []
-    cluster, classify = spectral._cluster_stack, spectral._classify_groups
+    cluster, classify = spectral._cluster_stack, spectral.classify_spectrum
 
     def counted_cluster(*args, **kwargs):
         clusters.append(args)
@@ -265,8 +265,8 @@ def test_each_analysis_clusters_once(monkeypatch):
         return classify(*args, **kwargs)
 
     monkeypatch.setattr(spectral, "_cluster_stack", counted_cluster)
-    monkeypatch.setattr(spectral, "_classify_groups", counted_classify)
-    monkeypatch.setattr(symmetry, "_classify_groups", counted_classify)
+    monkeypatch.setattr(spectral, "classify_spectrum", counted_classify)
+    monkeypatch.setattr(symmetry, "classify_spectrum", counted_classify)
     rng = np.random.default_rng(41)
     # admits a witness, has an odd real group, has an unpaired eigenvalue
     for h in (with_spectrum(rng, kramers_spectrum(rng, 6)),
@@ -278,3 +278,11 @@ def test_each_analysis_clusters_once(monkeypatch):
             analyze(h)
             assert len(clusters) == 1
             assert 1 <= len(classifications) <= most
+        # the classifier itself clusters nothing: the system's one clustering
+        clusters.clear()
+        classifications.clear()
+        try:
+            spectral.classify_spectrum(biorthonormal_system(h))
+        except NotPseudohermitianError:
+            pass
+        assert len(clusters) == 1 and len(classifications) == 1
