@@ -32,7 +32,7 @@ def scan_line(k1, k2, label):
         except NotDiagonalizableError:
             even = "(defective)"
         try:
-            peak = f"{max(abs(probe_asymmetry(params, t)) for t in TIMES):.4f}"
+            peak = f"{np.abs(probe_asymmetry(params, TIMES)).max():.4f}"
         except DegenerateModelError:
             peak = "(undefined)"
         print(f"  {muB: 5.2f}   {str(regime):5s}    {even:12s}       {peak}")

@@ -55,6 +55,7 @@ from .spectral import (
 )
 from .spin_rotation import (
     ModelParams,
+    _asymmetry_stack,
     coupling_ratio,
     effective_hamiltonian,
     level_splitting,
@@ -66,8 +67,8 @@ from .spin_rotation import (
     spin_flip_probability,
 )
 from .symmetry import (
+    _all_even_stack,
     _kramers_verdict,
-    _real_parity,
     build_intertwiner,
     intertwining_residual,
 )
@@ -90,10 +91,6 @@ def _g12(x) -> float:
     return float(f"{float(x):.12g}")
 
 
-def _fmt(x) -> str:
-    return f"{float(x):.12g}"
-
-
 def _pair(z) -> list[float]:
     z = complex(z)
     return [_g12(z.real), _g12(z.imag)]
@@ -105,7 +102,7 @@ def _g12_texts(values: list[float]) -> list[str]:
 
 
 def _csv_rows(columns: np.ndarray) -> str:
-    """CSV lines of :func:`_fmt` cells, one per row of a 2-d float array,
+    """CSV lines of ``'%.12g'`` cells, one per row of a 2-d float array,
     from one C-level format call."""
     rows, width = columns.shape
     line = ",".join(["%.12g"] * width) + "\n"
@@ -474,6 +471,9 @@ def cmd_model(args) -> int:
 # grid points per stacked spectral pass: bounds what a block holds in
 # memory while rows still stream
 _SCAN_BLOCK = 256
+# grid points times time points per asymmetry pass: bounds the closed
+# form's arrays on a long time grid
+_SCAN_CELLS = 1 << 16
 
 
 def _scan_blocks(args, k1_values, k2_values, muB_values):
@@ -504,24 +504,28 @@ def cmd_scan(args) -> int:
     muB_values = _parse_range(args.muB)
     grid = _time_grid(args)
     print("k1,k2,muB,real_spectrum_regime,kramers_all_even,max_abs_asymmetry")
+    # grid points per asymmetry pass: the whole block on a short time grid
+    rows = max(1, _SCAN_CELLS // grid.size)
+    line = "%.12g,%.12g,%.12g,%s,%s,%s\n"
     for block in _scan_blocks(args, k1_values, k2_values, muB_values):
-        # one spectral pass per block; a defective point blanks its own cell
+        # one spectral pass, and on a short time grid one asymmetry pass,
+        # per block; a point the model refuses blanks its own cells
         systems = _biorthonormal_stack(
             np.stack([effective_hamiltonian(params) for params in block]),
             DEFAULT_TOL, DEFAULT_COND_CEILING)
-        for params, system in zip(block, systems):
-            cells = [_fmt(params.k1), _fmt(params.k2), _fmt(params.muB),
-                     _bool_str(real_spectrum_regime(params))]
-            if isinstance(system, NotDiagonalizableError):
-                cells.append("")
-            else:
-                cells.append(_bool_str(_real_parity(system)[1]))
-            try:
-                peak = np.abs(probe_asymmetry(params, grid)).max()
-                cells.append(_fmt(peak))
-            except (DegenerateModelError, EvolutionRangeError):
-                cells.append("")
-            print(",".join(cells))
+        peaks = []
+        for start in range(0, len(block), rows):
+            values, refusals = _asymmetry_stack(block[start:start + rows], grid)
+            with np.errstate(invalid="ignore"):  # a refused row may hold NaN
+                texts = _g12_texts(np.abs(values).max(axis=1).tolist())
+            peaks += ["" if refusal is not None else text
+                      for text, refusal in zip(texts, refusals)]
+        cells = []
+        for params, even, peak in zip(block, _all_even_stack(systems), peaks):
+            cells += (params.k1, params.k2, params.muB,
+                      _bool_str(real_spectrum_regime(params)),
+                      "" if even is None else _bool_str(even), peak)
+        print((line * len(block)) % tuple(cells), end="")
     return 0
 
 

@@ -57,16 +57,27 @@ def _refuse_overflow(value, t):
     """
     finite = np.isfinite(value)
     if not finite.all():
-        overflowed = ~finite.reshape(np.size(t), -1).all(axis=1)
-        raise EvolutionRangeError(
-            f"the value at t = {_first(t, overflowed):.6g} overflows "
-            f"double precision")
+        raise _overflow_error(t, ~finite.reshape(np.size(t), -1).all(axis=1))
     return float(value) if np.ndim(value) == 0 else np.ascontiguousarray(value)
+
+
+def _overflow_error(t, overflowed) -> EvolutionRangeError:
+    """The refusal naming the first time of ``t``, in array order, whose
+    entry of ``overflowed`` is true."""
+    return EvolutionRangeError(
+        f"the value at t = {_first(t, overflowed):.6g} overflows "
+        f"double precision")
 
 
 def _phases(system: BiorthonormalSystem, t) -> np.ndarray:
     """``exp(-i E_n t)`` along a last axis of length n, for a time or an
-    array of times; refuses the first time that would overflow."""
+    array of times; refuses the first time that would overflow.
+
+    Callers evaluate it under ``np.errstate(over="ignore",
+    invalid="ignore")``: a growth ``|Im E| |t|`` that overflows is then
+    refused as out of range, and a phase ``E t`` that overflows leaves a
+    NaN for their overflow refusal, with no numpy warning either way.
+    """
     t = _finite_time(t)
     energies = system.expanded_eigenvalues()
     growth = np.abs(energies.imag).max() * np.abs(t)
@@ -108,8 +119,8 @@ def evolution_operator(system: BiorthonormalSystem, t: float) -> np.ndarray:
         representable.
     """
     t = float(t)
-    phases = _phases(system, t)
     with np.errstate(over="ignore", invalid="ignore"):
+        phases = _phases(system, t)
         u = (system.right_vectors * phases) @ system.left_vectors.conj().T
     return _refuse_overflow(u, t)
 

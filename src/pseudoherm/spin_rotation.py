@@ -39,10 +39,17 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from types import SimpleNamespace
 
 import numpy as np
 
-from .evolution import EXP_ARG_LIMIT, _finite_time, _first, _refuse_overflow
+from .evolution import (
+    EXP_ARG_LIMIT,
+    _finite_time,
+    _first,
+    _overflow_error,
+    _refuse_overflow,
+)
 from .exceptions import (
     ComplexSpectrumRegimeError,
     DegenerateModelError,
@@ -111,6 +118,16 @@ class ModelParams:
                              "2*E**2 + alpha**2 + beta**2 must be finite")
 
 
+# The field formulas below take a ModelParams, or the fields of many as
+# arrays (see _columns), and give a float or an array of the same values.
+
+def _columns(rows: list[ModelParams]) -> SimpleNamespace:
+    """The fields of ``rows`` as arrays, one entry per model."""
+    return SimpleNamespace(**{
+        name: np.array([getattr(params, name) for params in rows])
+        for name in ("muB", "omega2", "k1", "k2")})
+
+
 def _alpha(params: ModelParams) -> float:
     return params.k1 * params.omega2 / 2.0 - params.muB
 
@@ -120,23 +137,40 @@ def _beta(params: ModelParams) -> float:
 
 
 def _scale(params: ModelParams) -> float:
-    return max(1.0, abs(params.k1 * params.omega2) / 2.0,
-               abs(params.k2 * params.omega2) / 2.0, abs(params.muB))
+    return np.maximum(np.maximum(1.0, abs(params.k1 * params.omega2) / 2.0),
+                      np.maximum(abs(params.k2 * params.omega2) / 2.0, abs(params.muB)))
+
+
+def _splitting(params: ModelParams):
+    """``sqrt(alpha*beta)``, the principal root, as numpy complex."""
+    return np.sqrt(np.asarray(_alpha(params) * _beta(params), dtype=complex))
+
+
+_UNDEFINED_RATIO = "k2*omega2/2 - muB vanishes; the coupling ratio is undefined"
+
+
+def _ratio_undefined(params: ModelParams) -> bool:
+    """Whether the denominator coupling counts as zero."""
+    return abs(_beta(params)) <= DEGENERACY_TOL * _scale(params)
 
 
 def _require_coupling_ratio(params: ModelParams) -> None:
-    if abs(_beta(params)) <= DEGENERACY_TOL * _scale(params):
-        raise DegenerateModelError(
-            "k2*omega2/2 - muB vanishes; the coupling ratio is undefined")
+    if _ratio_undefined(params):
+        raise DegenerateModelError(_UNDEFINED_RATIO)
+
+
+def _range_error(growth, far) -> EvolutionRangeError:
+    """The refusal naming the first entry of ``growth`` flagged in ``far``."""
+    return EvolutionRangeError(
+        f"|Im(R t)| = {_first(growth, far):.3e} exceeds "
+        f"the representable exponent range {EXP_ARG_LIMIT:g}")
 
 
 def _check_range(z) -> None:
     """Refuse growth beyond the exponent range; names the first entry."""
     growth = np.abs(np.imag(z))
     if (growth > EXP_ARG_LIMIT).any():
-        raise EvolutionRangeError(
-            f"|Im(R t)| = {_first(growth, growth > EXP_ARG_LIMIT):.3e} exceeds "
-            f"the representable exponent range {EXP_ARG_LIMIT:g}")
+        raise _range_error(growth, growth > EXP_ARG_LIMIT)
 
 
 def _sinc(z) -> np.ndarray:
@@ -172,7 +206,7 @@ def level_splitting(params: ModelParams) -> complex:
     positive in the real-spectrum regime, positive imaginary outside it,
     and zero exactly when either coupling vanishes.
     """
-    return complex(np.sqrt(complex(_alpha(params) * _beta(params))))
+    return complex(_splitting(params))
 
 
 def real_spectrum_regime(params: ModelParams) -> bool:
@@ -268,9 +302,10 @@ def spin_flip_probability(params: ModelParams, t):
     """
     t = _finite_time(t)
     chi = coupling_ratio(params)
-    z = 2.0 * level_splitting(params) * t
-    _check_range(z)
     with np.errstate(over="ignore", invalid="ignore"):
+        # an overflowing R t is out of range, and refused as such
+        z = 2.0 * level_splitting(params) * t
+        _check_range(z)
         value = (chi / 2.0) * (1.0 - np.cos(z))
     return _refuse_overflow(value.real, t)
 
@@ -302,9 +337,9 @@ def probe_probability(params: ModelParams, t):
     """
     t = _finite_time(t)
     _require_coupling_ratio(params)
-    z = level_splitting(params) * t
-    _check_range(z)
     with np.errstate(over="ignore", invalid="ignore"):
+        z = level_splitting(params) * t
+        _check_range(z)
         amplitude = np.cos(z) + _alpha(params) * t * _sinc(z)
         value = 0.5 * amplitude * amplitude
     return _refuse_overflow(value.real, t)
@@ -331,10 +366,45 @@ def probe_asymmetry(params: ModelParams, t):
         If the hyperbolic growth or the asymmetry would overflow; the
         message describes the first such time in array order.
     """
+    values, (refusal,) = _asymmetry_stack([params], t)
+    if refusal is not None:
+        raise refusal
+    (value,) = values
+    return float(value) if value.ndim == 0 else np.ascontiguousarray(value)
+
+
+def _asymmetry_stack(rows: list[ModelParams], t
+                     ) -> tuple[np.ndarray, list[Exception | None]]:
+    """:func:`probe_asymmetry` of each model of ``rows`` over the times
+    ``t``, in one array pass.
+
+    Returns the values, of shape ``(N, *t.shape)``, and for each model
+    ``None`` or the error :func:`probe_asymmetry` raises for it alone; a
+    refused model's values mean nothing.  ``probe_asymmetry`` is the
+    N = 1 case, so a value computed here is bit for bit the one it
+    returns.
+
+    Raises
+    ------
+    ValueError
+        If any time is not finite.
+    """
     t = _finite_time(t)
-    _require_coupling_ratio(params)
-    z = 2.0 * level_splitting(params) * t
-    _check_range(z)
+    columns = _columns(rows)
     with np.errstate(over="ignore", invalid="ignore"):
-        value = 2.0 * _alpha(params) * t * _sinc(z)
-    return _refuse_overflow(value.real, t)
+        z = np.multiply.outer(2.0 * _splitting(columns), t)
+        values = (np.multiply.outer(2.0 * _alpha(columns), t) * _sinc(z)).real
+    growth = np.abs(z.imag).reshape(len(rows), -1)
+    far = growth > EXP_ARG_LIMIT
+    overflowed = ~np.isfinite(values).reshape(len(rows), -1)
+    undefined = _ratio_undefined(columns)
+    refused = undefined | far.any(axis=1) | overflowed.any(axis=1)
+    refusals: list[Exception | None] = [None] * len(rows)
+    for k in np.flatnonzero(refused).tolist():
+        if undefined[k]:
+            refusals[k] = DegenerateModelError(_UNDEFINED_RATIO)
+        elif far[k].any():
+            refusals[k] = _range_error(growth[k], far[k])
+        else:
+            refusals[k] = _overflow_error(t, overflowed[k])
+    return values, refusals

@@ -25,6 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exceptions import (
+    NotDiagonalizableError,
     NotPseudohermitianError,
     OddDegeneracyError,
     SingularIntertwinerError,
@@ -286,15 +287,41 @@ def kramers_test(matrix, tol: float = DEFAULT_TOL,
     return _kramers_verdict(h, system)
 
 
+def _odd_real_groups(values, mults, tol):
+    """Which groups are real, and which real ones have odd multiplicity:
+    the rule behind ``KramersReport.all_even``, which holds when none do."""
+    real = _is_real(values, tol)
+    return real, real & (mults % 2 == 1)
+
+
 def _real_parity(system: BiorthonormalSystem) -> tuple[list[tuple[float, int]], bool]:
     """The real groups of ``system`` as (value, multiplicity), and whether
-    every one is even: the rule behind ``KramersReport.all_even``."""
-    real = _is_real(system.eigenvalues, system.tolerance)
+    every one is even."""
+    real, odd = _odd_real_groups(system.eigenvalues, system.multiplicities,
+                                 system.tolerance)
     real_degeneracies = [
         (float(value.real), int(mult))
         for value, mult in zip(system.eigenvalues[real], system.multiplicities[real])
     ]
-    return real_degeneracies, all(mult % 2 == 0 for _, mult in real_degeneracies)
+    return real_degeneracies, not odd.any()
+
+
+def _all_even_stack(systems: list[BiorthonormalSystem | NotDiagonalizableError]
+                    ) -> list[bool | None]:
+    """``KramersReport.all_even`` of each system, in one pass over all
+    their groups, and ``None`` in place of a ``NotDiagonalizableError``,
+    as :func:`~pseudoherm.spectral._biorthonormal_stack` returns them."""
+    kept = [s for s in systems if isinstance(s, BiorthonormalSystem)]
+    if not kept:
+        return [None] * len(systems)
+    groups = [len(s.eigenvalues) for s in kept]
+    _, odd = _odd_real_groups(np.concatenate([s.eigenvalues for s in kept]),
+                              np.concatenate([s.multiplicities for s in kept]),
+                              np.repeat([s.tolerance for s in kept], groups))
+    owner = np.repeat(np.arange(len(kept)), groups)
+    even = iter((np.bincount(owner, weights=odd, minlength=len(kept)) == 0).tolist())
+    return [next(even) if isinstance(s, BiorthonormalSystem) else None
+            for s in systems]
 
 
 def _kramers_verdict(matrix, system: BiorthonormalSystem) -> KramersReport:

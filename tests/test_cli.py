@@ -4,12 +4,15 @@ import copy
 import dataclasses
 import json
 import warnings
+from itertools import product
 
 import numpy as np
 import pytest
 from conftest import kramers_spectrum, odd_real_spectrum, with_spectrum
 
 from pseudoherm import (
+    DegenerateModelError,
+    EvolutionRangeError,
     ModelParams,
     NotDiagonalizableError,
     effective_hamiltonian,
@@ -18,17 +21,21 @@ from pseudoherm import (
     probe_probability,
     spin_flip_probability,
 )
-from pseudoherm import cli
+from pseudoherm import cli, spin_rotation
 from pseudoherm.cli import (
     AnalysisReport,
     MatrixFile,
     MatrixFormatError,
-    _fmt,
     _matrix_pairs,
     _pair,
     build_analysis_report,
     main,
 )
+
+
+def _fmt(x):
+    """A float as the CLI prints it: 12 significant digits."""
+    return f"{float(x):.12g}"
 
 
 def _write(tmp_path, text):
@@ -408,6 +415,18 @@ def test_model_overflow_exits_2(capsys):
     assert "|Im(R t)| = 1.600e+03 exceeds" in err
 
 
+def test_overflowing_exponent_warns_nothing(capsys):
+    # R t overflows to inf: model refuses the grid, scan blanks the cell
+    flags = ["--k1=1e150", "--k2=-1e150", "--t-stop=1e300", "--t-count=3"]
+    code, out, err = _run(capsys, ["model", *flags])
+    assert (code, out) == (2, "") and "Warning" not in err
+    assert err == ("pseudoherm: numeric error: |Im(R t)| = inf exceeds "
+                   "the representable exponent range 700\n")
+    code, out, err = _run(capsys, ["scan", *flags])
+    assert (code, err) == (0, "")
+    assert out.splitlines()[1:] == ["1e+150,-1e+150,0,false,true,"]
+
+
 def test_model_bad_time_grid_exits_3(capsys):
     assert _run(capsys, ["model", "--t-start", "5", "--t-stop", "1"])[0] == 3
     assert _run(capsys, ["model", "--t-count", "0"])[0] == 3
@@ -536,6 +555,73 @@ def test_scan_column_matches_per_point_kramers_test(capsys):
             expected.append("")
     assert [row.split(",")[4] for row in rows] == expected
     assert "" in expected and "true" in expected and "false" in expected
+
+
+# (k1, k2, muB, t_start, t_stop, t_count) scan flags
+ASYMMETRY_SCANS = [
+    # more points than one block: Jordan blocks (k2 = 0.5, muB = 0.25),
+    # Hermitian points, undefined ratios, and complex-regime points whose
+    # growth is out of range by t = 2000
+    ("-1:1:9", "-1:1:9", "-0.5:0.5:5", 0.0, 2000.0, 7),
+    # |Im(2 R t)| = 705 at the last time: out of range, yet finite
+    ("1", "0.5", "0.3", 0.0, 3525.0, 2),
+    # every exponent in range, the asymmetry itself overflows
+    ("2e4", "-2e-7", "0", 11000.0, 11060.0, 4),
+]
+
+
+@pytest.mark.parametrize("cells", [None, 50])
+def test_scan_asymmetry_matches_per_point_probe_asymmetry(capsys, monkeypatch, cells):
+    # a small cell budget splits each block into several asymmetry passes
+    if cells is not None:
+        monkeypatch.setattr(cli, "_SCAN_CELLS", cells)
+    refusals = set()
+    for k1, k2, mu, t_start, t_stop, t_count in ASYMMETRY_SCANS:
+        code, out, err = _run(capsys, [
+            "scan", f"--k1={k1}", f"--k2={k2}", f"--muB={mu}",
+            f"--t-start={t_start}", f"--t-stop={t_stop}", f"--t-count={t_count}"])
+        assert (code, err) == (0, "")
+        grid = np.linspace(t_start, t_stop, t_count)
+        expected = []
+        for a, b, m in product(*map(cli._parse_range, (k1, k2, mu))):
+            try:
+                params = ModelParams(muB=m, k1=a, k2=b)
+                expected.append(_fmt(np.abs(probe_asymmetry(params, grid)).max()))
+            except (DegenerateModelError, EvolutionRangeError) as exc:
+                expected.append("")
+                refusals.add(str(exc).split(" ")[-1])
+        rows = out.strip().splitlines()[1:]
+        assert [row.split(",")[5] for row in rows] == expected
+    assert len(rows) == 1
+    # an undefined ratio, growth out of range, and an overflowing value
+    assert refusals == {"undefined", "700", "precision"}
+
+
+def test_scan_evaluates_asymmetry_per_block(capsys, monkeypatch):
+    calls, passes = [], []
+    stack = spin_rotation._asymmetry_stack
+
+    def counted_stack(rows, t):
+        passes.append(len(rows))
+        return stack(rows, t)
+
+    def counted_probe(*args):
+        calls.append(args)
+        return probe_asymmetry(*args)
+
+    monkeypatch.setattr(cli, "_asymmetry_stack", counted_stack)
+    for module in (cli, spin_rotation):
+        monkeypatch.setattr(module, "probe_asymmetry", counted_probe)
+    flags = ["scan", "--k1=-1:1:9", "--k2=-1:1:9", "--muB=-0.5:0.5:5"]
+    code, _, _ = _run(capsys, [*flags, "--t-count=101"])
+    assert code == 0
+    assert calls == [] and passes == [cli._SCAN_BLOCK, 405 - cli._SCAN_BLOCK]
+    # a long time grid splits each block into passes of bounded size
+    passes.clear()
+    code, _, _ = _run(capsys, [*flags, "--t-count=1000"])
+    assert code == 0
+    assert sum(passes) == 405 and passes[0] == cli._SCAN_CELLS // 1000
+    assert max(passes) * 1000 <= cli._SCAN_CELLS
 
 
 def test_scan_bad_range_exits_3(capsys):

@@ -180,6 +180,27 @@ def test_overflow_guard():
         transition_probability(system, state, state, np.nan)
 
 
+def test_overflowing_exponent_is_refused_without_warning():
+    # |Im E| * |t| overflows to inf: refused as out of range, with no
+    # numpy warning first (tier-1 turns RuntimeWarning into an error)
+    state = np.array([1.0, 0.0])
+    steep = biorthonormal_system(np.diag([1e100j, -1e100j]))
+    calls = (lambda t: evolution_operator(steep, t),
+             lambda t: transition_probability(steep, state, state, t),
+             lambda t: time_asymmetry(steep, state, state, t))
+    for call in calls:
+        with pytest.raises(EvolutionRangeError, match="= inf exceeds"):
+            call(1e300)
+    # the phase E t overflows although |Im E| * |t| is zero: the NaN it
+    # leaves is refused as an overflow
+    fast = biorthonormal_system(np.diag([1e150, -1e150]))
+    for call in (lambda t: evolution_operator(fast, t),
+                 lambda t: transition_probability(fast, state, state, t),
+                 lambda t: time_asymmetry(fast, state, state, t)):
+        with pytest.raises(EvolutionRangeError, match="t = 1e.200 overflows"):
+            call(1e200)
+
+
 def _kramers_system(seed, n):
     rng = np.random.default_rng(seed)
     system = biorthonormal_system(with_spectrum(rng, kramers_spectrum(rng, n)))

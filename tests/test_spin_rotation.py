@@ -256,6 +256,27 @@ def test_closed_form_range_error_names_first_offending_time():
         probe_probability(growing, np.array([1.0, -400.0, 200.0, 310.0, 320.0]))
 
 
+def test_closed_forms_refuse_overflowing_exponent_without_warning():
+    # R t overflows to inf: each closed form refuses it as out of range,
+    # with no numpy warning first (tier-1 turns RuntimeWarning into an error)
+    steep = ModelParams(k1=1e150, k2=-1e150)
+    for closed_form in CLOSED_FORMS:
+        for t in (1e300, np.array([0.0, 5e299, 1e300])):
+            with pytest.raises(EvolutionRangeError, match="= inf exceeds"):
+                closed_form(steep, t)
+
+
+def test_closed_forms_refuse_growth_past_the_limit_with_finite_values():
+    # |Im| of the exponent is 705: past the limit, though cosh and sinh
+    # are still finite there
+    for closed_form, t in ((spin_flip_probability, 3525.0),
+                           (probe_probability, 7050.0),
+                           (probe_asymmetry, 3525.0)):
+        for times in (t, np.array([0.0, t])):
+            with pytest.raises(EvolutionRangeError, match="7.050e.02 exceeds"):
+                closed_form(COMPLEX_REGIME, times)
+
+
 def test_params_validation():
     with pytest.raises(ValueError):
         ModelParams(E=np.nan)

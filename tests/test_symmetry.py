@@ -11,6 +11,7 @@ from conftest import (
 
 from pseudoherm import (
     AntilinearOperator,
+    NotDiagonalizableError,
     NotPseudohermitianError,
     OddDegeneracyError,
     SingularIntertwinerError,
@@ -250,6 +251,32 @@ def test_non_pseudohermitian_spectrum_raises_in_builders():
         build_intertwiner(system)
     with pytest.raises(NotPseudohermitianError):
         build_antilinear_symmetry(system)
+
+
+def test_all_even_stack_matches_each_report():
+    # scan's parity column over many systems at once, against the rule
+    # kramers_test applies to each alone; a defective matrix stays None
+    rng = np.random.default_rng(17)
+    matrices = [with_spectrum(rng, kramers_spectrum(rng, 4)),
+                with_spectrum(rng, odd_real_spectrum(rng, 4)),
+                np.diag([1.0, 1.0, 2.0, 2.0]),
+                np.diag([1.0, 1.0, 1.0, 1j]),      # one odd real group of three
+                np.array([[1.0, 1.0, 0.0, 0.0], [0.0, 1.0, 0.0, 0.0],
+                          [0.0, 0.0, 2.0, 0.0], [0.0, 0.0, 0.0, 3.0]]),
+                np.diag([1j, -1j, 2.0, 2.0]),
+                np.diag([1j, 2j, 3.0, 4.0])]
+    systems = spectral._biorthonormal_stack(
+        np.stack(matrices).astype(complex), spectral.DEFAULT_TOL,
+        spectral.DEFAULT_COND_CEILING)
+    expected = []
+    for h in matrices:
+        try:
+            expected.append(kramers_test(h).all_even)
+        except NotDiagonalizableError:
+            expected.append(None)
+    assert symmetry._all_even_stack(systems) == expected
+    assert expected == [True, False, True, False, None, True, False]
+    assert symmetry._all_even_stack(systems[4:5]) == [None]
 
 
 def test_each_analysis_clusters_once(monkeypatch):
