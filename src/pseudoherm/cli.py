@@ -50,7 +50,7 @@ from .spectral import (
     DEFAULT_COND_CEILING,
     DEFAULT_TOL,
     _biorthonormal_stack,
-    _is_real,
+    _classify_stack,
     biorthonormal_system,
 )
 from .spin_rotation import (
@@ -67,7 +67,6 @@ from .spin_rotation import (
     spin_flip_probability,
 )
 from .symmetry import (
-    _all_even_stack,
     _kramers_verdict,
     build_intertwiner,
     intertwining_residual,
@@ -329,11 +328,11 @@ def build_analysis_report(matrix, tol: float = DEFAULT_TOL,
         Propagated from the eigendecomposition.
     """
     system = biorthonormal_system(matrix, tol=tol, cond_ceiling=cond_ceiling)
-    verdict = _kramers_verdict(matrix, system)
+    verdict, real = _kramers_verdict(matrix, system)
     spectrum = [{"value": _pair(value), "multiplicity": int(mult),
                  "kind": "real" if is_real else "complex"}
                 for value, mult, is_real in zip(system.eigenvalues, system.multiplicities,
-                                                _is_real(system.eigenvalues, tol))]
+                                                real.tolist())]
     intertwiner = witness_residuals = metric_text = None
     if verdict.pseudohermitian:
         eta = build_intertwiner(system)
@@ -520,11 +519,15 @@ def cmd_scan(args) -> int:
                 texts = _g12_texts(np.abs(values).max(axis=1).tolist())
             peaks += ["" if refusal is not None else text
                       for text, refusal in zip(texts, refusals)]
+        # a defective point's generator has no system to classify
+        even = iter(_classify_stack([s for s in systems
+                                     if not isinstance(s, NotDiagonalizableError)])[2])
         cells = []
-        for params, even, peak in zip(block, _all_even_stack(systems), peaks):
+        for params, system, peak in zip(block, systems, peaks):
             cells += (params.k1, params.k2, params.muB,
                       _bool_str(real_spectrum_regime(params)),
-                      "" if even is None else _bool_str(even), peak)
+                      "" if isinstance(system, NotDiagonalizableError)
+                      else _bool_str(next(even)), peak)
         print((line * len(block)) % tuple(cells), end="")
     return 0
 

@@ -14,7 +14,10 @@ metrics, antilinear symmetries, non-unitary propagators) is built on
 these pairs, so this module also carries the eigenvalue bookkeeping:
 clustering the spectrum into degenerate groups once, when the system is
 built, and splitting those groups into real ones and complex-conjugate
-partners.
+partners.  One array classifier splits the groups of one system or a
+stack: each upper half-plane group, in group order, pairs with the
+nearest lower group not yet taken, within the larger of their radii
+``tol * max(1, |z|)`` and at equal multiplicity.
 """
 
 from __future__ import annotations
@@ -57,11 +60,6 @@ def _check_tolerance(name: str, value: float) -> None:
     """Refuse a tolerance that is not finite and positive (NaN included)."""
     if not 0 < value < np.inf:
         raise ValueError(f"{name} must be finite and positive, got {value!r}")
-
-
-def _is_real(values, tol: float):
-    """Whether each value lies within ``tol * max(1, |value|)`` of the real axis."""
-    return np.abs(np.imag(values)) <= tol * np.maximum(1.0, np.abs(values))
 
 
 def _cluster_stack(values: np.ndarray, tol: float):
@@ -294,11 +292,14 @@ def classify_spectrum(system: BiorthonormalSystem) -> SpectrumClassification:
     """Split the eigenvalue groups of ``system`` into real groups and
     conjugate pairs.
 
-    The groups are the ones ``system`` was clustered into; they are
-    classified at its own tolerance, which is applied against the group
-    magnitudes for realness and pairing.  No spectrum is clustered here:
-    classify the system of a matrix, built once by
-    :func:`biorthonormal_system`.
+    The groups are the ones ``system`` was clustered into, classified
+    at its tolerance ``tol``: a group ``z`` is real when ``|Im z|`` is
+    within its radius ``tol * max(1, |z|)``.  Each upper half-plane
+    group, in group order, takes the nearest lower group not yet taken
+    (the lower index on a tie); the pair holds when their distance is
+    within the larger radius and their multiplicities agree.  No
+    spectrum is clustered here: classify the system of a matrix, built
+    once by :func:`biorthonormal_system`.
 
     Returns
     -------
@@ -311,48 +312,95 @@ def classify_spectrum(system: BiorthonormalSystem) -> SpectrumClassification:
         or partners disagree in multiplicity.  Such a spectrum cannot
         belong to an operator similar to its own adjoint.
     """
-    values, mults, tol = system.eigenvalues, system.multiplicities, system.tolerance
-    real_idx: list[int] = []
-    upper: list[int] = []
-    lower: list[int] = []
-    for k, (val, real) in enumerate(zip(values, _is_real(values, tol))):
-        if real:
-            real_idx.append(k)
-        elif val.imag > 0:
-            upper.append(k)
-        else:
-            lower.append(k)
+    real, partner, _, (refusal,) = _classify_stack([system])
+    if refusal is not None:
+        raise refusal
+    return _classification(system, real, partner)
 
-    pair_idx: list[tuple[int, int]] = []
-    unused = list(lower)
-    for k in upper:
-        target = np.conj(values[k])
-        if not unused:
-            raise NotPseudohermitianError(
-                f"eigenvalue {values[k]:g} has no conjugate partner")
-        dists = [abs(values[j] - target) for j in unused]
-        jbest = unused[int(np.argmin(dists))]
-        if min(dists) > tol * max(1.0, abs(values[k]), abs(values[jbest])):
-            raise NotPseudohermitianError(
-                f"eigenvalue {values[k]:g} has no conjugate partner "
-                f"within tolerance")
-        if mults[k] != mults[jbest]:
-            raise NotPseudohermitianError(
-                f"conjugate pair {values[k]:g} / {values[jbest]:g} has "
-                f"mismatched multiplicities {mults[k]} and {mults[jbest]}")
-        unused.remove(jbest)
-        pair_idx.append((k, jbest))
-    if unused:
-        stray = ", ".join(f"{values[j]:g}" for j in unused)
-        raise NotPseudohermitianError(
-            f"eigenvalues without conjugate partners: {stray}")
 
+def _classification(system: BiorthonormalSystem, real: np.ndarray,
+                    partner: np.ndarray) -> SpectrumClassification:
+    """``system``'s classification from :func:`_classify_stack`'s flags;
+    the pairs are complete only when the system was not refused."""
     return SpectrumClassification(
-        eigenvalues=values.tolist(),
-        multiplicities=mults.tolist(),
-        real_group_indices=real_idx,
-        pair_group_indices=pair_idx,
+        eigenvalues=system.eigenvalues.tolist(),
+        multiplicities=system.multiplicities.tolist(),
+        real_group_indices=np.flatnonzero(real).tolist(),
+        pair_group_indices=[(k, j) for k, j in enumerate(partner.tolist()) if j >= 0],
     )
+
+
+def _classify_stack(systems: list[BiorthonormalSystem]):
+    """Classify the eigenvalue groups of a list of systems in one pass,
+    each at its own tolerance by :func:`classify_spectrum`'s rule, with
+    distances taken within a system only.
+
+    Returns ``(real, partner, all_even, refusals)``.  Over the groups of
+    the systems in turn, ``real`` flags the real ones and ``partner``
+    gives a paired upper group its lower partner's index in its system
+    (-1 for every other group).  Per system, ``all_even`` is whether no
+    real group is odd, and ``refusals`` is ``None`` or the
+    :class:`NotPseudohermitianError` of :func:`classify_spectrum`.
+    """
+    if not systems:
+        return np.zeros(0, dtype=bool), np.zeros(0, dtype=int), [], []
+    sizes = np.array([len(s.eigenvalues) for s in systems])
+    owner = np.repeat(np.arange(len(systems)), sizes)
+    first = np.cumsum(sizes) - sizes
+    values = np.concatenate([s.eigenvalues for s in systems])
+    mults = np.concatenate([s.multiplicities for s in systems])
+    radius = (np.repeat([s.tolerance for s in systems], sizes)
+              * np.maximum(1.0, np.abs(values)))
+    real = np.abs(values.imag) <= radius
+    upper = ~real & (values.imag > 0)
+    odd = np.bincount(owner, weights=real & (mults % 2 == 1), minlength=len(systems))
+
+    def table(mask):
+        # each system's masked groups in group order, one row per system,
+        # padded with -1 to at least one column
+        index = np.flatnonzero(mask)
+        rank = np.arange(index.size) - np.searchsorted(owner[index], owner[index])
+        rows = np.full((len(systems), rank.max(initial=0) + 1), -1)
+        rows[owner[index], rank] = index
+        return rows
+
+    uppers, lowers = table(upper), table(~real & ~upper)
+    taken = lowers < 0
+    open_ = np.ones(len(systems), dtype=bool)
+    refusals: list[NotPseudohermitianError | None] = [None] * len(systems)
+    partner = np.full(values.size, -1)
+    # upper k of each system to each lower group of the same system
+    dists = np.abs(values[lowers][:, None, :] - np.conj(values[uppers])[:, :, None])
+    for k, column in enumerate(uppers.T):
+        rows = ((column >= 0) & open_).nonzero()[0]
+        if not rows.size:
+            break
+        u = column[rows]
+        free = ~taken[rows]
+        dist = np.where(free, dists[rows, k], np.inf)
+        j = dist.argmin(axis=1)
+        low = lowers[rows, j]
+        near = dist.min(axis=1) <= np.maximum(radius[u], radius[low])
+        ok = near & (mults[u] == mults[low])
+        taken[rows[ok], j[ok]] = True
+        partner[u[ok]] = low[ok] - first[rows[ok]]
+        open_[rows[~ok]] = False
+        for i in (~ok).nonzero()[0].tolist():
+            a, b = values[u[i]], values[low[i]]
+            if not free[i].any():
+                message = f"eigenvalue {a:g} has no conjugate partner"
+            elif not near[i]:
+                message = f"eigenvalue {a:g} has no conjugate partner within tolerance"
+            else:
+                message = (f"conjugate pair {a:g} / {b:g} has mismatched "
+                           f"multiplicities {mults[u[i]]} and {mults[low[i]]}")
+            refusals[rows[i]] = NotPseudohermitianError(message)
+    stray = ~taken & open_[:, None]
+    for r in np.flatnonzero(stray.any(axis=1)).tolist():
+        listing = ", ".join(f"{values[j]:g}" for j in lowers[r][stray[r]])
+        refusals[r] = NotPseudohermitianError(
+            f"eigenvalues without conjugate partners: {listing}")
+    return real, partner, (odd == 0).tolist(), refusals
 
 
 def reconstruct(system: BiorthonormalSystem) -> np.ndarray:

@@ -24,17 +24,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .exceptions import (
-    NotDiagonalizableError,
-    NotPseudohermitianError,
-    OddDegeneracyError,
-    SingularIntertwinerError,
-)
+from .exceptions import OddDegeneracyError, SingularIntertwinerError
 from .spectral import (
     DEFAULT_COND_CEILING,
     DEFAULT_TOL,
     BiorthonormalSystem,
-    _is_real,
+    SpectrumClassification,
+    _classification,
+    _classify_stack,
     _square_complex,
     biorthonormal_system,
     classify_spectrum,
@@ -60,26 +57,10 @@ class AntilinearOperator:
 
     matrix: np.ndarray
 
-    @property
-    def dim(self) -> int:
-        return self.matrix.shape[0]
-
     def apply(self, state) -> np.ndarray:
         """Act on a vector: conjugate first, then multiply."""
         v = np.asarray(state, dtype=complex)
         return self.matrix @ np.conj(v)
-
-    def compose(self, other: "AntilinearOperator") -> np.ndarray:
-        """Matrix of ``self`` after ``other``.
-
-        Two antilinear maps compose to a linear one, so the result is a
-        plain matrix, ``A @ conj(B)``, not another antilinear operator.
-        """
-        return self.matrix @ np.conj(other.matrix)
-
-    def squared(self) -> np.ndarray:
-        """Matrix of the operator applied twice (a linear map)."""
-        return self.compose(self)
 
 
 @dataclass
@@ -218,6 +199,13 @@ def build_antilinear_symmetry(system: BiorthonormalSystem) -> AntilinearOperator
     odd = [(value, mult) for value, mult in cls.real_groups if mult % 2]
     if odd:
         raise OddDegeneracyError(odd)
+    return _antilinear_witness(system, cls)
+
+
+def _antilinear_witness(system: BiorthonormalSystem,
+                        cls: SpectrumClassification) -> AntilinearOperator:
+    """The witness of :func:`build_antilinear_symmetry` on the groups of
+    ``system`` as ``cls`` classifies them, all real ones even."""
     dim = system.dim
     s = np.zeros((dim, dim))
     for k in cls.real_group_indices:
@@ -251,7 +239,8 @@ def commutator_residual(matrix, operator: AntilinearOperator) -> float:
 
 def square_residual(operator: AntilinearOperator) -> float:
     """Frobenius distance of the operator's square from minus the identity."""
-    return float(np.linalg.norm(operator.squared() + np.eye(operator.dim)))
+    a = operator.matrix
+    return float(np.linalg.norm(a @ np.conj(a) + np.eye(len(a))))
 
 
 def kramers_test(matrix, tol: float = DEFAULT_TOL,
@@ -284,71 +273,27 @@ def kramers_test(matrix, tol: float = DEFAULT_TOL,
     """
     h = _square_complex(matrix)
     system = biorthonormal_system(h, tol=tol, cond_ceiling=cond_ceiling)
-    return _kramers_verdict(h, system)
+    return _kramers_verdict(h, system)[0]
 
 
-def _odd_real_groups(values, mults, tol):
-    """Which groups are real, and which real ones have odd multiplicity:
-    the rule behind ``KramersReport.all_even``, which holds when none do."""
-    real = _is_real(values, tol)
-    return real, real & (mults % 2 == 1)
-
-
-def _real_parity(system: BiorthonormalSystem) -> tuple[list[tuple[float, int]], bool]:
-    """The real groups of ``system`` as (value, multiplicity), and whether
-    every one is even."""
-    real, odd = _odd_real_groups(system.eigenvalues, system.multiplicities,
-                                 system.tolerance)
-    real_degeneracies = [
-        (float(value.real), int(mult))
-        for value, mult in zip(system.eigenvalues[real], system.multiplicities[real])
-    ]
-    return real_degeneracies, not odd.any()
-
-
-def _all_even_stack(systems: list[BiorthonormalSystem | NotDiagonalizableError]
-                    ) -> list[bool | None]:
-    """``KramersReport.all_even`` of each system, in one pass over all
-    their groups, and ``None`` in place of a ``NotDiagonalizableError``,
-    as :func:`~pseudoherm.spectral._biorthonormal_stack` returns them."""
-    kept = [s for s in systems if isinstance(s, BiorthonormalSystem)]
-    if not kept:
-        return [None] * len(systems)
-    groups = [len(s.eigenvalues) for s in kept]
-    _, odd = _odd_real_groups(np.concatenate([s.eigenvalues for s in kept]),
-                              np.concatenate([s.multiplicities for s in kept]),
-                              np.repeat([s.tolerance for s in kept], groups))
-    owner = np.repeat(np.arange(len(kept)), groups)
-    even = iter((np.bincount(owner, weights=odd, minlength=len(kept)) == 0).tolist())
-    return [next(even) if isinstance(s, BiorthonormalSystem) else None
-            for s in systems]
-
-
-def _kramers_verdict(matrix, system: BiorthonormalSystem) -> KramersReport:
-    """The Kramers report on ``system``'s own groups, classified once.
-
-    When every real group is even, building the witness is the
-    classification; otherwise the groups are classified only to decide
-    pseudohermiticity.
-    """
-    real_degeneracies, all_even = _real_parity(system)
+def _kramers_verdict(matrix, system: BiorthonormalSystem
+                     ) -> tuple[KramersReport, np.ndarray]:
+    """The Kramers report on ``system``'s own groups, and whether each
+    group is real: one classification decides pseudohermiticity and
+    evenness, and the witness is built on it."""
+    real, partner, (all_even,), (refusal,) = _classify_stack([system])
+    cls = _classification(system, real, partner)
     witness = comm = square = None
-    pseudohermitian = True
-    try:
-        if all_even:
-            witness = build_antilinear_symmetry(system)
-        else:
-            classify_spectrum(system)
-    except NotPseudohermitianError:
-        pseudohermitian = False
-    if witness is not None:
+    if refusal is None and all_even:
+        witness = _antilinear_witness(system, cls)
         comm = commutator_residual(matrix, witness)
         square = square_residual(witness)
-    return KramersReport(
-        pseudohermitian=pseudohermitian,
-        real_degeneracies=real_degeneracies,
+    report = KramersReport(
+        pseudohermitian=refusal is None,
+        real_degeneracies=cls.real_groups,
         all_even=all_even,
         witness=witness,
         commutator_residual=comm,
         square_residual=square,
     )
+    return report, real

@@ -624,6 +624,24 @@ def test_scan_evaluates_asymmetry_per_block(capsys, monkeypatch):
     assert max(passes) * 1000 <= cli._SCAN_CELLS
 
 
+def test_scan_classifies_once_per_block(capsys, monkeypatch):
+    stacks = []
+    classify = cli._classify_stack
+
+    def counted(systems):
+        stacks.append(len(systems))
+        return classify(systems)
+
+    monkeypatch.setattr(cli, "_classify_stack", counted)
+    # two blocks; k2 = 0.5 with muB = 0.25 is a Jordan block, left out
+    code, out, _ = _run(capsys, ["scan", "--k1=-1:1:9", "--k2=-1:1:9",
+                                 "--muB=-0.5:0.5:5", "--t-count=3"])
+    assert code == 0
+    blanks = [line.split(",")[4] for line in out.splitlines()[1:]].count("")
+    assert blanks > 0
+    assert len(stacks) == 2 and sum(stacks) == 405 - blanks
+
+
 def test_scan_bad_range_exits_3(capsys):
     assert _run(capsys, ["scan", "--k1", "1:2"])[0] == 3
     assert _run(capsys, ["scan", "--k1", "oops"])[0] == 3

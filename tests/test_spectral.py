@@ -252,6 +252,70 @@ def test_classify_agrees_with_kramers_test():
             assert cls.real_groups == report.real_degeneracies
 
 
+def test_stacked_classifier_equals_each_system_alone():
+    rng = np.random.default_rng(61)
+    spectra = [
+        [1j, -1j, 2 + 1j, 2 - 1j, 3.0, 3.0],         # admits, two pairs
+        [1.0, 2.0, 3.0, 0.5j, -0.5j, 4.0],           # odd real groups
+        [1j, -1j, -2j, -2j, 1.0, 1.0],               # a stray lower group
+        [1j, 1j, -1j, 2.0, 3.0, 4.0],                # mismatched multiplicities
+        [1j, 2j, 3j, 1.0, 2.0, 3.0],                 # no lower group
+        [1 + 1j, 1.5 - 1j, 2.0, 2.0, 4.0, 4.0],      # partner out of reach
+        [1 + 1j, 1 - 1j, -1 + 3j, -1 - 3j, 2 + 1j, 2 - 1j],  # three pairs
+        [1.0, 1.0, 2.0, 2.0, 3.0, 3.0],              # real, all even
+    ]
+    matrices = [with_spectrum(rng, spectrum) for spectrum in spectra]
+    systems = spectral._biorthonormal_stack(
+        np.stack(matrices), spectral.DEFAULT_TOL, spectral.DEFAULT_COND_CEILING)
+    real, partner, all_even, refusals = spectral._classify_stack(systems)
+    start = 0
+    messages = []
+    for e, system in enumerate(systems):
+        stop = start + len(system.eigenvalues)
+        alone = spectral._classify_stack([system])
+        assert np.array_equal(real[start:stop], alone[0])
+        assert np.array_equal(partner[start:stop], alone[1])
+        assert [all_even[e]] == alone[2]
+        assert [str(refusals[e])] == [str(r) for r in alone[3]]
+        # the N = 1 call is classify_spectrum's
+        try:
+            cls = classify_spectrum(system)
+        except NotPseudohermitianError as error:
+            messages.append(str(error))
+            assert str(refusals[e]) == str(error)
+        else:
+            messages.append(None)
+            assert refusals[e] is None
+            assert cls.real_group_indices == np.flatnonzero(real[start:stop]).tolist()
+            assert cls.pair_group_indices == [
+                (k, j) for k, j in enumerate(partner[start:stop].tolist()) if j >= 0]
+        assert all_even[e] == kramers_test(matrices[e]).all_even
+        start = stop
+    assert start == real.size == partner.size
+    assert all_even == [True, False, True, False, False, True, True, True]
+    assert [m is None for m in messages] == [True, True, False, False, False,
+                                             False, True, True]
+    assert messages[2].startswith("eigenvalues without conjugate partners")
+    assert "mismatched multiplicities 2 and 1" in messages[3]
+    assert messages[4].endswith("has no conjugate partner")
+    assert messages[5].endswith("within tolerance")
+    empty = spectral._classify_stack([])
+    assert empty[0].size == empty[1].size == 0 and empty[2] == empty[3] == []
+
+
+def test_pairing_follows_group_order():
+    # the first upper group takes its nearest lower one, -1i, although
+    # -1i is nearer still to the second upper group; a mutual-nearest
+    # rule would pair those two and leave the first without a partner
+    h = np.diag([-7e-10 + 1j, 4e-10 + 1j, -1j, 1.2e-9 - 1j])
+    cls = classify_spectrum(biorthonormal_system(h))
+    assert cls.eigenvalues == [-7e-10 + 1j, -1j, 4e-10 + 1j, 1.2e-9 - 1j]
+    assert cls.pair_group_indices == [(0, 1), (2, 3)]
+    report = kramers_test(h)
+    assert report.admits_symmetry
+    assert report.commutator_residual == pytest.approx(7.5166e-10, rel=1e-4)
+
+
 def test_separated_reals_refuses_what_cannot_fit():
     rng = np.random.default_rng(5)
     state = rng.bit_generator.state
