@@ -32,8 +32,9 @@ import math
 import operator
 import sys
 from dataclasses import dataclass, fields
-from itertools import chain, product
+from itertools import chain
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -55,7 +56,10 @@ from .spectral import (
 )
 from .spin_rotation import (
     ModelParams,
+    _accepted,
     _asymmetry_stack,
+    _hamiltonian_stack,
+    _in_real_regime,
     coupling_ratio,
     effective_hamiltonian,
     level_splitting,
@@ -67,8 +71,8 @@ from .spin_rotation import (
     spin_flip_probability,
 )
 from .symmetry import (
+    _intertwiner,
     _kramers_verdict,
-    build_intertwiner,
     intertwining_residual,
 )
 
@@ -328,14 +332,16 @@ def build_analysis_report(matrix, tol: float = DEFAULT_TOL,
         Propagated from the eigendecomposition.
     """
     system = biorthonormal_system(matrix, tol=tol, cond_ceiling=cond_ceiling)
-    verdict, real = _kramers_verdict(matrix, system)
+    verdict, cls = _kramers_verdict(matrix, system)
+    real = set(cls.real_group_indices)
     spectrum = [{"value": _pair(value), "multiplicity": int(mult),
-                 "kind": "real" if is_real else "complex"}
-                for value, mult, is_real in zip(system.eigenvalues, system.multiplicities,
-                                                real.tolist())]
+                 "kind": "real" if k in real else "complex"}
+                for k, (value, mult) in enumerate(zip(system.eigenvalues,
+                                                      system.multiplicities))]
     intertwiner = witness_residuals = metric_text = None
     if verdict.pseudohermitian:
-        eta = build_intertwiner(system)
+        # the metric on the verdict's own classification
+        eta = _intertwiner(system, cls)
         pairs, metric_text = _metric_pairs(eta)
         intertwiner = {
             "matrix": pairs,
@@ -416,10 +422,6 @@ def cmd_analyze(args) -> int:
     return 0
 
 
-def _bool_str(flag: bool) -> str:
-    return "true" if flag else "false"
-
-
 def cmd_model(args) -> int:
     params = ModelParams(E=args.E, muB=args.muB, omega2=args.omega2,
                          k1=args.k1, k2=args.k2)
@@ -475,60 +477,54 @@ _SCAN_BLOCK = 256
 _SCAN_CELLS = 1 << 16
 
 
-def _scan_blocks(args, k1_values, k2_values, muB_values):
-    """The grid's model parameters, ``_SCAN_BLOCK`` points at a time, k1
-    outer and muB inner.  A point the model refuses ends the last block,
-    and its ``ValueError`` is raised once that block has been taken."""
-    block = []
-    for k1, k2, muB in product(k1_values, k2_values, muB_values):
-        try:
-            params = ModelParams(E=args.E, muB=muB, omega2=args.omega2,
-                                 k1=k1, k2=k2)
-        except ValueError:
-            # the rows before the refused point still print
-            if block:
-                yield block
-            raise
-        block.append(params)
-        if len(block) == _SCAN_BLOCK:
-            yield block
-            block = []
-    if block:
-        yield block
+def _points(args, axes, index) -> SimpleNamespace:
+    """Field columns of the scan grid's points at flat ``index``, k1 outer."""
+    k1, k2, muB = (axis[k] for axis, k in
+                   zip(axes, np.unravel_index(index, [len(axis) for axis in axes])))
+    return SimpleNamespace(E=args.E, omega2=args.omega2, k1=k1, k2=k2, muB=muB)
+
+
+def _scan_rows(args, axes, index, grid: np.ndarray) -> str:
+    """CSV rows of the grid points at ``index``: one spectral pass, and
+    asymmetry passes; a point the model refuses blanks only its cells."""
+    # grid points per asymmetry pass: the whole block on a short time grid
+    rows = max(1, _SCAN_CELLS // grid.size)
+    fields = _points(args, axes, index)
+    systems = _biorthonormal_stack(_hamiltonian_stack(fields),
+                                   DEFAULT_TOL, DEFAULT_COND_CEILING)
+    peaks = []
+    for start in range(0, index.size, rows):
+        values, refusals = _asymmetry_stack(
+            _points(args, axes, index[start:start + rows]), grid)
+        with np.errstate(invalid="ignore"):  # a refused row may hold NaN
+            texts = _g12_texts(np.abs(values).max(axis=1).tolist())
+        peaks += ["" if refusal is not None else text
+                  for text, refusal in zip(texts, refusals)]
+    # a defective point's generator has no system to classify
+    even = iter(_classify_stack([s for s in systems
+                                 if not isinstance(s, NotDiagonalizableError)])[2])
+    parity = ["" if isinstance(s, NotDiagonalizableError)
+              else "true" if next(even) else "false" for s in systems]
+    regime = ["true" if real else "false" for real in _in_real_regime(fields).tolist()]
+    cells = zip(fields.k1.tolist(), fields.k2.tolist(), fields.muB.tolist(),
+                regime, parity, peaks)
+    return ("%.12g,%.12g,%.12g,%s,%s,%s\n" * index.size) % tuple(chain.from_iterable(cells))
 
 
 def cmd_scan(args) -> int:
-    k1_values = _parse_range(args.k1)
-    k2_values = _parse_range(args.k2)
-    muB_values = _parse_range(args.muB)
+    axes = [np.array(_parse_range(token)) for token in (args.k1, args.k2, args.muB)]
     grid = _time_grid(args)
     print("k1,k2,muB,real_spectrum_regime,kramers_all_even,max_abs_asymmetry")
-    # grid points per asymmetry pass: the whole block on a short time grid
-    rows = max(1, _SCAN_CELLS // grid.size)
-    line = "%.12g,%.12g,%.12g,%s,%s,%s\n"
-    for block in _scan_blocks(args, k1_values, k2_values, muB_values):
-        # one spectral pass, and on a short time grid one asymmetry pass,
-        # per block; a point the model refuses blanks its own cells
-        systems = _biorthonormal_stack(
-            np.stack([effective_hamiltonian(params) for params in block]),
-            DEFAULT_TOL, DEFAULT_COND_CEILING)
-        peaks = []
-        for start in range(0, len(block), rows):
-            values, refusals = _asymmetry_stack(block[start:start + rows], grid)
-            with np.errstate(invalid="ignore"):  # a refused row may hold NaN
-                texts = _g12_texts(np.abs(values).max(axis=1).tolist())
-            peaks += ["" if refusal is not None else text
-                      for text, refusal in zip(texts, refusals)]
-        # a defective point's generator has no system to classify
-        even = iter(_classify_stack([s for s in systems
-                                     if not isinstance(s, NotDiagonalizableError)])[2])
-        cells = []
-        for params, system, peak in zip(block, systems, peaks):
-            cells += (params.k1, params.k2, params.muB,
-                      _bool_str(real_spectrum_regime(params)),
-                      "" if isinstance(system, NotDiagonalizableError)
-                      else _bool_str(next(even)), peak)
-        print((line * len(block)) % tuple(cells), end="")
+    size = math.prod(map(len, axes))
+    for start in range(0, size, _SCAN_BLOCK):
+        index = np.arange(start, min(start + _SCAN_BLOCK, size))
+        # the rows before a point the model refuses still print
+        accepted = _accepted(_points(args, axes, index))
+        if accepted:
+            print(_scan_rows(args, axes, index[:accepted], grid), end="")
+        if accepted < index.size:
+            # the model raises its own error for the refused point
+            ModelParams(**vars(_points(args, axes, index[accepted])))
     return 0
 
 

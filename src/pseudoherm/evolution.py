@@ -8,9 +8,10 @@ assembled spectrally,
 so no matrix exponential iteration is involved and ``U(t) U(s) = U(t+s)``
 holds to roundoff by construction.  Complex eigenvalues make ``U``
 non-unitary with exponentially growing or decaying channels; the module
-refuses time arguments whose exponentials would overflow, and a
-propagator or probability that overflows even though every exponential
-is representable, rather than silently returning infinities.
+refuses time arguments whose exponentials would overflow (one reduction
+checks all of a call's times), and a propagator or probability that
+overflows even though every exponential is representable, rather than
+silently returning infinities.
 
 ``transition_probability`` and ``time_asymmetry`` take a float time or
 an ndarray of times: a float in gives a float out, an array in gives an
@@ -18,6 +19,8 @@ array of the same shape out.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -55,9 +58,8 @@ def _refuse_overflow(value, t):
     naming the first time, in array order, whose value holds an entry
     that overflowed to ``inf`` or ``nan``.
     """
-    finite = np.isfinite(value)
-    if not finite.all():
-        raise _overflow_error(t, ~finite.reshape(np.size(t), -1).all(axis=1))
+    if not (math.isfinite(value) if np.ndim(value) == 0 else np.isfinite(value).all()):
+        raise _overflow_error(t, ~np.isfinite(value).reshape(np.size(t), -1).all(axis=1))
     return float(value) if np.ndim(value) == 0 else np.ascontiguousarray(value)
 
 
@@ -69,23 +71,23 @@ def _overflow_error(t, overflowed) -> EvolutionRangeError:
         f"double precision")
 
 
-def _phases(system: BiorthonormalSystem, t) -> np.ndarray:
-    """``exp(-i E_n t)`` along a last axis of length n, for a time or an
-    array of times; refuses the first time that would overflow.
-
-    Callers evaluate it under ``np.errstate(over="ignore",
-    invalid="ignore")``: a growth ``|Im E| |t|`` that overflows is then
-    refused as out of range, and a phase ``E t`` that overflows leaves a
-    NaN for their overflow refusal, with no numpy warning either way.
-    """
-    t = _finite_time(t)
+def _exponents(system: BiorthonormalSystem, t) -> np.ndarray:
+    """``-i E_n t`` along a last axis of length n, for a time or an array
+    of times.  One reduction, the largest ``|Re|``, checks every time (a
+    non-finite one fails it); only a failed check walks the times, to
+    refuse a non-finite time or else the first out of range.  Callers
+    hold ``np.errstate(over="ignore", invalid="ignore")``: an exponent
+    that overflows is then refused, here or as an overflowing value."""
+    t = np.asarray(t, dtype=float)
     energies = system.expanded_eigenvalues()
-    growth = np.abs(energies.imag).max() * np.abs(t)
-    if (growth > EXP_ARG_LIMIT).any():
+    exponents = np.multiply.outer(t, -1j * energies)
+    if not np.abs(exponents.real).max(initial=0.0) <= EXP_ARG_LIMIT:
+        _finite_time(t)
+        growth = np.abs(energies.imag).max() * np.abs(t)
         raise EvolutionRangeError(
             f"|Im E| * |t| = {_first(growth, growth > EXP_ARG_LIMIT):.3e} "
             f"exceeds the representable exponent range {EXP_ARG_LIMIT:g}")
-    return np.exp(np.multiply.outer(t, -1j * energies))
+    return exponents
 
 
 def _state(state, dim: int) -> np.ndarray:
@@ -120,7 +122,7 @@ def evolution_operator(system: BiorthonormalSystem, t: float) -> np.ndarray:
     """
     t = float(t)
     with np.errstate(over="ignore", invalid="ignore"):
-        phases = _phases(system, t)
+        phases = np.exp(_exponents(system, t))
         u = (system.right_vectors * phases) @ system.left_vectors.conj().T
     return _refuse_overflow(u, t)
 
@@ -132,7 +134,7 @@ def _amplitudes(system: BiorthonormalSystem, initial, final, t) -> np.ndarray:
     costs O(n): the amplitude is ``sum_n (<final| Psi)_n exp(-i E_n t)
     (Phi^H |initial>)_n``.
     """
-    phases = _phases(system, t)
+    phases = np.exp(_exponents(system, t))
     # Phi^H |initial> as the conjugate of <initial| Phi: no n x n copy
     coefficients = (_state(initial, system.dim).conj() @ system.left_vectors).conj()
     overlaps = _state(final, system.dim).conj() @ system.right_vectors

@@ -156,7 +156,7 @@ class BiorthonormalSystem:
 
     def expanded_eigenvalues(self) -> np.ndarray:
         """Group representatives repeated per multiplicity, one per column."""
-        return np.repeat(self.eigenvalues, self.multiplicities)
+        return self.eigenvalues.repeat(self.multiplicities)
 
     def group_columns(self, group: int) -> np.ndarray:
         """Column indices belonging to eigenvalue group ``group``."""

@@ -32,14 +32,15 @@ every entry of the array equals the float result at that time bit for
 bit, so a time grid is evaluated in one call.  The arithmetic stays
 complex throughout: ``Rt`` is real or purely imaginary, so every complex
 product has a factor with zero imaginary part and rounds the same in
-numpy's array loops as in its scalar arithmetic.
+numpy's array loops as in its scalar arithmetic.  A scan builds no
+``ModelParams``: the parameter checks, generator and probe asymmetry
+also take field columns, arrays with one entry per model.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from types import SimpleNamespace
 
 import numpy as np
 
@@ -113,20 +114,14 @@ class ModelParams:
         for name, coupling in (("k1", alpha), ("k2", beta)):
             if not math.isfinite(coupling):
                 raise ValueError(f"{name}*omega2/2 - muB must be finite")
-        if not math.isfinite(2.0 * self.E * self.E + alpha * alpha + beta * beta):
+        if not math.isfinite(_squared_norm(self.E, alpha, beta)):
             raise ValueError("the squared generator norm "
                              "2*E**2 + alpha**2 + beta**2 must be finite")
 
 
-# The field formulas below take a ModelParams, or the fields of many as
-# arrays (see _columns), and give a float or an array of the same values.
-
-def _columns(rows: list[ModelParams]) -> SimpleNamespace:
-    """The fields of ``rows`` as arrays, one entry per model."""
-    return SimpleNamespace(**{
-        name: np.array([getattr(params, name) for params in rows])
-        for name in ("muB", "omega2", "k1", "k2")})
-
+# The field formulas below take a ModelParams, or any object whose fields
+# E, muB, omega2, k1 and k2 are floats or arrays of one entry per model
+# (field columns), and give a float or an array of the same values.
 
 def _alpha(params: ModelParams) -> float:
     return params.k1 * params.omega2 / 2.0 - params.muB
@@ -139,6 +134,22 @@ def _beta(params: ModelParams) -> float:
 def _scale(params: ModelParams) -> float:
     return np.maximum(np.maximum(1.0, abs(params.k1 * params.omega2) / 2.0),
                       np.maximum(abs(params.k2 * params.omega2) / 2.0, abs(params.muB)))
+
+
+def _squared_norm(E, alpha, beta):
+    return 2.0 * E * E + alpha * alpha + beta * beta
+
+
+def _in_real_regime(params: ModelParams):
+    return _alpha(params) * _beta(params) > 0.0
+
+
+def _accepted(fields) -> int:
+    """How many leading models of the field columns ``fields`` pass
+    :class:`ModelParams`' checks: any failure leaves the squared norm inf or NaN."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        refused = ~np.isfinite(_squared_norm(fields.E, _alpha(fields), _beta(fields)))
+    return int(np.argmax(refused)) if refused.any() else refused.size
 
 
 def _splitting(params: ModelParams):
@@ -183,8 +194,16 @@ def _sinc(z) -> np.ndarray:
 
 def effective_hamiltonian(params: ModelParams) -> np.ndarray:
     """Two-level generator in the helicity basis."""
-    a, b = _alpha(params), _beta(params)
-    return np.array([[params.E, 1j * a], [-1j * b, params.E]], dtype=complex)
+    return _hamiltonian_stack(params)[0]
+
+
+def _hamiltonian_stack(fields) -> np.ndarray:
+    """The ``(N, 2, 2)`` generators of the field columns ``fields``, each
+    bit for bit :func:`effective_hamiltonian`, their N = 1 case."""
+    h = np.empty((np.size(fields.k1), 2, 2), dtype=complex)
+    h[:, 0, 0] = h[:, 1, 1] = fields.E
+    h[:, 0, 1], h[:, 1, 0] = 1j * _alpha(fields), -1j * _beta(fields)
+    return h
 
 
 def coupling_ratio(params: ModelParams) -> float:
@@ -215,7 +234,7 @@ def real_spectrum_regime(params: ModelParams) -> bool:
     True exactly when the spectrum is real and non-degenerate.  The
     boundary (either coupling zero) counts as outside the regime.
     """
-    return bool(_alpha(params) * _beta(params) > 0.0)
+    return bool(_in_real_regime(params))
 
 
 def model_eigenbasis(params: ModelParams) -> BiorthonormalSystem:
@@ -251,16 +270,11 @@ def model_eigenbasis(params: ModelParams) -> BiorthonormalSystem:
          np.array([-1j / np.conj(root), 1.0]) / sqrt2),
     ]
     columns.sort(key=lambda item: (item[0].real, item[0].imag))
-    values = np.array([item[0] for item in columns])
-    right = np.column_stack([item[1] for item in columns])
-    left = np.column_stack([item[2] for item in columns])
+    values, right, left = zip(*columns)
     return BiorthonormalSystem(
-        eigenvalues=values,
-        multiplicities=np.array([1, 1]),
-        right_vectors=right,
-        left_vectors=left,
-        tolerance=DEFAULT_TOL,
-    )
+        eigenvalues=np.array(values), multiplicities=np.array([1, 1]),
+        right_vectors=np.column_stack(right), left_vectors=np.column_stack(left),
+        tolerance=DEFAULT_TOL)
 
 
 def model_intertwiner(params: ModelParams) -> np.ndarray:
@@ -366,17 +380,15 @@ def probe_asymmetry(params: ModelParams, t):
         If the hyperbolic growth or the asymmetry would overflow; the
         message describes the first such time in array order.
     """
-    values, (refusal,) = _asymmetry_stack([params], t)
+    values, (refusal,) = _asymmetry_stack(params, t)
     if refusal is not None:
         raise refusal
-    (value,) = values
-    return float(value) if value.ndim == 0 else np.ascontiguousarray(value)
+    return _refuse_overflow(values[0], t)
 
 
-def _asymmetry_stack(rows: list[ModelParams], t
-                     ) -> tuple[np.ndarray, list[Exception | None]]:
-    """:func:`probe_asymmetry` of each model of ``rows`` over the times
-    ``t``, in one array pass.
+def _asymmetry_stack(fields, t) -> tuple[np.ndarray, list[Exception | None]]:
+    """:func:`probe_asymmetry` of each model of the field columns
+    ``fields`` over the times ``t``, in one array pass.
 
     Returns the values, of shape ``(N, *t.shape)``, and for each model
     ``None`` or the error :func:`probe_asymmetry` raises for it alone; a
@@ -390,16 +402,17 @@ def _asymmetry_stack(rows: list[ModelParams], t
         If any time is not finite.
     """
     t = _finite_time(t)
-    columns = _columns(rows)
+    alpha = _alpha(fields)
+    shape = (np.size(alpha), *t.shape)
     with np.errstate(over="ignore", invalid="ignore"):
-        z = np.multiply.outer(2.0 * _splitting(columns), t)
-        values = (np.multiply.outer(2.0 * _alpha(columns), t) * _sinc(z)).real
-    growth = np.abs(z.imag).reshape(len(rows), -1)
+        z = np.multiply.outer(2.0 * _splitting(fields), t).reshape(shape)
+        values = (np.multiply.outer(2.0 * alpha, t).reshape(shape) * _sinc(z)).real
+    growth = np.abs(z.imag).reshape(shape[0], -1)
     far = growth > EXP_ARG_LIMIT
-    overflowed = ~np.isfinite(values).reshape(len(rows), -1)
-    undefined = _ratio_undefined(columns)
+    overflowed = ~np.isfinite(values).reshape(shape[0], -1)
+    undefined = np.reshape(_ratio_undefined(fields), -1)
     refused = undefined | far.any(axis=1) | overflowed.any(axis=1)
-    refusals: list[Exception | None] = [None] * len(rows)
+    refusals: list[Exception | None] = [None] * shape[0]
     for k in np.flatnonzero(refused).tolist():
         if undefined[k]:
             refusals[k] = DegenerateModelError(_UNDEFINED_RATIO)

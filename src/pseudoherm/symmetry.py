@@ -118,16 +118,19 @@ def build_intertwiner(system: BiorthonormalSystem) -> np.ndarray:
     NotPseudohermitianError
         If the spectrum is not real-or-paired (no metric exists).
     """
-    cls = classify_spectrum(system)
-    dim = system.dim
-    p = np.zeros((dim, dim))
+    return _intertwiner(system, classify_spectrum(system))
+
+
+def _intertwiner(system: BiorthonormalSystem,
+                 cls: SpectrumClassification) -> np.ndarray:
+    """:func:`build_intertwiner` on the groups as ``cls`` classifies them."""
+    p = np.zeros((system.dim, system.dim))
     for k in cls.real_group_indices:
         cols = system.group_columns(k)
         p[cols, cols] = 1.0
     for ku, kl in cls.pair_group_indices:
-        for a, b in zip(system.group_columns(ku), system.group_columns(kl)):
-            p[a, b] = 1.0
-            p[b, a] = 1.0
+        a, b = system.group_columns(ku), system.group_columns(kl)
+        p[a, b] = p[b, a] = 1.0
     phi = system.left_vectors
     eta = phi @ p @ phi.conj().T
     return 0.5 * (eta + eta.conj().T)
@@ -206,20 +209,16 @@ def _antilinear_witness(system: BiorthonormalSystem,
                         cls: SpectrumClassification) -> AntilinearOperator:
     """The witness of :func:`build_antilinear_symmetry` on the groups of
     ``system`` as ``cls`` classifies them, all real ones even."""
-    dim = system.dim
-    s = np.zeros((dim, dim))
+    s = np.zeros((system.dim, system.dim))
     for k in cls.real_group_indices:
         cols = system.group_columns(k)
         half = len(cols) // 2
-        for a in range(half):
-            s[cols[a], cols[a + half]] = 1.0
-            s[cols[a + half], cols[a]] = -1.0
+        s[cols[:half], cols[half:]] = 1.0
+        s[cols[half:], cols[:half]] = -1.0
     for ku, kl in cls.pair_group_indices:
-        for a, b in zip(system.group_columns(ku), system.group_columns(kl)):
-            s[b, a] = 1.0
-            s[a, b] = -1.0
-    a_mat = system.right_vectors @ s @ system.left_vectors.T
-    return AntilinearOperator(matrix=a_mat)
+        a, b = system.group_columns(ku), system.group_columns(kl)
+        s[b, a], s[a, b] = 1.0, -1.0
+    return AntilinearOperator(matrix=system.right_vectors @ s @ system.left_vectors.T)
 
 
 def commutator_residual(matrix, operator: AntilinearOperator) -> float:
@@ -277,10 +276,10 @@ def kramers_test(matrix, tol: float = DEFAULT_TOL,
 
 
 def _kramers_verdict(matrix, system: BiorthonormalSystem
-                     ) -> tuple[KramersReport, np.ndarray]:
-    """The Kramers report on ``system``'s own groups, and whether each
-    group is real: one classification decides pseudohermiticity and
-    evenness, and the witness is built on it."""
+                     ) -> tuple[KramersReport, SpectrumClassification]:
+    """The Kramers report on ``system``'s own groups, and their
+    classification: one classification decides pseudohermiticity and
+    evenness, and the witness, like any metric, is built on it."""
     real, partner, (all_even,), (refusal,) = _classify_stack([system])
     cls = _classification(system, real, partner)
     witness = comm = square = None
@@ -296,4 +295,4 @@ def _kramers_verdict(matrix, system: BiorthonormalSystem
         commutator_residual=comm,
         square_residual=square,
     )
-    return report, real
+    return report, cls

@@ -479,6 +479,43 @@ def test_scan_refusal_mid_grid_keeps_earlier_rows(capsys):
     assert err == "pseudoherm: input error: k1*omega2/2 - muB must be finite\n"
 
 
+def test_scan_refusal_in_a_later_block_keeps_earlier_rows(capsys):
+    # the squared norm overflows from the 269th point on, in the second block
+    code, out, err = _run(capsys, ["scan", "--k1=0:1e155:1000", "--t-count=3"])
+    assert code == 3
+    header, *rows = out.splitlines()
+    assert header.startswith("k1,k2,muB,") and len(rows) == 268 > cli._SCAN_BLOCK
+    k1 = np.linspace(0.0, 1e155, 1000)
+    assert [row.split(",")[0] for row in rows] == [_fmt(v) for v in k1[:268]]
+    assert err == ("pseudoherm: input error: the squared generator norm "
+                   "2*E**2 + alpha**2 + beta**2 must be finite\n")
+
+
+@pytest.mark.parametrize("flag, name", [("--E=nan", "E"), ("--omega2=inf", "omega2")])
+def test_scan_non_finite_scalar_field_prints_header_only(capsys, flag, name):
+    code, out, err = _run(capsys, ["scan", "--k1=-1:1:3", flag, "--t-count=3"])
+    assert code == 3
+    assert out == "k1,k2,muB,real_spectrum_regime,kramers_all_even,max_abs_asymmetry\n"
+    assert err == f"pseudoherm: input error: {name} must be finite\n"
+
+
+def test_scan_builds_no_model_params_on_a_valid_grid(capsys, monkeypatch):
+    built = []
+    post_init = ModelParams.__post_init__
+
+    def counted(self):
+        built.append(self)
+        post_init(self)
+
+    monkeypatch.setattr(ModelParams, "__post_init__", counted)
+    code, _, _ = _run(capsys, ["scan", "--k1=-1:1:9", "--k2=-1:1:9",
+                               "--muB=-0.5:0.5:5", "--t-count=3"])
+    assert code == 0 and built == []
+    # a refused point raises the model's own error, from one ModelParams
+    code, _, _ = _run(capsys, ["scan", "--k1=0:1e308:3", "--omega2=10", "--t-count=3"])
+    assert code == 3 and len(built) == 1
+
+
 # ---------------------------------------------------------------- scan
 
 def test_scan_single_point(capsys):
@@ -601,9 +638,9 @@ def test_scan_evaluates_asymmetry_per_block(capsys, monkeypatch):
     calls, passes = [], []
     stack = spin_rotation._asymmetry_stack
 
-    def counted_stack(rows, t):
-        passes.append(len(rows))
-        return stack(rows, t)
+    def counted_stack(fields, t):
+        passes.append(len(fields.k1))
+        return stack(fields, t)
 
     def counted_probe(*args):
         calls.append(args)

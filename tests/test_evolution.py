@@ -251,3 +251,34 @@ def test_propagator_range_error_names_first_offending_time():
         with pytest.raises(EvolutionRangeError) as array:
             evaluate(system, state, state, times)
         assert str(array.value) == str(scalar.value)
+
+
+def test_hermitian_generator_refuses_infinite_time():
+    # every Im E is zero, so only the check on the exponents sees t = inf
+    system = biorthonormal_system(np.array([[1.0, 2.0], [2.0, -1.0]]))
+    state = np.array([1.0, 0.0])
+    for call in (lambda t: evolution_operator(system, t),
+                 lambda t: transition_probability(system, state, state, t),
+                 lambda t: time_asymmetry(system, state, state, t)):
+        for t in (np.inf, -np.inf, np.nan):
+            with pytest.raises(ValueError, match="^time must be finite$"):
+                call(t)
+
+
+def test_non_finite_time_is_refused_before_an_out_of_range_one():
+    # 800 is out of range and comes first, yet the NaN decides the error
+    system = biorthonormal_system(np.diag([1j, -1j]))
+    state = np.array([1.0, 0.0])
+    for evaluate in (transition_probability, time_asymmetry):
+        with pytest.raises(ValueError, match="^time must be finite$"):
+            evaluate(system, state, state, np.array([800.0, np.nan]))
+
+
+def test_time_shapes_pass_through():
+    system, initial, final = _kramers_system(31, 4)
+    for evaluate in (transition_probability, time_asymmetry):
+        empty = evaluate(system, initial, final, np.array([]))
+        assert type(empty) is np.ndarray and empty.shape == (0,)
+        value = evaluate(system, initial, final, np.array(0.7))
+        assert type(value) is float
+        assert value == evaluate(system, initial, final, 0.7)

@@ -1,5 +1,8 @@
 """Two-level rotational model: closed forms against the generic pipeline."""
 
+from itertools import product
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -28,6 +31,7 @@ from pseudoherm import (
     time_asymmetry,
     transition_probability,
 )
+from pseudoherm import spin_rotation
 
 P1 = ModelParams(E=1.0, muB=0.1, omega2=1.0, k1=1.0, k2=0.5)
 HERMITIAN = ModelParams(E=1.0, muB=0.0, omega2=1.0, k1=1.0, k2=1.0)
@@ -43,6 +47,22 @@ def test_effective_hamiltonian_entries():
     h = effective_hamiltonian(ModelParams(E=0.0, muB=0.3, omega2=1.0,
                                           k1=1.0, k2=0.5))
     assert np.allclose(h, [[0.0, 0.2j], [0.05j, 0.0]], atol=1e-15)
+
+
+def test_generator_stack_equals_each_effective_hamiltonian():
+    values = np.array([-1.5, -1.0, -0.5, -0.0, 0.0, 0.25, 0.5, 1.0, 1e-300, 3e150])
+    grid = np.array(list(product(values, values, values[::3]))).T
+    for E, omega2 in ((1.0, 1.0), (-0.0, 2.0), (0.3, -0.7)):
+        fields = SimpleNamespace(E=E, omega2=omega2, k1=grid[0], k2=grid[1], muB=grid[2])
+        stack = spin_rotation._hamiltonian_stack(fields)
+        assert stack.shape == (grid.shape[1], 2, 2)
+        for h, (k1, k2, muB) in zip(stack, grid.T.tolist()):
+            params = ModelParams(E=E, muB=muB, omega2=omega2, k1=k1, k2=k2)
+            assert h.tobytes() == effective_hamiltonian(params).tobytes()
+            # scalar arithmetic as reference, signed zeros included
+            alpha, beta = k1 * omega2 / 2.0 - muB, k2 * omega2 / 2.0 - muB
+            scalar = np.array([[E, 1j * alpha], [-1j * beta, E]], dtype=complex)
+            assert h.tobytes() == scalar.tobytes()
 
 
 def test_coupling_ratio_values():

@@ -302,12 +302,12 @@ def test_each_analysis_clusters_once(monkeypatch):
     for h in (with_spectrum(rng, kramers_spectrum(rng, 6)),
               with_spectrum(rng, odd_real_spectrum(rng, 5)),
               np.diag([1j, 2j])):
-        for analyze, most in ((kramers_test, 1), (build_analysis_report, 2)):
+        for analyze in (kramers_test, build_analysis_report):
             clusters.clear()
             classifications.clear()
             analyze(h)
             assert len(clusters) == 1
-            assert 1 <= len(classifications) <= most
+            assert len(classifications) == 1
         # the classifier itself clusters nothing: the system's one clustering
         clusters.clear()
         classifications.clear()
