@@ -27,6 +27,7 @@ a token is whatever ``complex()`` accepts once ``i`` and ``I`` read as
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import operator
@@ -94,11 +95,6 @@ def _g12(x) -> float:
     return float(f"{float(x):.12g}")
 
 
-def _pair(z) -> list[float]:
-    z = complex(z)
-    return [_g12(z.real), _g12(z.imag)]
-
-
 def _g12_texts(values: list[float]) -> list[str]:
     """``'%.12g'`` text of each float, from one C-level format call."""
     return (("%.12g\n" * len(values)) % tuple(values)).split("\n")[:-1]
@@ -122,17 +118,18 @@ def _rounded_parts(m: np.ndarray) -> tuple[list[str], list[float]]:
     return texts, list(map(float, texts))
 
 
-def _nested_pairs(values: list[float], cols: int) -> list[list[list[float]]]:
-    """Rows of ``cols`` ``[re, im]`` pairs holding the objects of ``values``."""
-    parts = iter(values)
-    pairs = list(map(list, zip(parts, parts)))
-    return [pairs[k:k + cols] for k in range(0, len(pairs), cols)]
-
-
-def _matrix_pairs(m) -> list[list[list[float]]]:
-    """Rows of ``[re, im]`` pairs, each float rounded as by :func:`_g12`."""
+def _pairs(m, values: list[float] | None = None) -> list:
+    """``[re, im]`` pairs of a complex vector, or rows of them for a
+    matrix, each part rounded as by :func:`_g12`.  ``values`` are the
+    parts :func:`_rounded_parts` gave for ``m``, when already formatted;
+    the pairs hold those very float objects."""
     m = np.asarray(m)
-    return _nested_pairs(_rounded_parts(m)[1], m.shape[1])
+    parts = iter(_rounded_parts(m)[1] if values is None else values)
+    pairs = list(map(list, zip(parts, parts)))
+    if m.ndim == 1:
+        return pairs
+    cols = m.shape[1]
+    return [pairs[k:k + cols] for k in range(0, len(pairs), cols)]
 
 
 def _json_floats(values: list[float], texts: list[str]) -> list[str]:
@@ -143,16 +140,16 @@ def _json_floats(values: list[float], texts: list[str]) -> list[str]:
     digits the same way, except that ``'%.12g'`` drops the ``.0`` of an
     integral value and writes an exponent from 1e12 on, where ``repr``
     does from 1e16 on; ``'%.1f'`` spells those integral values as
-    ``repr`` does.  Subnormals and non-finite values take json's own
-    spelling.
+    ``repr`` does.  Subnormals take json's own spelling.  The values
+    must be finite, as a metric that passed its residual check is.
     """
     a = np.array(values)
     magnitude = np.abs(a)
-    special = ~np.isfinite(a) | ((magnitude < np.finfo(float).tiny) & (a != 0))
+    subnormal = (magnitude < np.finfo(float).tiny) & (a != 0)
     integral = (a == np.trunc(a)) & (magnitude < 1e16)
     for k in np.flatnonzero(integral).tolist():
         texts[k] = "%.1f" % values[k]
-    for k in np.flatnonzero(special).tolist():
+    for k in np.flatnonzero(subnormal).tolist():
         texts[k] = json.dumps(values[k])
     return texts
 
@@ -172,18 +169,22 @@ _METRIC_INDENT = " " * 4
 
 
 class _MetricText:
-    """The JSON block of a rounded metric, written from its one format pass.
+    """The JSON block of a finite metric, written from its one format pass.
 
     Holds the rendered block and the float objects it spells, row-major
-    with re before im.  The block stands for a matrix only while that
-    matrix has the same shape and holds these very objects: a float
-    replaced by an equal one, or ``0.0`` by ``-0.0``, no longer matches.
+    with re before im, for :func:`_pairs` to nest.  The block stands for
+    a matrix only while that matrix has the same shape and holds these
+    very objects: a float replaced by an equal one, or ``0.0`` by
+    ``-0.0``, no longer matches.
     """
 
     __slots__ = ("rows", "cols", "values", "block")
 
-    def __init__(self, rows: int, cols: int, values: list[float], block: str):
-        self.rows, self.cols, self.values, self.block = rows, cols, values, block
+    def __init__(self, m: np.ndarray):
+        self.rows, self.cols = m.shape
+        texts, self.values = _rounded_parts(m)
+        self.block = _render_block(_json_floats(self.values, texts),
+                                   self.rows, self.cols, _METRIC_INDENT)
 
     def block_for(self, matrix) -> str | None:
         if (type(matrix) is not list or len(matrix) != self.rows
@@ -199,16 +200,6 @@ class _MetricText:
         return self.block
 
 
-def _metric_pairs(m: np.ndarray) -> tuple[list[list[list[float]]], _MetricText]:
-    """:func:`_matrix_pairs` of ``m`` and their JSON block, from one
-    ``'%.12g'`` pass; the texts are dropped once the block is written."""
-    rows, cols = m.shape
-    texts, values = _rounded_parts(m)
-    block = _render_block(_json_floats(values, texts), rows, cols, _METRIC_INDENT)
-    del texts
-    return _nested_pairs(values, cols), _MetricText(rows, cols, values, block)
-
-
 @dataclass
 class MatrixFile:
     """Parsed matrix file: dimension plus row-major entries.
@@ -220,16 +211,6 @@ class MatrixFile:
 
     dim: int
     entries: list[complex]
-
-    @staticmethod
-    def _parse_token(token: str) -> complex:
-        try:
-            value = complex(token.replace("i", "j").replace("I", "j"))
-        except ValueError:
-            raise MatrixFormatError(f"bad complex token {token!r}") from None
-        if not (math.isfinite(value.real) and math.isfinite(value.imag)):
-            raise MatrixFormatError(f"non-finite entry {token!r}")
-        return value
 
     @classmethod
     def parse(cls, text: str) -> "MatrixFile":
@@ -255,8 +236,13 @@ class MatrixFile:
             entries = None
         if entries is None or not np.isfinite(entries).all():
             # some token is bad: raise for the first one in file order
-            for token in body.split():
-                cls._parse_token(token)
+            for token, spelled in zip(body.split(), tokens):
+                try:
+                    value = complex(spelled)
+                except ValueError:
+                    raise MatrixFormatError(f"bad complex token {token!r}") from None
+                if not np.isfinite(value):
+                    raise MatrixFormatError(f"non-finite entry {token!r}")
         return cls(dim=dim, entries=entries)
 
     def to_matrix(self) -> np.ndarray:
@@ -330,23 +316,25 @@ def build_analysis_report(matrix, tol: float = DEFAULT_TOL,
     ------
     NotDiagonalizableError
         Propagated from the eigendecomposition.
+    SingularIntertwinerError
+        If the metric is too ill-conditioned to certify; it is refused
+        before it is formatted.
     """
     system = biorthonormal_system(matrix, tol=tol, cond_ceiling=cond_ceiling)
     verdict, cls = _kramers_verdict(matrix, system)
     real = set(cls.real_group_indices)
-    spectrum = [{"value": _pair(value), "multiplicity": int(mult),
+    spectrum = [{"value": value, "multiplicity": mult,
                  "kind": "real" if k in real else "complex"}
-                for k, (value, mult) in enumerate(zip(system.eigenvalues,
-                                                      system.multiplicities))]
+                for k, (value, mult) in enumerate(zip(_pairs(system.eigenvalues),
+                                                      cls.multiplicities))]
     intertwiner = witness_residuals = metric_text = None
     if verdict.pseudohermitian:
-        # the metric on the verdict's own classification
+        # the metric on the verdict's own classification, checked first
         eta = _intertwiner(system, cls)
-        pairs, metric_text = _metric_pairs(eta)
-        intertwiner = {
-            "matrix": pairs,
-            "residual": _g12(intertwining_residual(matrix, eta)),
-        }
+        residual = _g12(intertwining_residual(matrix, eta))
+        metric_text = _MetricText(eta)
+        intertwiner = {"matrix": _pairs(eta, metric_text.values),
+                       "residual": residual}
     if verdict.witness is not None:
         witness_residuals = {
             "commutator": _g12(verdict.commutator_residual),
@@ -416,6 +404,7 @@ def cmd_analyze(args) -> int:
     except OSError as exc:
         raise ValueError(f"cannot read {args.input}: {exc}") from None
     matrix = MatrixFile.parse(text).to_matrix()
+    del text
     report = build_analysis_report(matrix, tol=args.tol,
                                    cond_ceiling=args.cond_ceiling)
     print(report.to_json())
@@ -445,10 +434,10 @@ def cmd_model(args) -> int:
         "params": {"E": _g12(params.E), "muB": _g12(params.muB),
                    "omega2": _g12(params.omega2),
                    "k1": _g12(params.k1), "k2": _g12(params.k2)},
-        "hamiltonian": _matrix_pairs(h),
-        "eigenvalues": [_pair(z) for z in system.eigenvalues],
+        "hamiltonian": _pairs(h),
+        "eigenvalues": _pairs(system.eigenvalues),
         "coupling_ratio": _g12(chi),
-        "level_splitting": _pair(level_splitting(params)),
+        "level_splitting": _pairs([level_splitting(params)])[0],
         "real_spectrum_regime": real_spectrum_regime(params),
         "hermitian": hermitian,
         "exceeds_unit_probability": exceeds,
@@ -537,7 +526,9 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(3)
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on first use and then kept."""
     parser = _Parser(prog="pseudoherm",
                      description="Pseudohermiticity analysis and the "
                                  "two-level helicity model.")
@@ -553,7 +544,6 @@ def _build_parser() -> argparse.ArgumentParser:
                            default=DEFAULT_COND_CEILING, dest="cond_ceiling",
                            help="eigenvector condition ceiling "
                                 "(default %(default)g)")
-    p_analyze.set_defaults(func=cmd_analyze)
 
     def add_time_grid(p):
         p.add_argument("--t-start", type=float, default=0.0, dest="t_start")
@@ -567,7 +557,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_model.add_argument("--k1", type=float, default=1.0, dest="k1")
     p_model.add_argument("--k2", type=float, default=1.0, dest="k2")
     add_time_grid(p_model)
-    p_model.set_defaults(func=cmd_model)
 
     p_scan = sub.add_parser("scan", help="sweep couplings on a grid")
     p_scan.add_argument("--k1", default="1", help="value or start:stop:count")
@@ -577,14 +566,14 @@ def _build_parser() -> argparse.ArgumentParser:
     p_scan.add_argument("--omega2", type=float, default=1.0, dest="omega2")
     p_scan.add_argument("--E", type=float, default=1.0, dest="E")
     add_time_grid(p_scan)
-    p_scan.set_defaults(func=cmd_scan)
     return parser
 
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        # looked up per call, so a replaced cmd_* is the one that runs
+        return globals()[f"cmd_{args.command}"](args)
     except (NotDiagonalizableError, SingularIntertwinerError,
             EvolutionRangeError) as exc:
         print(f"pseudoherm: numeric error: {exc}", file=sys.stderr)

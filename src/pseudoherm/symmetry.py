@@ -9,8 +9,9 @@ the identity on real eigenvalue groups and a cross swap on conjugate
 pairs.  Second, an antilinear operator ``T`` that commutes with ``H`` and
 squares to minus the identity exists precisely when, in addition, every
 real eigenvalue group has even multiplicity; the witness is built as a
-signed pairing of biorthonormal partners and both defining residuals are
-measured rather than assumed.
+signed pairing ``S`` of biorthonormal partners and both defining
+residuals are measured rather than assumed.  ``P`` and ``S`` are applied
+as column maps, gathers of columns, and no n x n pairing matrix is built.
 
 Antilinear maps are represented by their matrix ``A`` acting as
 ``v -> A @ conj(v)``, so the composition of two of them is the plain
@@ -121,18 +122,34 @@ def build_intertwiner(system: BiorthonormalSystem) -> np.ndarray:
     return _intertwiner(system, classify_spectrum(system))
 
 
+def _pairing(system: BiorthonormalSystem, cls: SpectrumClassification
+             ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``P`` and ``S`` on ``system``'s groups as ``cls`` classifies them,
+    as column maps: column ``j`` of ``M P`` is column ``swap[j]`` of ``M``
+    and of ``M S`` column ``partner[j]`` times ``sign[j]``.  Both exchange
+    the groups of each conjugate pair, ``S`` negating the lower one; ``S``
+    also exchanges each real group's halves, negating the first."""
+    mults = system.multiplicities.tolist()
+    starts = np.cumsum([0] + mults).tolist()
+    swap = np.arange(system.dim)
+    sign = np.ones(system.dim)
+    for ku, kl in cls.pair_group_indices:
+        a, b, m = starts[ku], starts[kl], mults[ku]
+        swap[a:a + m], swap[b:b + m] = range(b, b + m), range(a, a + m)
+        sign[b:b + m] = -1.0
+    partner = swap.copy()
+    for k in cls.real_group_indices:
+        a, half = starts[k], mults[k] // 2
+        partner[a:a + 2 * half] = np.roll(partner[a:a + 2 * half], half)
+        sign[a:a + half] = -1.0
+    return swap, partner, sign
+
+
 def _intertwiner(system: BiorthonormalSystem,
                  cls: SpectrumClassification) -> np.ndarray:
     """:func:`build_intertwiner` on the groups as ``cls`` classifies them."""
-    p = np.zeros((system.dim, system.dim))
-    for k in cls.real_group_indices:
-        cols = system.group_columns(k)
-        p[cols, cols] = 1.0
-    for ku, kl in cls.pair_group_indices:
-        a, b = system.group_columns(ku), system.group_columns(kl)
-        p[a, b] = p[b, a] = 1.0
     phi = system.left_vectors
-    eta = phi @ p @ phi.conj().T
+    eta = phi[:, _pairing(system, cls)[0]] @ phi.conj().T
     return 0.5 * (eta + eta.conj().T)
 
 
@@ -209,16 +226,9 @@ def _antilinear_witness(system: BiorthonormalSystem,
                         cls: SpectrumClassification) -> AntilinearOperator:
     """The witness of :func:`build_antilinear_symmetry` on the groups of
     ``system`` as ``cls`` classifies them, all real ones even."""
-    s = np.zeros((system.dim, system.dim))
-    for k in cls.real_group_indices:
-        cols = system.group_columns(k)
-        half = len(cols) // 2
-        s[cols[:half], cols[half:]] = 1.0
-        s[cols[half:], cols[:half]] = -1.0
-    for ku, kl in cls.pair_group_indices:
-        a, b = system.group_columns(ku), system.group_columns(kl)
-        s[b, a], s[a, b] = 1.0, -1.0
-    return AntilinearOperator(matrix=system.right_vectors @ s @ system.left_vectors.T)
+    _, partner, sign = _pairing(system, cls)
+    witness = (system.right_vectors[:, partner] * sign) @ system.left_vectors.T
+    return AntilinearOperator(matrix=witness)
 
 
 def commutator_residual(matrix, operator: AntilinearOperator) -> float:

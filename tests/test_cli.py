@@ -21,13 +21,13 @@ from pseudoherm import (
     probe_probability,
     spin_flip_probability,
 )
-from pseudoherm import cli, spin_rotation
+from pseudoherm import cli, spin_rotation, symmetry
 from pseudoherm.cli import (
     AnalysisReport,
     MatrixFile,
     MatrixFormatError,
-    _matrix_pairs,
-    _pair,
+    _g12,
+    _pairs,
     build_analysis_report,
     main,
 )
@@ -192,7 +192,7 @@ def test_analyze_report_round_trip():
     # metrics holding edge values, unrounded floats, non-finite values,
     # ints, ragged rows and an empty matrix are written as json writes them
     unrounded = rng.standard_normal((3, 5, 2)).tolist()
-    for metric in (_matrix_pairs(EDGE_VALUES), unrounded,
+    for metric in (_pairs(EDGE_VALUES), unrounded,
                    [[[0.5, float("inf")], [float("-inf"), 1.0]]],
                    [[[1, 0.5]], [[2.0, True]]], [[[0.5, 1.0]], [[1.5, 2.0], [3.0, 4.0]]],
                    [[[0.5, 1.0, 2.0]]], []):
@@ -291,13 +291,38 @@ def test_each_metric_is_formatted_once(monkeypatch):
         assert text == json.dumps(dataclasses.asdict(report), indent=2)
 
 
+def test_refused_metric_is_never_formatted(tmp_path, capsys, monkeypatch):
+    formatted = []
+    g12_texts = cli._g12_texts
+
+    def counted(values):
+        formatted.append(len(values))
+        return g12_texts(values)
+
+    monkeypatch.setattr(cli, "_g12_texts", counted)
+    # every metric's condition number is at least 1: each one is refused
+    monkeypatch.setattr(symmetry, "SINGULAR_COND", 0.5)
+    rng = np.random.default_rng(67)
+    h = with_spectrum(rng, kramers_spectrum(rng, 6))
+    tokens = " ".join(f"{v.real!r}+{v.imag!r}i".replace("+-", "-")
+                      for v in h.ravel().tolist())
+    code, out, err = _run(capsys, ["analyze", _write(tmp_path, f"6 {tokens}")])
+    assert (code, out) == (2, "")
+    assert err.startswith("pseudoherm: numeric error: metric condition number")
+    assert 2 * 6 * 6 not in formatted
+    with pytest.raises(symmetry.SingularIntertwinerError):
+        build_analysis_report(h)
+    assert 2 * 6 * 6 not in formatted
+
+
 def test_matrix_pairs_match_elementwise_rounding():
     m = np.array([[-0.0, 1e-300 - 0.0j, 3.0 + 1e300j],
                   [-7.0 + 2.0j, 0.1 + 1.0 / 3.0 * 1j, complex(2 ** 53, -0.0)]])
     for matrix in (m, EDGE_VALUES, EDGE_VALUES.T):
-        expected = [[_pair(z) for z in row] for row in matrix]
+        expected = [[[_g12(z.real), _g12(z.imag)] for z in row] for row in matrix]
         # json spells out -0.0, which == would not tell from 0.0
-        assert json.dumps(_matrix_pairs(matrix)) == json.dumps(expected)
+        assert json.dumps(_pairs(matrix)) == json.dumps(expected)
+        assert json.dumps(_pairs(matrix[0])) == json.dumps(expected[0])
 
 
 def test_analyze_output_is_deterministic(tmp_path, capsys):
@@ -305,11 +330,12 @@ def test_analyze_output_is_deterministic(tmp_path, capsys):
     z = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
     h = z + z.conj().T
     tokens = " ".join(f"{v.real!r}+{v.imag!r}i".replace("+-", "-")
-                      for v in h.ravel())
+                      for v in h.ravel().tolist())
     path = _write(tmp_path, f"3 {tokens}")
     first = _run(capsys, ["analyze", path])
     second = _run(capsys, ["analyze", path])
     assert first == second
+    assert first[0] == 0 and json.loads(first[1])["dim"] == 3
 
 
 # ---------------------------------------------------------------- model
@@ -698,6 +724,44 @@ def test_unknown_flag_exits_3(capsys):
     with pytest.raises(SystemExit) as info:
         main(["analyze", "--bogus"])
     assert info.value.code == 3
+    assert capsys.readouterr().err.endswith(
+        "pseudoherm analyze: error: the following arguments are required: input\n")
+    # the kept parser answers a second bad call as it did the first
+    for _ in range(2):
+        with pytest.raises(SystemExit) as info:
+            main(["analyze", "matrix.txt", "--bogus"])
+        assert info.value.code == 3
+        assert capsys.readouterr().err == (
+            "usage: pseudoherm [-h] [--version] {analyze,model,scan} ...\n"
+            "pseudoherm: error: unrecognized arguments: --bogus\n")
+
+
+def test_parser_is_built_once(monkeypatch, capsys):
+    built = []
+
+    class Counted(cli._Parser):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            built.append(self.prog)
+
+    monkeypatch.setattr(cli, "_Parser", Counted)
+    cli._build_parser.cache_clear()
+    try:
+        assert main(["model", "--t-count", "2"]) == 0
+        assert main(["scan", "--t-count", "2"]) == 0
+    finally:
+        cli._build_parser.cache_clear()
+    assert built == ["pseudoherm", "pseudoherm analyze", "pseudoherm model",
+                     "pseudoherm scan"]
+
+
+def test_commands_are_looked_up_per_call(monkeypatch, capsys):
+    # the parser is built before the command is replaced
+    assert main(["model", "--t-count", "2"]) == 0
+    calls = []
+    monkeypatch.setattr(cli, "cmd_model", lambda args: calls.append(args) or 5)
+    assert main(["model", "--k1", "0.5"]) == 5
+    assert [args.k1 for args in calls] == [0.5]
 
 
 def test_version_flag(capsys):

@@ -6,6 +6,7 @@ from conftest import (
     bounded_similarity,
     kramers_spectrum,
     odd_real_spectrum,
+    separated_reals,
     with_spectrum,
 )
 
@@ -316,3 +317,72 @@ def test_each_analysis_clusters_once(monkeypatch):
         except NotPseudohermitianError:
             pass
         assert len(clusters) == 1 and len(classifications) == 1
+
+
+def _dense_pairings(system, cls):
+    """``P`` and ``S`` as dense n x n 0/+-1 matrices, the reference for the
+    column maps; ``S`` only where every real group is even."""
+    n = system.dim
+    p, s = np.zeros((n, n)), np.zeros((n, n))
+    for k in cls.real_group_indices:
+        cols = system.group_columns(k)
+        p[cols, cols] = 1.0
+        half = len(cols) // 2
+        s[cols[:half], cols[half:]] = 1.0
+        s[cols[half:], cols[:half]] = -1.0
+    for ku, kl in cls.pair_group_indices:
+        a, b = system.group_columns(ku), system.group_columns(kl)
+        p[a, b] = p[b, a] = 1.0
+        s[b, a], s[a, b] = 1.0, -1.0
+    return p, s
+
+
+def _pairing_corpus():
+    """Spectra with real groups of multiplicity 2, 4, 6, pairs of
+    multiplicity 1, 2, 3, both mixed, and two with odd real groups."""
+    rng = np.random.default_rng(71)
+
+    def spectrum(real_mults, pair_mults):
+        xs = separated_reals(rng, len(real_mults) + len(pair_mults))
+        values = [x for x, m in zip(xs, real_mults) for _ in range(m)]
+        for x, m in zip(xs[len(real_mults):], pair_mults):
+            z = complex(x, rng.uniform(0.2, 2.0))
+            values += [z] * m + [z.conjugate()] * m
+        return np.array(values)[rng.permutation(len(values))]
+
+    spectra = [spectrum([2, 4, 6], []), spectrum([4], []),
+               spectrum([], [1, 2, 3]), spectrum([], [2]),
+               spectrum([2, 4], [1, 3]), spectrum([6], [2]),
+               kramers_spectrum(rng, 8), kramers_spectrum(rng, 10),
+               spectrum([1, 3], [2]), odd_real_spectrum(rng, 7)]
+    return [np.array([[2.5]])] + [with_spectrum(rng, values) for values in spectra]
+
+
+def _assert_within_ulps(got, expected):
+    assert np.abs(got - expected).max() <= 4 * np.spacing(np.abs(expected).max())
+
+
+def test_pairing_column_maps_match_dense_pairings():
+    witnesses = 0
+    for h in _pairing_corpus():
+        system = biorthonormal_system(h)
+        cls = spectral.classify_spectrum(system)
+        swap, partner, sign = symmetry._pairing(system, cls)
+        n = system.dim
+        assert np.array_equal(swap[swap], np.arange(n))
+        assert np.array_equal(partner[partner], np.arange(n))
+        assert np.array_equal(sign ** 2, np.ones(n))
+        p, s = _dense_pairings(system, cls)
+        assert np.array_equal(np.eye(n)[:, swap], p)
+        phi = system.left_vectors
+        expected = phi @ p @ phi.conj().T
+        _assert_within_ulps(build_intertwiner(system),
+                            0.5 * (expected + expected.conj().T))
+        if all(mult % 2 == 0 for _, mult in cls.real_groups):
+            witnesses += 1
+            # S squares to minus one: each column and its partner differ in sign
+            assert np.array_equal(sign * sign[partner], -np.ones(n))
+            assert np.array_equal(np.eye(n)[:, partner] * sign, s)
+            _assert_within_ulps(build_antilinear_symmetry(system).matrix,
+                                system.right_vectors @ s @ phi.T)
+    assert witnesses == 8
