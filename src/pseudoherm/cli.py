@@ -458,11 +458,11 @@ def cmd_model(args) -> int:
     return 0
 
 
-# grid points per stacked spectral pass: bounds what a block holds in
-# memory while rows still stream
+# grid points per block, at most: bounds what a block holds in memory
+# while rows still stream
 _SCAN_BLOCK = 256
-# grid points times time points per asymmetry pass: bounds the closed
-# form's arrays on a long time grid
+# grid points times time points per block, at most, but one point at
+# least: bounds the closed form's arrays on a long time grid
 _SCAN_CELLS = 1 << 16
 
 
@@ -473,22 +473,24 @@ def _points(args, axes, index) -> SimpleNamespace:
     return SimpleNamespace(E=args.E, omega2=args.omega2, k1=k1, k2=k2, muB=muB)
 
 
-def _scan_rows(args, axes, index, grid: np.ndarray) -> str:
-    """CSV rows of the grid points at ``index``: one spectral pass, and
-    asymmetry passes; a point the model refuses blanks only its cells."""
-    # grid points per asymmetry pass: the whole block on a short time grid
-    rows = max(1, _SCAN_CELLS // grid.size)
-    fields = _points(args, axes, index)
+def _select(fields, index) -> SimpleNamespace:
+    """The points at ``index``, a position or a slice, of the field
+    columns ``fields``."""
+    return SimpleNamespace(E=fields.E, omega2=fields.omega2, k1=fields.k1[index],
+                           k2=fields.k2[index], muB=fields.muB[index])
+
+
+def _scan_rows(fields, grid: np.ndarray) -> str:
+    """CSV rows of the points of the field columns ``fields``: one
+    spectral pass and one asymmetry pass; a point the model refuses
+    blanks only its cells."""
     systems = _biorthonormal_stack(_hamiltonian_stack(fields),
                                    DEFAULT_TOL, DEFAULT_COND_CEILING)
-    peaks = []
-    for start in range(0, index.size, rows):
-        values, refusals = _asymmetry_stack(
-            _points(args, axes, index[start:start + rows]), grid)
-        with np.errstate(invalid="ignore"):  # a refused row may hold NaN
-            texts = _g12_texts(np.abs(values).max(axis=1).tolist())
-        peaks += ["" if refusal is not None else text
-                  for text, refusal in zip(texts, refusals)]
+    values, refusals = _asymmetry_stack(fields, grid)
+    with np.errstate(invalid="ignore"):  # a refused row may hold NaN
+        texts = _g12_texts(np.abs(values).max(axis=1).tolist())
+    peaks = ["" if refusal is not None else text
+             for text, refusal in zip(texts, refusals)]
     # a defective point's generator has no system to classify
     even = iter(_classify_stack([s for s in systems
                                  if not isinstance(s, NotDiagonalizableError)])[2])
@@ -497,7 +499,7 @@ def _scan_rows(args, axes, index, grid: np.ndarray) -> str:
     regime = ["true" if real else "false" for real in _in_real_regime(fields).tolist()]
     cells = zip(fields.k1.tolist(), fields.k2.tolist(), fields.muB.tolist(),
                 regime, parity, peaks)
-    return ("%.12g,%.12g,%.12g,%s,%s,%s\n" * index.size) % tuple(chain.from_iterable(cells))
+    return ("%.12g,%.12g,%.12g,%s,%s,%s\n" * len(peaks)) % tuple(chain.from_iterable(cells))
 
 
 def cmd_scan(args) -> int:
@@ -505,15 +507,16 @@ def cmd_scan(args) -> int:
     grid = _time_grid(args)
     print("k1,k2,muB,real_spectrum_regime,kramers_all_even,max_abs_asymmetry")
     size = math.prod(map(len, axes))
-    for start in range(0, size, _SCAN_BLOCK):
-        index = np.arange(start, min(start + _SCAN_BLOCK, size))
+    block = min(_SCAN_BLOCK, max(1, _SCAN_CELLS // grid.size))
+    for start in range(0, size, block):
+        fields = _points(args, axes, np.arange(start, min(start + block, size)))
         # the rows before a point the model refuses still print
-        accepted = _accepted(_points(args, axes, index))
+        accepted = _accepted(fields)
         if accepted:
-            print(_scan_rows(args, axes, index[:accepted], grid), end="")
-        if accepted < index.size:
+            print(_scan_rows(_select(fields, slice(accepted)), grid), end="")
+        if accepted < fields.k1.size:
             # the model raises its own error for the refused point
-            ModelParams(**vars(_points(args, axes, index[accepted])))
+            ModelParams(**vars(_select(fields, accepted)))
     return 0
 
 

@@ -17,7 +17,10 @@ built, and splitting those groups into real ones and complex-conjugate
 partners.  One array classifier splits the groups of one system or a
 stack: each upper half-plane group, in group order, pairs with the
 nearest lower group not yet taken, within the larger of their radii
-``tol * max(1, |z|)`` and at equal multiplicity.
+``tol * _tolerance_scale(|z|)`` and at equal multiplicity.  One function,
+:func:`_tolerance_scale`, says how a relative tolerance turns absolute
+below magnitude 1, for the clustering, the classifier and the residuals
+of :mod:`pseudoherm.symmetry`.
 """
 
 from __future__ import annotations
@@ -62,14 +65,20 @@ def _check_tolerance(name: str, value: float) -> None:
         raise ValueError(f"{name} must be finite and positive, got {value!r}")
 
 
+def _tolerance_scale(magnitude):
+    """The scale a relative tolerance is taken against: ``magnitude``,
+    but at least 1, so the tolerance turns absolute below magnitude 1."""
+    return np.maximum(1.0, magnitude)
+
+
 def _cluster_stack(values: np.ndarray, tol: float):
     """Group nearly equal eigenvalues, row by row of an ``(N, n)`` stack.
 
-    Values chained within ``tol * max(1, spectral_radius)`` of others in
-    their row form one group (a connected component), whatever the input
-    order.  A group's representative is ``np.mean`` of its members in
-    (real, imag) order, bit for bit, so the group order does not hang on
-    how the means are summed.
+    Values chained within ``tol * _tolerance_scale(spectral_radius)`` of
+    others in their row form one group (a connected component), whatever
+    the input order.  A group's representative is ``np.mean`` of its
+    members in (real, imag) order, bit for bit, so the group order does
+    not hang on how the means are summed.
 
     Returns ``(perm, means, mults, groups)``.  ``perm`` reorders each row
     so that the members of each group are adjacent, in (real, imag)
@@ -83,7 +92,7 @@ def _cluster_stack(values: np.ndarray, tol: float):
     offset = np.arange(0, size, n)[:, None]
     order = np.lexsort((values.imag, values.real)) + offset
     ws = values.ravel()[order]
-    scale = tol * np.abs(ws).max(axis=1, initial=1.0)
+    scale = tol * _tolerance_scale(np.abs(ws).max(axis=1, initial=0.0))
     near = np.abs(ws[:, :, None] - ws[:, None, :]) <= scale[:, None, None]
     # label each value with the smallest index it reaches: solver jitter can
     # interleave +ib / -ib members under the sort, so groups need not be runs
@@ -123,9 +132,9 @@ class BiorthonormalSystem:
     """Eigenvalue groups plus paired right/left eigenvector columns.
 
     Eigenvalues are clustered once, when the system is built: values
-    chained within ``tolerance * max(1, spectral_radius)`` form one group,
-    whatever order the solver returns them in.  Analyses of the system
-    classify these groups instead of clustering again.
+    chained within ``tolerance * _tolerance_scale(spectral_radius)`` form
+    one group, whatever order the solver returns them in.  Analyses of
+    the system classify these groups instead of clustering again.
 
     Attributes
     ----------
@@ -157,11 +166,6 @@ class BiorthonormalSystem:
     def expanded_eigenvalues(self) -> np.ndarray:
         """Group representatives repeated per multiplicity, one per column."""
         return self.eigenvalues.repeat(self.multiplicities)
-
-    def group_columns(self, group: int) -> np.ndarray:
-        """Column indices belonging to eigenvalue group ``group``."""
-        start = int(np.sum(self.multiplicities[:group]))
-        return np.arange(start, start + int(self.multiplicities[group]))
 
 
 @dataclass
@@ -203,10 +207,6 @@ class SpectrumClassification:
     def conjugate_pairs(self) -> list[tuple[complex, complex, int]]:
         return [(self.eigenvalues[ku], self.eigenvalues[kl], self.multiplicities[ku])
                 for ku, kl in self.pair_group_indices]
-
-    @property
-    def is_entirely_real(self) -> bool:
-        return not self.pair_group_indices
 
 
 def biorthonormal_system(matrix, tol: float = DEFAULT_TOL,
@@ -294,12 +294,12 @@ def classify_spectrum(system: BiorthonormalSystem) -> SpectrumClassification:
 
     The groups are the ones ``system`` was clustered into, classified
     at its tolerance ``tol``: a group ``z`` is real when ``|Im z|`` is
-    within its radius ``tol * max(1, |z|)``.  Each upper half-plane
-    group, in group order, takes the nearest lower group not yet taken
-    (the lower index on a tie); the pair holds when their distance is
-    within the larger radius and their multiplicities agree.  No
-    spectrum is clustered here: classify the system of a matrix, built
-    once by :func:`biorthonormal_system`.
+    within its radius ``tol * _tolerance_scale(|z|)``.  Each upper
+    half-plane group, in group order, takes the nearest lower group not
+    yet taken (the lower index on a tie); the pair holds when their
+    distance is within the larger radius and their multiplicities agree.
+    No spectrum is clustered here: classify the system of a matrix,
+    built once by :func:`biorthonormal_system`.
 
     Returns
     -------
@@ -350,7 +350,7 @@ def _classify_stack(systems: list[BiorthonormalSystem]):
     values = np.concatenate([s.eigenvalues for s in systems])
     mults = np.concatenate([s.multiplicities for s in systems])
     radius = (np.repeat([s.tolerance for s in systems], sizes)
-              * np.maximum(1.0, np.abs(values)))
+              * _tolerance_scale(np.abs(values)))
     real = np.abs(values.imag) <= radius
     upper = ~real & (values.imag > 0)
     odd = np.bincount(owner, weights=real & (mults % 2 == 1), minlength=len(systems))

@@ -29,12 +29,16 @@ single expression covers both spectral regimes and every sign of
 Each closed form takes a float time or an ndarray of times: a float in
 gives a float out, an array in gives an array of the same shape out, and
 every entry of the array equals the float result at that time bit for
-bit, so a time grid is evaluated in one call.  The arithmetic stays
-complex throughout: ``Rt`` is real or purely imaginary, so every complex
-product has a factor with zero imaginary part and rounds the same in
-numpy's array loops as in its scalar arithmetic.  A scan builds no
-``ModelParams``: the parameter checks, generator and probe asymmetry
-also take field columns, arrays with one entry per model.
+bit, so a time grid is evaluated in one call.  The three closed forms
+are the N = 1 cases of one evaluator over field columns, arrays with one
+entry per model: it checks the times once, then refuses a model in one
+order (coupling ratio undefined, growth ``|Im z|`` out of the exponent
+range, value overflowing).  A scan builds no ``ModelParams``: the
+parameter checks and the generator take field columns too.  The
+arithmetic stays complex throughout: ``Rt`` is real or purely
+imaginary, so every complex product has a factor with zero imaginary
+part and rounds the same in numpy's array loops as in its scalar
+arithmetic.
 """
 
 from __future__ import annotations
@@ -165,25 +169,6 @@ def _ratio_undefined(params: ModelParams) -> bool:
     return abs(_beta(params)) <= DEGENERACY_TOL * _scale(params)
 
 
-def _require_coupling_ratio(params: ModelParams) -> None:
-    if _ratio_undefined(params):
-        raise DegenerateModelError(_UNDEFINED_RATIO)
-
-
-def _range_error(growth, far) -> EvolutionRangeError:
-    """The refusal naming the first entry of ``growth`` flagged in ``far``."""
-    return EvolutionRangeError(
-        f"|Im(R t)| = {_first(growth, far):.3e} exceeds "
-        f"the representable exponent range {EXP_ARG_LIMIT:g}")
-
-
-def _check_range(z) -> None:
-    """Refuse growth beyond the exponent range; names the first entry."""
-    growth = np.abs(np.imag(z))
-    if (growth > EXP_ARG_LIMIT).any():
-        raise _range_error(growth, growth > EXP_ARG_LIMIT)
-
-
 def _sinc(z) -> np.ndarray:
     """sin(z)/z continued through z = 0; complex z, a scalar or an array."""
     z = np.asarray(z, dtype=complex)
@@ -214,7 +199,8 @@ def coupling_ratio(params: ModelParams) -> float:
     DegenerateModelError
         If the denominator coupling vanishes.
     """
-    _require_coupling_ratio(params)
+    if _ratio_undefined(params):
+        raise DegenerateModelError(_UNDEFINED_RATIO)
     return _alpha(params) / _beta(params)
 
 
@@ -302,7 +288,8 @@ def spin_flip_probability(params: ModelParams, t):
     Evaluates ``(chi/2) (1 - cos 2Rt)``; in the complex-spectrum regime
     the cosine turns hyperbolic and the probability grows without bound.
     ``t`` is a float or an ndarray of times; a float gives a float and an
-    array gives an array of the same shape.
+    array gives an array of the same shape.  The refusals below are
+    checked in the order listed, here and in the other closed forms.
 
     Raises
     ------
@@ -311,17 +298,10 @@ def spin_flip_probability(params: ModelParams, t):
     DegenerateModelError
         If the coupling ratio is undefined.
     EvolutionRangeError
-        If the hyperbolic growth or the probability would overflow; the
+        If the hyperbolic growth or the value would overflow; the
         message describes the first such time in array order.
     """
-    t = _finite_time(t)
-    chi = coupling_ratio(params)
-    with np.errstate(over="ignore", invalid="ignore"):
-        # an overflowing R t is out of range, and refused as such
-        z = 2.0 * level_splitting(params) * t
-        _check_range(z)
-        value = (chi / 2.0) * (1.0 - np.cos(z))
-    return _refuse_overflow(value.real, t)
+    return _closed_form(params, t, _flip)
 
 
 def probe_state() -> np.ndarray:
@@ -337,26 +317,10 @@ def probe_probability(params: ModelParams, t):
     ``(first + second)/sqrt(2)``.  Equals one half at ``t = 0`` since the
     probe and the initial state are not orthogonal.  ``t`` is a float or
     an ndarray of times; a float gives a float and an array gives an
-    array of the same shape.
-
-    Raises
-    ------
-    ValueError
-        If any time is not finite.
-    DegenerateModelError
-        If the coupling ratio is undefined.
-    EvolutionRangeError
-        If the hyperbolic growth or the probability would overflow; the
-        message describes the first such time in array order.
+    array of the same shape.  Raises as :func:`spin_flip_probability`
+    does.
     """
-    t = _finite_time(t)
-    _require_coupling_ratio(params)
-    with np.errstate(over="ignore", invalid="ignore"):
-        z = level_splitting(params) * t
-        _check_range(z)
-        amplitude = np.cos(z) + _alpha(params) * t * _sinc(z)
-        value = 0.5 * amplitude * amplitude
-    return _refuse_overflow(value.real, t)
+    return _closed_form(params, t, _probe)
 
 
 def probe_asymmetry(params: ModelParams, t):
@@ -368,56 +332,77 @@ def probe_asymmetry(params: ModelParams, t):
     invariance under motion reversal, and it stays nonzero for generic
     ``t`` throughout the real-spectrum regime.  ``t`` is a float or an
     ndarray of times; a float gives a float and an array gives an array
-    of the same shape.
-
-    Raises
-    ------
-    ValueError
-        If any time is not finite.
-    DegenerateModelError
-        If the coupling ratio is undefined.
-    EvolutionRangeError
-        If the hyperbolic growth or the asymmetry would overflow; the
-        message describes the first such time in array order.
+    of the same shape.  Raises as :func:`spin_flip_probability` does.
     """
-    values, (refusal,) = _asymmetry_stack(params, t)
+    return _closed_form(params, t, _asymmetry)
+
+
+# The closed forms on columns of alpha, beta and R, one row per model,
+# over the times t: each returns its argument z and its complex value.
+
+def _flip(alpha, beta, root, t):
+    z = 2.0 * root * t
+    return z, alpha / beta / 2.0 * (1.0 - np.cos(z))
+
+
+def _probe(alpha, beta, root, t):
+    z = root * t
+    amplitude = np.cos(z) + alpha * t * _sinc(z)
+    return z, 0.5 * amplitude * amplitude
+
+
+def _asymmetry(alpha, beta, root, t):
+    z = 2.0 * root * t
+    return z, 2.0 * alpha * t * _sinc(z)
+
+
+def _closed_form_stack(fields, t, form) -> tuple[np.ndarray, list[Exception | None]]:
+    """The closed form ``form`` of each model of the field columns
+    ``fields`` over the times ``t``, in one array pass.
+
+    Checks the times once, raising ``ValueError`` for a non-finite one.
+    Returns the real values, of shape ``(N, *t.shape)``, and per model
+    ``None`` or the error the model's own closed form raises, decided in
+    the order :func:`spin_flip_probability` lists.  A refused model's
+    values mean nothing.  The public closed forms are the N = 1 case, so
+    a value computed here is bit for bit theirs.
+    """
+    t = _finite_time(t)
+    alpha, beta = _alpha(fields), _beta(fields)
+    count = np.size(alpha)
+    column = (count,) + (1,) * t.ndim
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        # an overflowing R t is out of range, and refused as such
+        z, value = form(np.reshape(alpha, column), np.reshape(beta, column),
+                        np.reshape(_splitting(fields), column), t)
+    values = value.real
+    growth = np.abs(z.imag).reshape(count, t.size)
+    far = growth > EXP_ARG_LIMIT
+    overflowed = ~np.isfinite(values).reshape(count, t.size)
+    undefined = np.reshape(_ratio_undefined(fields), -1)
+    refused = undefined | far.any(axis=1) | overflowed.any(axis=1)
+    refusals: list[Exception | None] = [None] * count
+    for k in np.flatnonzero(refused).tolist():
+        if undefined[k]:
+            refusals[k] = DegenerateModelError(_UNDEFINED_RATIO)
+        elif far[k].any():
+            refusals[k] = EvolutionRangeError(
+                f"|Im(R t)| = {_first(growth[k], far[k]):.3e} exceeds "
+                f"the representable exponent range {EXP_ARG_LIMIT:g}")
+        else:
+            refusals[k] = _overflow_error(t, overflowed[k])
+    return values, refusals
+
+
+def _closed_form(params: ModelParams, t, form):
+    """``form`` of the one model ``params``: the N = 1 stack, whose
+    refusal is raised."""
+    values, (refusal,) = _closed_form_stack(params, t, form)
     if refusal is not None:
         raise refusal
     return _refuse_overflow(values[0], t)
 
 
 def _asymmetry_stack(fields, t) -> tuple[np.ndarray, list[Exception | None]]:
-    """:func:`probe_asymmetry` of each model of the field columns
-    ``fields`` over the times ``t``, in one array pass.
-
-    Returns the values, of shape ``(N, *t.shape)``, and for each model
-    ``None`` or the error :func:`probe_asymmetry` raises for it alone; a
-    refused model's values mean nothing.  ``probe_asymmetry`` is the
-    N = 1 case, so a value computed here is bit for bit the one it
-    returns.
-
-    Raises
-    ------
-    ValueError
-        If any time is not finite.
-    """
-    t = _finite_time(t)
-    alpha = _alpha(fields)
-    shape = (np.size(alpha), *t.shape)
-    with np.errstate(over="ignore", invalid="ignore"):
-        z = np.multiply.outer(2.0 * _splitting(fields), t).reshape(shape)
-        values = (np.multiply.outer(2.0 * alpha, t).reshape(shape) * _sinc(z)).real
-    growth = np.abs(z.imag).reshape(shape[0], -1)
-    far = growth > EXP_ARG_LIMIT
-    overflowed = ~np.isfinite(values).reshape(shape[0], -1)
-    undefined = np.reshape(_ratio_undefined(fields), -1)
-    refused = undefined | far.any(axis=1) | overflowed.any(axis=1)
-    refusals: list[Exception | None] = [None] * shape[0]
-    for k in np.flatnonzero(refused).tolist():
-        if undefined[k]:
-            refusals[k] = DegenerateModelError(_UNDEFINED_RATIO)
-        elif far[k].any():
-            refusals[k] = _range_error(growth[k], far[k])
-        else:
-            refusals[k] = _overflow_error(t, overflowed[k])
-    return values, refusals
+    """:func:`probe_asymmetry` of each model of the field columns ``fields``."""
+    return _closed_form_stack(fields, t, _asymmetry)

@@ -34,6 +34,7 @@ from .spectral import (
     _classification,
     _classify_stack,
     _square_complex,
+    _tolerance_scale,
     biorthonormal_system,
     classify_spectrum,
 )
@@ -82,8 +83,8 @@ class KramersReport:
         A commuting antilinear operator squaring to minus the identity,
         present exactly when ``pseudohermitian and all_even``.
     commutator_residual : float or None
-        ``norm(H A - A conj(H), 'fro') / max(1, norm(H, 'fro'))`` for the
-        witness.
+        ``norm(H A - A conj(H), 'fro') / _tolerance_scale(norm(H, 'fro'))``
+        for the witness.
     square_residual : float or None
         ``norm(A conj(A) + 1, 'fro')`` for the witness.
     """
@@ -160,7 +161,7 @@ def intertwining_residual(matrix, metric) -> float:
     :func:`build_intertwiner` and
     :func:`~pseudoherm.spin_rotation.model_intertwiner` return it.
     Returns ``norm(eta H inv(eta) - H.conj().T, 'fro')`` divided by
-    ``max(1, norm(H, 'fro'))``.
+    ``_tolerance_scale(norm(H, 'fro'))``.
 
     The metric's 2-norm condition number, its largest over its smallest
     singular value, decides whether it can be inverted.  A metric that
@@ -192,7 +193,7 @@ def intertwining_residual(matrix, metric) -> float:
     # X = eta H inv(eta), computed as the solution of X eta = eta H.
     x = np.linalg.solve(eta.T, (eta @ h).T).T
     return float(np.linalg.norm(x - h.conj().T)
-                 / max(1.0, np.linalg.norm(h)))
+                 / _tolerance_scale(np.linalg.norm(h)))
 
 
 def build_antilinear_symmetry(system: BiorthonormalSystem) -> AntilinearOperator:
@@ -236,14 +237,14 @@ def commutator_residual(matrix, operator: AntilinearOperator) -> float:
 
     For an antilinear operator with matrix ``A`` the commutator condition
     reads ``H A = A conj(H)``; returns the Frobenius norm of the
-    difference over ``max(1, norm(H, 'fro'))``.
+    difference over ``_tolerance_scale(norm(H, 'fro'))``.
     """
     h = _square_complex(matrix)
     a = operator.matrix
     if a.shape != h.shape:
         raise ValueError("operator and matrix dimensions disagree")
     return float(np.linalg.norm(h @ a - a @ np.conj(h))
-                 / max(1.0, np.linalg.norm(h)))
+                 / _tolerance_scale(np.linalg.norm(h)))
 
 
 def square_residual(operator: AntilinearOperator) -> float:

@@ -635,7 +635,7 @@ ASYMMETRY_SCANS = [
 
 @pytest.mark.parametrize("cells", [None, 50])
 def test_scan_asymmetry_matches_per_point_probe_asymmetry(capsys, monkeypatch, cells):
-    # a small cell budget splits each block into several asymmetry passes
+    # a small cell budget makes blocks of a few points each
     if cells is not None:
         monkeypatch.setattr(cli, "_SCAN_CELLS", cells)
     refusals = set()
@@ -679,7 +679,7 @@ def test_scan_evaluates_asymmetry_per_block(capsys, monkeypatch):
     code, _, _ = _run(capsys, [*flags, "--t-count=101"])
     assert code == 0
     assert calls == [] and passes == [cli._SCAN_BLOCK, 405 - cli._SCAN_BLOCK]
-    # a long time grid splits each block into passes of bounded size
+    # a long time grid caps each block, and so each pass, in size
     passes.clear()
     code, _, _ = _run(capsys, [*flags, "--t-count=1000"])
     assert code == 0

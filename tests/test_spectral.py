@@ -171,11 +171,12 @@ def test_group_columns_partition_the_basis():
     rng = np.random.default_rng(19)
     h = with_spectrum(rng, [1.0, 1.0, 3.0, 3.0])
     system = biorthonormal_system(h)
-    columns = np.concatenate([system.group_columns(g)
-                              for g in range(len(system.eigenvalues))])
+    # group g holds the columns from ends[g] - mults[g] up to ends[g]
+    ends = np.cumsum(system.multiplicities)
+    ranges = [np.arange(end - m, end) for end, m in zip(ends, system.multiplicities)]
+    columns = np.concatenate(ranges)
     assert columns.tolist() == [0, 1, 2, 3]
-    for g in range(len(system.eigenvalues)):
-        cols = system.group_columns(g)
+    for g, cols in enumerate(ranges):
         block = h @ system.right_vectors[:, cols]
         assert np.allclose(block, system.right_vectors[:, cols]
                            * system.eigenvalues[g], atol=1e-9)
@@ -191,7 +192,7 @@ def test_classify_real_and_paired():
     cls = _classify([1.0, 2.0, 3.0])
     assert cls.real_groups == [(1.0, 1), (2.0, 1), (3.0, 1)]
     assert cls.conjugate_pairs == []
-    assert cls.is_entirely_real
+    assert not cls.pair_group_indices
 
     cls = _classify([1 + 2j, 1 - 2j, 5.0])
     assert cls.real_groups == [(5.0, 1)]

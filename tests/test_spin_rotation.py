@@ -1,5 +1,6 @@
 """Two-level rotational model: closed forms against the generic pipeline."""
 
+import re
 from itertools import product
 from types import SimpleNamespace
 
@@ -295,6 +296,32 @@ def test_closed_forms_refuse_growth_past_the_limit_with_finite_values():
         for times in (t, np.array([0.0, t])):
             with pytest.raises(EvolutionRangeError, match="7.050e.02 exceeds"):
                 closed_form(COMPLEX_REGIME, times)
+
+
+def test_stacked_closed_forms_match_each_model():
+    # models that pass, one with an undefined ratio, one whose growth
+    # leaves the range by t = 3525 and one whose value overflows
+    k1 = np.array([1.0, 1.0, 1.0, 1.0, 3.0, 2e4, 1e-300])
+    k2 = np.array([0.5, 0.5, 0.5, 1.0, -3.0, -2e-7, -1e-300])
+    muB = np.array([0.1, 0.25, 0.3, 0.0, 0.0, 0.0, 0.0])
+    fields = SimpleNamespace(E=1.0, omega2=1.0, k1=k1, k2=k2, muB=muB)
+    forms = ((spin_rotation._flip, spin_flip_probability),
+             (spin_rotation._probe, probe_probability),
+             (spin_rotation._asymmetry, probe_asymmetry))
+    for form, closed_form in forms:
+        for t in (np.linspace(-3525.0, 3525.0, 7), 11060.0):
+            values, refusals = spin_rotation._closed_form_stack(fields, t, form)
+            assert values.shape == (k1.size, *np.shape(t))
+            for row, refusal, point in zip(values, refusals, zip(k1, k2, muB)):
+                params = ModelParams(E=1.0, omega2=1.0, k1=point[0], k2=point[1],
+                                     muB=point[2])
+                if refusal is None:
+                    assert row.tobytes() == np.asarray(closed_form(params, t)).tobytes()
+                else:
+                    with pytest.raises(type(refusal), match=re.escape(str(refusal))):
+                        closed_form(params, t)
+        assert {type(r) for r in refusals} == {type(None), DegenerateModelError,
+                                              EvolutionRangeError}
 
 
 def test_params_validation():

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from conftest import (
     bounded_similarity,
+    haar_unitary,
     kramers_spectrum,
     odd_real_spectrum,
     separated_reals,
@@ -15,6 +16,7 @@ from pseudoherm import (
     NotDiagonalizableError,
     NotPseudohermitianError,
     OddDegeneracyError,
+    PseudohermError,
     SingularIntertwinerError,
     biorthonormal_system,
     build_antilinear_symmetry,
@@ -323,15 +325,17 @@ def _dense_pairings(system, cls):
     """``P`` and ``S`` as dense n x n 0/+-1 matrices, the reference for the
     column maps; ``S`` only where every real group is even."""
     n = system.dim
+    ends = np.cumsum(system.multiplicities)
+    ranges = [np.arange(end - m, end) for end, m in zip(ends, system.multiplicities)]
     p, s = np.zeros((n, n)), np.zeros((n, n))
     for k in cls.real_group_indices:
-        cols = system.group_columns(k)
+        cols = ranges[k]
         p[cols, cols] = 1.0
         half = len(cols) // 2
         s[cols[:half], cols[half:]] = 1.0
         s[cols[half:], cols[:half]] = -1.0
     for ku, kl in cls.pair_group_indices:
-        a, b = system.group_columns(ku), system.group_columns(kl)
+        a, b = ranges[ku], ranges[kl]
         p[a, b] = p[b, a] = 1.0
         s[b, a], s[a, b] = 1.0, -1.0
     return p, s
@@ -386,3 +390,55 @@ def test_pairing_column_maps_match_dense_pairings():
             _assert_within_ulps(build_antilinear_symmetry(system).matrix,
                                 system.right_vectors @ s @ phi.T)
     assert witnesses == 8
+
+
+# ------------------------------------------- right or refused, never wrong
+#
+# Verdicts that are silently wrong today: each test fails until the
+# verdict is taken as a backward-error claim and refused when it is
+# ambiguous.  A refusal is any package error kramers_test raises.
+
+def _verdict(matrix, **kwargs):
+    """``(pseudohermitian, all_even, admits_symmetry)``, or None if the
+    test refuses the matrix."""
+    try:
+        report = kramers_test(matrix, **kwargs)
+    except PseudohermError:
+        return None
+    return report.pseudohermitian, report.all_even, report.admits_symmetry
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="a coarse tol merges the levels 1 and 2 into one "
+                          "even group although the witness residual is 0.63")
+def test_coarse_tol_does_not_admit_two_simple_levels():
+    verdict = _verdict(np.diag([1.0, 2.0]), tol=0.5)
+    assert verdict is None or not verdict[2]
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="the realness and cluster radii are absolute below "
+                          "magnitude 1, so a tiny spectrum merges into one group")
+def test_verdict_survives_scaling_down():
+    rng = np.random.default_rng(4048)
+    changed = 0
+    for n in (2, 3, 4, 6):
+        for _ in range(20):
+            h = with_spectrum(rng, separated_reals(rng, n))
+            scaled = _verdict(1e-10 * h)
+            changed += scaled is not None and scaled != _verdict(h)
+    assert changed == 0
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="an ill-conditioned similarity splits the doubled "
+                          "real levels by more than the tolerance")
+def test_ill_conditioned_similarity_is_right_or_refused():
+    values = np.array([1.0, 1.0, -0.5, -0.5, 0.3 + 0.7j, 0.3 - 0.7j])
+    wrong = 0
+    for seed in range(10):
+        rng = np.random.default_rng(seed)
+        s = (haar_unitary(rng, 6) * np.logspace(0, 5, 6)) @ haar_unitary(rng, 6)
+        verdict = _verdict(s @ np.diag(values) @ np.linalg.inv(s))
+        wrong += verdict not in (None, (True, True, True))
+    assert wrong == 0
