@@ -12,8 +12,10 @@ Three subcommands share one executable:
     Sweep coupling parameters on a grid and emit one CSV row per point.
 
 Reports go to standard output, diagnostics to standard error.  Exit
-codes: 0 success, 2 numeric failure (not diagonalizable, overflow),
-3 input failure (parse errors, bad grids), 4 degenerate model regime.
+codes: 0 success, 2 numeric failure (``NotDiagonalizableError``,
+``SingularIntertwinerError``, ``AmbiguousSpectrumError``,
+``EvolutionRangeError``), 3 input failure (parse errors, bad grids),
+4 degenerate model regime.
 All floats are printed with 12 significant digits so identical inputs
 produce byte-identical output.
 
@@ -41,6 +43,7 @@ import numpy as np
 
 from . import __version__
 from .exceptions import (
+    AmbiguousSpectrumError,
     ComplexSpectrumRegimeError,
     DegenerateModelError,
     EvolutionRangeError,
@@ -58,7 +61,8 @@ from .spectral import (
 from .spin_rotation import (
     ModelParams,
     _accepted,
-    _asymmetry_stack,
+    _asymmetry,
+    _closed_form_stack,
     _hamiltonian_stack,
     _in_real_regime,
     coupling_ratio,
@@ -319,6 +323,9 @@ def build_analysis_report(matrix, tol: float = DEFAULT_TOL,
     SingularIntertwinerError
         If the metric is too ill-conditioned to certify; it is refused
         before it is formatted.
+    AmbiguousSpectrumError
+        If the Kramers witness fails :func:`~pseudoherm.symmetry.kramers_test`'s
+        residual gate.
     """
     system = biorthonormal_system(matrix, tol=tol, cond_ceiling=cond_ceiling)
     verdict, cls = _kramers_verdict(matrix, system)
@@ -486,7 +493,7 @@ def _scan_rows(fields, grid: np.ndarray) -> str:
     blanks only its cells."""
     systems = _biorthonormal_stack(_hamiltonian_stack(fields),
                                    DEFAULT_TOL, DEFAULT_COND_CEILING)
-    values, refusals = _asymmetry_stack(fields, grid)
+    values, refusals = _closed_form_stack(fields, grid, _asymmetry)
     with np.errstate(invalid="ignore"):  # a refused row may hold NaN
         texts = _g12_texts(np.abs(values).max(axis=1).tolist())
     peaks = ["" if refusal is not None else text
@@ -578,7 +585,7 @@ def main(argv=None) -> int:
         # looked up per call, so a replaced cmd_* is the one that runs
         return globals()[f"cmd_{args.command}"](args)
     except (NotDiagonalizableError, SingularIntertwinerError,
-            EvolutionRangeError) as exc:
+            AmbiguousSpectrumError, EvolutionRangeError) as exc:
         print(f"pseudoherm: numeric error: {exc}", file=sys.stderr)
         return 2
     except (DegenerateModelError, ZeroSplittingError,

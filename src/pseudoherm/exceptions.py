@@ -1,9 +1,10 @@
 """Exception types raised by the analysis and model routines."""
 
 __all__ = [
-    "ComplexSpectrumRegimeError", "DegenerateModelError", "EvolutionRangeError",
-    "NotDiagonalizableError", "NotPseudohermitianError", "OddDegeneracyError",
-    "PseudohermError", "SingularIntertwinerError", "ZeroSplittingError",
+    "AmbiguousSpectrumError", "ComplexSpectrumRegimeError", "DegenerateModelError",
+    "EvolutionRangeError", "NotDiagonalizableError", "NotPseudohermitianError",
+    "OddDegeneracyError", "PseudohermError", "SingularIntertwinerError",
+    "ZeroSplittingError",
 ]
 
 
@@ -40,6 +41,17 @@ class OddDegeneracyError(PseudohermError):
         self.groups = list(groups)
         listing = ", ".join(f"{v:g} (x{m})" for v, m in self.groups)
         super().__init__(f"real eigenvalue groups with odd multiplicity: {listing}")
+
+
+class AmbiguousSpectrumError(PseudohermError):
+    """The eigenvalue groups do not hold up at the requested tolerance.
+
+    The antilinear witness built on the groups leaves a commutator
+    residual above ``(tol + 1e3 n eps) cond(V)``: the levels merged into
+    one group are further apart than a backward error of ``tol`` relative
+    to the spectral radius explains, so the Kramers verdict is refused
+    rather than given.
+    """
 
 
 class SingularIntertwinerError(PseudohermError):

@@ -14,18 +14,20 @@ metrics, antilinear symmetries, non-unitary propagators) is built on
 these pairs, so this module also carries the eigenvalue bookkeeping:
 clustering the spectrum into degenerate groups once, when the system is
 built, and splitting those groups into real ones and complex-conjugate
-partners.  One array classifier splits the groups of one system or a
-stack: each upper half-plane group, in group order, pairs with the
-nearest lower group not yet taken, within the larger of their radii
-``tol * _tolerance_scale(|z|)`` and at equal multiplicity.  One function,
-:func:`_tolerance_scale`, says how a relative tolerance turns absolute
-below magnitude 1, for the clustering, the classifier and the residuals
-of :mod:`pseudoherm.symmetry`.
+partners.  Each system has one radius, ``tol * _tolerance_scale(rho)``
+with ``rho`` its spectral radius, and that radius alone decides which
+values cluster into one group, which groups are real (``|Im z|`` within
+it) and which are conjugate partners (distance within it).  One array
+classifier splits the groups of one system or a stack: each upper
+half-plane group, in group order, pairs with the nearest lower group not
+yet taken, within the radius and at equal multiplicity.  One function,
+:func:`_tolerance_scale`, says what a relative tolerance is relative to,
+for the radius and for the residuals of :mod:`pseudoherm.symmetry`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -66,19 +68,21 @@ def _check_tolerance(name: str, value: float) -> None:
 
 
 def _tolerance_scale(magnitude):
-    """The scale a relative tolerance is taken against: ``magnitude``,
-    but at least 1, so the tolerance turns absolute below magnitude 1."""
-    return np.maximum(1.0, magnitude)
+    """The scale a relative tolerance is taken against: ``magnitude``
+    itself, and 1 only where it is exactly zero, so that a zero spectrum
+    or a zero matrix still has a scale."""
+    return np.where(magnitude == 0, 1.0, magnitude)
 
 
 def _cluster_stack(values: np.ndarray, tol: float):
     """Group nearly equal eigenvalues, row by row of an ``(N, n)`` stack.
 
-    Values chained within ``tol * _tolerance_scale(spectral_radius)`` of
-    others in their row form one group (a connected component), whatever
-    the input order.  A group's representative is ``np.mean`` of its
-    members in (real, imag) order, bit for bit, so the group order does
-    not hang on how the means are summed.
+    Values chained within their row's radius ``tol * _tolerance_scale(rho)``
+    of others in the row, with ``rho`` the row's spectral radius, form one
+    group (a connected component), whatever the input order.  A group's
+    representative is ``np.mean`` of its members in (real, imag) order,
+    bit for bit, so the group order does not hang on how the means are
+    summed.
 
     Returns ``(perm, means, mults, groups)``.  ``perm`` reorders each row
     so that the members of each group are adjacent, in (real, imag)
@@ -132,9 +136,10 @@ class BiorthonormalSystem:
     """Eigenvalue groups plus paired right/left eigenvector columns.
 
     Eigenvalues are clustered once, when the system is built: values
-    chained within ``tolerance * _tolerance_scale(spectral_radius)`` form
-    one group, whatever order the solver returns them in.  Analyses of
-    the system classify these groups instead of clustering again.
+    chained within the system's radius ``tolerance * _tolerance_scale(rho)``,
+    with ``rho`` the spectral radius, form one group, whatever order the
+    solver returns them in.  Analyses of the system classify these groups
+    at the same radius instead of clustering again.
 
     Attributes
     ----------
@@ -151,6 +156,9 @@ class BiorthonormalSystem:
         floating point because it is built from the inverse.
     tolerance : float
         Relative tolerance used to form the groups.
+    condition : float
+        2-norm condition number of ``right_vectors``, the ``cond(V)`` the
+        condition ceiling was checked against.
     """
 
     eigenvalues: np.ndarray
@@ -158,6 +166,7 @@ class BiorthonormalSystem:
     right_vectors: np.ndarray
     left_vectors: np.ndarray
     tolerance: float = DEFAULT_TOL
+    condition: float = field(kw_only=True)
 
     @property
     def dim(self) -> int:
@@ -259,14 +268,14 @@ def _biorthonormal_stack(stack: np.ndarray, tol: float, cond_ceiling: float
     _check_tolerance("cond_ceiling", cond_ceiling)
     w, v = np.linalg.eig(stack)
     v = v / np.linalg.norm(v, axis=-2, keepdims=True)
-    cond = np.linalg.cond(v)
+    cond = np.linalg.cond(v).tolist()
     # NaN and inf fail the comparison too
-    kept = (cond <= cond_ceiling).tolist()
+    kept = [c <= cond_ceiling for c in cond]
     results: list[BiorthonormalSystem | NotDiagonalizableError] = [
         None if keep else NotDiagonalizableError(
             f"eigenvector matrix condition number {c:.3e} exceeds "
             f"ceiling {cond_ceiling:.3e}")
-        for c, keep in zip(cond.tolist(), kept)]
+        for c, keep in zip(cond, kept)]
     index = np.flatnonzero(kept)
     if index.size:
         perm, values, mults, groups = _cluster_stack(w[index], tol)
@@ -283,6 +292,7 @@ def _biorthonormal_stack(stack: np.ndarray, tol: float, cond_ceiling: float
                 right_vectors=right.T,
                 left_vectors=left.T,
                 tolerance=tol,
+                condition=cond[e],
             )
             start += n_groups
     return results
@@ -293,11 +303,12 @@ def classify_spectrum(system: BiorthonormalSystem) -> SpectrumClassification:
     conjugate pairs.
 
     The groups are the ones ``system`` was clustered into, classified
-    at its tolerance ``tol``: a group ``z`` is real when ``|Im z|`` is
-    within its radius ``tol * _tolerance_scale(|z|)``.  Each upper
-    half-plane group, in group order, takes the nearest lower group not
-    yet taken (the lower index on a tie); the pair holds when their
-    distance is within the larger radius and their multiplicities agree.
+    at the radius they were clustered at: ``r = tol * _tolerance_scale(rho)``
+    with ``tol`` the system's tolerance and ``rho`` its spectral radius.
+    A group ``z`` is real when ``|Im z| <= r``.  Each upper half-plane
+    group, in group order, takes the nearest lower group not yet taken
+    (the lower index on a tie); the pair holds when their distance is
+    within ``r`` and their multiplicities agree.
     No spectrum is clustered here: classify the system of a matrix,
     built once by :func:`biorthonormal_system`.
 
@@ -332,8 +343,10 @@ def _classification(system: BiorthonormalSystem, real: np.ndarray,
 
 def _classify_stack(systems: list[BiorthonormalSystem]):
     """Classify the eigenvalue groups of a list of systems in one pass,
-    each at its own tolerance by :func:`classify_spectrum`'s rule, with
-    distances taken within a system only.
+    each at its own radius by :func:`classify_spectrum`'s rule, with
+    distances taken within a system only.  A system's radius is its
+    tolerance times :func:`_tolerance_scale` of its largest group
+    magnitude, one value per system for realness and pairing alike.
 
     Returns ``(real, partner, all_even, refusals)``.  Over the groups of
     the systems in turn, ``real`` flags the real ones and ``partner``
@@ -349,9 +362,9 @@ def _classify_stack(systems: list[BiorthonormalSystem]):
     first = np.cumsum(sizes) - sizes
     values = np.concatenate([s.eigenvalues for s in systems])
     mults = np.concatenate([s.multiplicities for s in systems])
-    radius = (np.repeat([s.tolerance for s in systems], sizes)
-              * _tolerance_scale(np.abs(values)))
-    real = np.abs(values.imag) <= radius
+    radius = (np.array([s.tolerance for s in systems])
+              * _tolerance_scale(np.maximum.reduceat(np.abs(values), first)))
+    real = np.abs(values.imag) <= radius[owner]
     upper = ~real & (values.imag > 0)
     odd = np.bincount(owner, weights=real & (mults % 2 == 1), minlength=len(systems))
 
@@ -380,7 +393,7 @@ def _classify_stack(systems: list[BiorthonormalSystem]):
         dist = np.where(free, dists[rows, k], np.inf)
         j = dist.argmin(axis=1)
         low = lowers[rows, j]
-        near = dist.min(axis=1) <= np.maximum(radius[u], radius[low])
+        near = dist.min(axis=1) <= radius[rows]
         ok = near & (mults[u] == mults[low])
         taken[rows[ok], j[ok]] = True
         partner[u[ok]] = low[ok] - first[rows[ok]]

@@ -230,7 +230,9 @@ def model_eigenbasis(params: ModelParams) -> BiorthonormalSystem:
     ``(i r, 1)/sqrt(2)`` and ``(-i r, 1)/sqrt(2)`` with eigenvalues
     ``E + beta r`` and ``E - beta r``; the left vectors follow from the
     closed-form inverse.  Columns are ordered like the generic pipeline
-    orders them, by (real, imag) of the eigenvalue.
+    orders them, by (real, imag) of the eigenvalue.  The right-vector
+    matrix is ``diag(i r, 1)`` times a unitary, so its singular values are
+    ``|r|`` and 1 and its condition number is ``max(|r|, 1/|r|)``.
 
     Raises
     ------
@@ -260,7 +262,7 @@ def model_eigenbasis(params: ModelParams) -> BiorthonormalSystem:
     return BiorthonormalSystem(
         eigenvalues=np.array(values), multiplicities=np.array([1, 1]),
         right_vectors=np.column_stack(right), left_vectors=np.column_stack(left),
-        tolerance=DEFAULT_TOL)
+        tolerance=DEFAULT_TOL, condition=max(abs(root), 1.0 / abs(root)))
 
 
 def model_intertwiner(params: ModelParams) -> np.ndarray:
@@ -401,8 +403,3 @@ def _closed_form(params: ModelParams, t, form):
     if refusal is not None:
         raise refusal
     return _refuse_overflow(values[0], t)
-
-
-def _asymmetry_stack(fields, t) -> tuple[np.ndarray, list[Exception | None]]:
-    """:func:`probe_asymmetry` of each model of the field columns ``fields``."""
-    return _closed_form_stack(fields, t, _asymmetry)

@@ -10,8 +10,10 @@ pairs.  Second, an antilinear operator ``T`` that commutes with ``H`` and
 squares to minus the identity exists precisely when, in addition, every
 real eigenvalue group has even multiplicity; the witness is built as a
 signed pairing ``S`` of biorthonormal partners and both defining
-residuals are measured rather than assumed.  ``P`` and ``S`` are applied
-as column maps, gathers of columns, and no n x n pairing matrix is built.
+residuals are measured rather than assumed; :func:`kramers_test` refuses
+a witness whose commutator residual its tolerance does not explain.
+``P`` and ``S`` are applied as column maps, gathers of columns, and no
+n x n pairing matrix is built.
 
 Antilinear maps are represented by their matrix ``A`` acting as
 ``v -> A @ conj(v)``, so the composition of two of them is the plain
@@ -25,7 +27,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .exceptions import OddDegeneracyError, SingularIntertwinerError
+from .exceptions import (
+    AmbiguousSpectrumError,
+    OddDegeneracyError,
+    SingularIntertwinerError,
+)
 from .spectral import (
     DEFAULT_COND_CEILING,
     DEFAULT_TOL,
@@ -51,6 +57,8 @@ __all__ = [
 ]
 
 SINGULAR_COND = 1e14
+# rounding allowance of the witness gate, in units of n * eps
+_GATE_ROUNDING = 1e3
 
 
 @dataclass
@@ -84,7 +92,8 @@ class KramersReport:
         present exactly when ``pseudohermitian and all_even``.
     commutator_residual : float or None
         ``norm(H A - A conj(H), 'fro') / _tolerance_scale(norm(H, 'fro'))``
-        for the witness.
+        for the witness: relative to ``norm(H, 'fro')``, and absolute
+        only for the zero matrix.
     square_residual : float or None
         ``norm(A conj(A) + 1, 'fro')`` for the witness.
     """
@@ -161,7 +170,9 @@ def intertwining_residual(matrix, metric) -> float:
     :func:`build_intertwiner` and
     :func:`~pseudoherm.spin_rotation.model_intertwiner` return it.
     Returns ``norm(eta H inv(eta) - H.conj().T, 'fro')`` divided by
-    ``_tolerance_scale(norm(H, 'fro'))``.
+    ``_tolerance_scale(norm(H, 'fro'))``: relative to ``norm(H, 'fro')``,
+    so that scaling ``H`` leaves it unchanged, and divided by 1 only for
+    the zero matrix.
 
     The metric's 2-norm condition number, its largest over its smallest
     singular value, decides whether it can be inverted.  A metric that
@@ -237,7 +248,9 @@ def commutator_residual(matrix, operator: AntilinearOperator) -> float:
 
     For an antilinear operator with matrix ``A`` the commutator condition
     reads ``H A = A conj(H)``; returns the Frobenius norm of the
-    difference over ``_tolerance_scale(norm(H, 'fro'))``.
+    difference over ``_tolerance_scale(norm(H, 'fro'))``: relative to
+    ``norm(H, 'fro')``, so that scaling ``H`` leaves it unchanged, and
+    divided by 1 only for the zero matrix.
     """
     h = _square_complex(matrix)
     a = operator.matrix
@@ -262,6 +275,17 @@ def kramers_test(matrix, tol: float = DEFAULT_TOL,
     of every real eigenvalue), and when both hold, constructs the witness
     and measures its residuals instead of trusting the construction.
 
+    ``tol`` is the backward-error radius the caller accepts, relative to
+    the spectral radius ``rho``: eigenvalues within ``tol * rho`` of each
+    other count as one level, and a level within ``tol * rho`` of the
+    real axis counts as real (``rho`` reads 1 for an exactly zero
+    spectrum).  A verdict that admits the symmetry stands only while its
+    witness commutes with ``H`` as closely as that radius allows: a
+    commutator residual, relative to ``norm(H, 'fro')``, above
+    ``(tol + 1e3 n eps) cond(V)`` is refused.  At ``tol=0.5``,
+    ``diag(1, 1.6)`` admits, its levels merged at a residual of 0.45,
+    and ``diag(1, 2)`` is refused, at 0.63.
+
     Parameters
     ----------
     matrix : array_like
@@ -277,6 +301,9 @@ def kramers_test(matrix, tol: float = DEFAULT_TOL,
     ------
     NotDiagonalizableError
         If the eigenvector matrix is too ill-conditioned.
+    AmbiguousSpectrumError
+        If the witness's commutator residual exceeds the bound above:
+        the groups it was built on merge levels ``tol`` does not cover.
     ValueError
         If the input is not a finite square matrix or a tolerance is not
         finite and positive.
@@ -290,13 +317,23 @@ def _kramers_verdict(matrix, system: BiorthonormalSystem
                      ) -> tuple[KramersReport, SpectrumClassification]:
     """The Kramers report on ``system``'s own groups, and their
     classification: one classification decides pseudohermiticity and
-    evenness, and the witness, like any metric, is built on it."""
+    evenness, and the witness, like any metric, is built on it.  A
+    witness whose commutator residual is out of :func:`kramers_test`'s
+    bound raises :class:`AmbiguousSpectrumError`."""
     real, partner, (all_even,), (refusal,) = _classify_stack([system])
     cls = _classification(system, real, partner)
     witness = comm = square = None
     if refusal is None and all_even:
         witness = _antilinear_witness(system, cls)
         comm = commutator_residual(matrix, witness)
+        # a backward error of tol plus rounding, amplified by cond(V)
+        rounding = _GATE_ROUNDING * system.dim * np.finfo(float).eps
+        bound = (system.tolerance + rounding) * system.condition
+        if not comm <= bound:
+            raise AmbiguousSpectrumError(
+                f"ambiguous spectrum: witness commutator residual {comm:.3e} "
+                f"exceeds {bound:.3e}, the bound at tolerance "
+                f"{system.tolerance:g} and cond(V) {system.condition:.3e}")
         square = square_residual(witness)
     report = KramersReport(
         pseudohermitian=refusal is None,

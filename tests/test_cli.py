@@ -138,6 +138,15 @@ def test_analyze_defective_matrix_exits_2(tmp_path, capsys):
     assert "numeric error" in err
 
 
+def test_analyze_ambiguous_spectrum_exits_2(tmp_path, capsys):
+    # at tol=0.5 the levels 1 and 2 merge, but the witness built on that
+    # merge leaves a commutator residual of 0.63: refused, not admitted
+    path = _write(tmp_path, "2 1 0 0 2")
+    code, out, err = _run(capsys, ["analyze", "--tol", "0.5", path])
+    assert (code, out) == (2, "")
+    assert "ambiguous spectrum" in err
+
+
 def test_analyze_input_failures_exit_3(tmp_path, capsys):
     bad = _write(tmp_path, "2 1 2 3 oops")
     assert _run(capsys, ["analyze", bad])[0] == 3
@@ -662,17 +671,17 @@ def test_scan_asymmetry_matches_per_point_probe_asymmetry(capsys, monkeypatch, c
 
 def test_scan_evaluates_asymmetry_per_block(capsys, monkeypatch):
     calls, passes = [], []
-    stack = spin_rotation._asymmetry_stack
+    stack = spin_rotation._closed_form_stack
 
-    def counted_stack(fields, t):
+    def counted_stack(fields, t, form):
         passes.append(len(fields.k1))
-        return stack(fields, t)
+        return stack(fields, t, form)
 
     def counted_probe(*args):
         calls.append(args)
         return probe_asymmetry(*args)
 
-    monkeypatch.setattr(cli, "_asymmetry_stack", counted_stack)
+    monkeypatch.setattr(cli, "_closed_form_stack", counted_stack)
     for module in (cli, spin_rotation):
         monkeypatch.setattr(module, "probe_asymmetry", counted_probe)
     flags = ["scan", "--k1=-1:1:9", "--k2=-1:1:9", "--muB=-0.5:0.5:5"]

@@ -112,6 +112,10 @@ def test_stacked_pass_equals_single_matrix_calls():
                 assert mine.dtype == single.dtype and mine.shape == single.shape
                 assert mine.tobytes() == single.tobytes(), (n, name)
             assert stacked.tolerance == alone.tolerance
+            assert stacked.condition == alone.condition
+            # cond(V), taken before the columns were grouped
+            assert np.isclose(stacked.condition, np.linalg.cond(alone.right_vectors),
+                              rtol=1e-12, atol=0)
 
 
 def test_group_representatives_are_member_means():

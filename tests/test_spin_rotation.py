@@ -99,6 +99,8 @@ def test_model_eigenbasis_biorthonormality():
         system = model_eigenbasis(params)
         gram = system.left_vectors.conj().T @ system.right_vectors
         assert np.max(np.abs(gram - np.eye(2))) <= 1e-12
+        assert np.isclose(system.condition, np.linalg.cond(system.right_vectors),
+                          rtol=1e-12, atol=0)
         h = effective_hamiltonian(params)
         assert np.linalg.norm(reconstruct(system) - h) <= 1e-10 * max(
             1.0, np.linalg.norm(h))

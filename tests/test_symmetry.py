@@ -12,6 +12,7 @@ from conftest import (
 )
 
 from pseudoherm import (
+    AmbiguousSpectrumError,
     AntilinearOperator,
     NotDiagonalizableError,
     NotPseudohermitianError,
@@ -394,9 +395,10 @@ def test_pairing_column_maps_match_dense_pairings():
 
 # ------------------------------------------- right or refused, never wrong
 #
-# Verdicts that are silently wrong today: each test fails until the
-# verdict is taken as a backward-error claim and refused when it is
-# ambiguous.  A refusal is any package error kramers_test raises.
+# A verdict is a backward-error claim at the system's one radius, and is
+# refused when its witness does not bear it out.  The ill-conditioned case
+# is still silently wrong and fails until per-eigenvalue radii replace the
+# one radius.  A refusal is any package error kramers_test raises.
 
 def _verdict(matrix, **kwargs):
     """``(pseudohermitian, all_even, admits_symmetry)``, or None if the
@@ -408,17 +410,49 @@ def _verdict(matrix, **kwargs):
     return report.pseudohermitian, report.all_even, report.admits_symmetry
 
 
-@pytest.mark.xfail(strict=True, raises=AssertionError,
-                   reason="a coarse tol merges the levels 1 and 2 into one "
-                          "even group although the witness residual is 0.63")
 def test_coarse_tol_does_not_admit_two_simple_levels():
     verdict = _verdict(np.diag([1.0, 2.0]), tol=0.5)
     assert verdict is None or not verdict[2]
 
 
-@pytest.mark.xfail(strict=True, raises=AssertionError,
-                   reason="the realness and cluster radii are absolute below "
-                          "magnitude 1, so a tiny spectrum merges into one group")
+def test_residual_gate_refuses_and_admits_at_coarse_tol():
+    # merged levels whose witness residual, 0.63, exceeds tol = 0.5 are
+    # refused; at 0.45, within it, the merge is the backward error asked for
+    with pytest.raises(AmbiguousSpectrumError, match="ambiguous spectrum"):
+        kramers_test(np.diag([1.0, 2.0]), tol=0.5)
+    report = kramers_test(np.diag([1.0, 1.6]), tol=0.5)
+    assert report.admits_symmetry
+    assert 0.44 < report.commutator_residual <= 0.5
+
+
+@pytest.mark.parametrize("values", [[0, 0, 1, 1, 2j, -2j], [1e-12, 1e-12, 1, 1],
+                                    [0, 0, 0, 0]])
+def test_zero_and_tiny_levels_admit(values):
+    # the radius is tol times the spectral radius, never per value: a zero
+    # level's solver noise, ~1e-16, would exceed a radius of tol * |z|
+    rng = np.random.default_rng(23)
+    for _ in range(50):
+        assert _verdict(with_spectrum(rng, values)) == (True, True, True)
+
+
+def test_residuals_are_relative_to_the_matrix_norm():
+    rng = np.random.default_rng(29)
+    h = with_spectrum(rng, kramers_spectrum(rng, 4))
+    # operators that fail the relations by O(1), so the residuals are
+    # not rounding noise
+    a = AntilinearOperator(rng.standard_normal((4, 4))
+                           + 1j * rng.standard_normal((4, 4)))
+    eta = bounded_similarity(rng, 4)
+    eta = eta @ eta.conj().T
+    for scale in (1e-10, 1e10):
+        assert np.isclose(commutator_residual(scale * h, a),
+                          commutator_residual(h, a), rtol=1e-12, atol=0)
+        assert np.isclose(intertwining_residual(scale * h, eta),
+                          intertwining_residual(h, eta), rtol=1e-12, atol=0)
+    # the zero matrix is the one case taken absolutely
+    assert commutator_residual(np.zeros((4, 4)), a) == 0.0
+
+
 def test_verdict_survives_scaling_down():
     rng = np.random.default_rng(4048)
     changed = 0
