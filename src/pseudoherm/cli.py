@@ -61,10 +61,13 @@ from .spectral import (
 from .spin_rotation import (
     ModelParams,
     _accepted,
+    _alpha,
     _asymmetry,
+    _beta,
     _closed_form_stack,
     _hamiltonian_stack,
     _in_real_regime,
+    _vanishes,
     coupling_ratio,
     effective_hamiltonian,
     level_splitting,
@@ -425,8 +428,8 @@ def cmd_model(args) -> int:
     chi = coupling_ratio(params)            # degenerate regime exits 4
     system = model_eigenbasis(params)       # zero splitting exits 4
     h = effective_hamiltonian(params)
-    hermitian = bool(np.linalg.norm(h - h.conj().T)
-                     <= 1e-12 * max(1.0, np.linalg.norm(h)))
+    # ||H - H^H||_F = sqrt(2) |alpha - beta|
+    hermitian = bool(_vanishes(_alpha(params) - _beta(params), params))
     # whole-grid closed forms; the spin flip, with the largest exponent,
     # goes first so a range error names the same time a per-time loop would
     flip = spin_flip_probability(params, grid)
@@ -468,8 +471,8 @@ def cmd_model(args) -> int:
 # grid points per block, at most: bounds what a block holds in memory
 # while rows still stream
 _SCAN_BLOCK = 256
-# grid points times time points per block, at most, but one point at
-# least: bounds the closed form's arrays on a long time grid
+# grid points times time points per asymmetry pass, at most, but one
+# point at least: bounds the closed form's arrays on a long time grid
 _SCAN_CELLS = 1 << 16
 
 
@@ -489,15 +492,19 @@ def _select(fields, index) -> SimpleNamespace:
 
 def _scan_rows(fields, grid: np.ndarray) -> str:
     """CSV rows of the points of the field columns ``fields``: one
-    spectral pass and one asymmetry pass; a point the model refuses
-    blanks only its cells."""
+    spectral pass, and asymmetry passes of at most ``_SCAN_CELLS`` cells;
+    a point the model refuses blanks only its cells."""
     systems = _biorthonormal_stack(_hamiltonian_stack(fields),
                                    DEFAULT_TOL, DEFAULT_COND_CEILING)
-    values, refusals = _closed_form_stack(fields, grid, _asymmetry)
-    with np.errstate(invalid="ignore"):  # a refused row may hold NaN
-        texts = _g12_texts(np.abs(values).max(axis=1).tolist())
-    peaks = ["" if refusal is not None else text
-             for text, refusal in zip(texts, refusals)]
+    rows = _SCAN_CELLS // grid.size or 1
+    peaks = []
+    for start in range(0, fields.k1.size, rows):
+        values, refusals = _closed_form_stack(
+            _select(fields, slice(start, start + rows)), grid, _asymmetry)
+        with np.errstate(invalid="ignore"):  # a refused row may hold NaN
+            texts = _g12_texts(np.abs(values).max(axis=1).tolist())
+        peaks += ["" if refusal is not None else text
+                  for text, refusal in zip(texts, refusals)]
     # a defective point's generator has no system to classify
     even = iter(_classify_stack([s for s in systems
                                  if not isinstance(s, NotDiagonalizableError)])[2])
@@ -514,9 +521,8 @@ def cmd_scan(args) -> int:
     grid = _time_grid(args)
     print("k1,k2,muB,real_spectrum_regime,kramers_all_even,max_abs_asymmetry")
     size = math.prod(map(len, axes))
-    block = min(_SCAN_BLOCK, max(1, _SCAN_CELLS // grid.size))
-    for start in range(0, size, block):
-        fields = _points(args, axes, np.arange(start, min(start + block, size)))
+    for start in range(0, size, _SCAN_BLOCK):
+        fields = _points(args, axes, np.arange(start, min(start + _SCAN_BLOCK, size)))
         # the rows before a point the model refuses still print
         accepted = _accepted(fields)
         if accepted:

@@ -22,7 +22,8 @@ classifier splits the groups of one system or a stack: each upper
 half-plane group, in group order, pairs with the nearest lower group not
 yet taken, within the radius and at equal multiplicity.  One function,
 :func:`_tolerance_scale`, says what a relative tolerance is relative to,
-for the radius and for the residuals of :mod:`pseudoherm.symmetry`.
+for the radius, for the residuals of :mod:`pseudoherm.symmetry` and for
+the two-level model's "vanishes" rule.
 """
 
 from __future__ import annotations
@@ -70,7 +71,12 @@ def _check_tolerance(name: str, value: float) -> None:
 def _tolerance_scale(magnitude):
     """The scale a relative tolerance is taken against: ``magnitude``
     itself, and 1 only where it is exactly zero, so that a zero spectrum
-    or a zero matrix still has a scale."""
+    or a zero matrix still has a scale.
+
+    Its callers: the clustering and classification radii here, the
+    residuals of :mod:`pseudoherm.symmetry`, and the two-level model's
+    one "vanishes" rule, ``spin_rotation._vanishes``, against the
+    model's coupling scale."""
     return np.where(magnitude == 0, 1.0, magnitude)
 
 

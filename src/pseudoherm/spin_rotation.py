@@ -26,6 +26,16 @@ written with ``alpha*t*sinc(Rt)`` instead of ``sqrt(chi)*sin(Rt)`` so a
 single expression covers both spectral regimes and every sign of
 ``alpha`` without choosing a square-root branch.
 
+One rule decides when a model quantity vanishes: ``x`` counts as zero
+when ``|x| <= DEGENERACY_TOL * s``, with ``s`` the coupling scale
+``max(|k1*omega2|/2, |k2*omega2|/2, |muB|)`` and no floor (``s`` reads 1
+only when it is exactly zero).  With ``x = beta`` it makes the coupling
+ratio undefined, with ``x = alpha`` the splitting zero, and with
+``x = alpha - beta`` (``||H - H^H||_F = sqrt(2)|alpha - beta|``) the
+generator Hermitian.  Scaling ``E``, ``muB`` and ``omega2`` by ``c > 0``
+scales ``alpha``, ``beta`` and ``s`` by ``c``, so it changes none of these
+decisions, and each closed form at ``t/c`` keeps its value.
+
 Each closed form takes a float time or an ndarray of times: a float in
 gives a float out, an array in gives an array of the same shape out, and
 every entry of the array equals the float result at that time bit for
@@ -61,7 +71,7 @@ from .exceptions import (
     EvolutionRangeError,
     ZeroSplittingError,
 )
-from .spectral import DEFAULT_TOL, BiorthonormalSystem
+from .spectral import DEFAULT_TOL, BiorthonormalSystem, _tolerance_scale
 
 __all__ = [
     "ModelParams",
@@ -77,7 +87,9 @@ __all__ = [
     "spin_flip_probability",
 ]
 
-# relative threshold below which alpha or beta counts as exactly zero
+# alpha, beta or alpha - beta counts as exactly zero at or below this
+# times the coupling scale max(|k1*omega2|/2, |k2*omega2|/2, |muB|), with
+# no floor at 1 (the module docstring states the rule)
 DEGENERACY_TOL = 1e-12
 
 
@@ -135,11 +147,6 @@ def _beta(params: ModelParams) -> float:
     return params.k2 * params.omega2 / 2.0 - params.muB
 
 
-def _scale(params: ModelParams) -> float:
-    return np.maximum(np.maximum(1.0, abs(params.k1 * params.omega2) / 2.0),
-                      np.maximum(abs(params.k2 * params.omega2) / 2.0, abs(params.muB)))
-
-
 def _squared_norm(E, alpha, beta):
     return 2.0 * E * E + alpha * alpha + beta * beta
 
@@ -157,16 +164,33 @@ def _accepted(fields) -> int:
 
 
 def _splitting(params: ModelParams):
-    """``sqrt(alpha*beta)``, the principal root, as numpy complex."""
-    return np.sqrt(np.asarray(_alpha(params) * _beta(params), dtype=complex))
+    """``sqrt(alpha*beta)``, the principal root, as numpy complex.
+
+    The product is taken on ``alpha`` and ``beta`` over the power of two
+    ``unit`` of the larger, and the root is scaled back by ``unit``: bit
+    for bit the plain root wherever ``alpha*beta`` is a normal float, and
+    no underflow where it is not (couplings below about 1e-154)."""
+    alpha, beta = _alpha(params), _beta(params)
+    unit = np.ldexp(1.0, np.frexp(np.maximum(abs(alpha), abs(beta)))[1])
+    return unit * np.sqrt(np.asarray(alpha / unit * (beta / unit), dtype=complex))
 
 
 _UNDEFINED_RATIO = "k2*omega2/2 - muB vanishes; the coupling ratio is undefined"
 
 
+def _vanishes(x, fields):
+    """Whether ``x`` counts as zero for the models of ``fields``: the one
+    rule of :data:`DEGENERACY_TOL`, with ``x`` and the fields floats or
+    field columns."""
+    scale = np.maximum(np.maximum(abs(fields.k1 * fields.omega2) / 2.0,
+                                  abs(fields.k2 * fields.omega2) / 2.0),
+                       abs(fields.muB))
+    return abs(x) <= DEGENERACY_TOL * _tolerance_scale(scale)
+
+
 def _ratio_undefined(params: ModelParams) -> bool:
     """Whether the denominator coupling counts as zero."""
-    return abs(_beta(params)) <= DEGENERACY_TOL * _scale(params)
+    return _vanishes(_beta(params), params)
 
 
 def _sinc(z) -> np.ndarray:
@@ -197,7 +221,9 @@ def coupling_ratio(params: ModelParams) -> float:
     Raises
     ------
     DegenerateModelError
-        If the denominator coupling vanishes.
+        If the denominator coupling ``beta`` vanishes: ``|beta|`` is at
+        most ``DEGENERACY_TOL`` times the coupling scale
+        ``max(|k1*omega2|/2, |k2*omega2|/2, |muB|)``, with no floor.
     """
     if _ratio_undefined(params):
         raise DegenerateModelError(_UNDEFINED_RATIO)
@@ -239,11 +265,12 @@ def model_eigenbasis(params: ModelParams) -> BiorthonormalSystem:
     DegenerateModelError
         If the coupling ratio is undefined.
     ZeroSplittingError
-        If the splitting vanishes; the generator is then a Jordan block
-        with no eigenbasis.
+        If the numerator coupling ``alpha`` vanishes by the rule
+        :func:`coupling_ratio` applies to ``beta``; the generator is then
+        a Jordan block with no eigenbasis.
     """
     chi = coupling_ratio(params)
-    if abs(_alpha(params)) <= DEGENERACY_TOL * _scale(params):
+    if _vanishes(_alpha(params), params):
         raise ZeroSplittingError(
             "k1*omega2/2 - muB vanishes; the generator is not diagonalizable")
     root = complex(np.sqrt(complex(chi)))

@@ -1,4 +1,5 @@
-"""Random-matrix corpus builders shared across the test modules.
+"""Random-matrix corpus builders and model cases shared across the test
+modules.
 
 Test matrices are built as S D inv(S) with a controlled spectrum D and a
 similarity S of bounded condition number (singular values drawn from
@@ -9,6 +10,26 @@ defective regime and makes 1e-9 residual targets meaningful.
 import math
 
 import numpy as np
+
+# (E, muB, omega2, k1, k2) of the two-level model in each regime: real,
+# complex, Hermitian (alpha = beta exactly), undefined coupling ratio
+# (beta = 0) and zero splitting (alpha = 0)
+MODEL_REGIMES = [
+    (1.0, 0.1, 1.0, 1.0, 0.5),
+    (1.0, 0.3, 1.0, 1.0, 0.5),
+    (1.0, 0.1, 1.0, 0.8, 0.8),
+    (1.0, 0.25, 1.0, 1.0, 0.5),
+    (1.0, 0.25, 1.0, 0.5, 1.0),
+]
+# factors on E, muB and omega2, with k1 and k2 fixed: each scales alpha,
+# beta and the spectrum by c, and no decision of the model may change
+MODEL_SCALES = [1e-160, 1e-13, 1e-6, 1e6, 1e12]
+
+
+def scaled_model(case, c):
+    """The model ``case`` with ``E``, ``muB`` and ``omega2`` times ``c``."""
+    E, muB, omega2, k1, k2 = case
+    return c * E, c * muB, c * omega2, k1, k2
 
 
 def haar_unitary(rng, n):

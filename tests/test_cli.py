@@ -8,7 +8,14 @@ from itertools import product
 
 import numpy as np
 import pytest
-from conftest import kramers_spectrum, odd_real_spectrum, with_spectrum
+from conftest import (
+    MODEL_REGIMES,
+    MODEL_SCALES,
+    kramers_spectrum,
+    odd_real_spectrum,
+    scaled_model,
+    with_spectrum,
+)
 
 from pseudoherm import (
     DegenerateModelError,
@@ -407,6 +414,56 @@ def test_model_degenerate_regimes_exit_4(capsys):
     assert code == 4 and "model regime" in err
     code, _, err = _run(capsys, ["model", "--muB", "0.5", "--k2", "0.6"])
     assert code == 4 and "model regime" in err
+
+
+def test_model_hermitian_flag_is_relative_to_the_couplings(capsys):
+    # |alpha - beta| against the coupling scale alone: a large E neither
+    # hides a difference of 5e-8 nor is needed to forgive one of 5e-16
+    for k2, hermitian in (("1.0000001", False), ("1.000000000000001", True)):
+        code, out, _ = _run(capsys, ["model", "--E=1e6", f"--k2={k2}", "--t-count=3"])
+        assert code == 0
+        assert _split_model_output(out)[0]["hermitian"] is hermitian
+
+
+def _model_flags(case):
+    return [f"--{name}={value!r}"
+            for name, value in zip(("E", "muB", "omega2", "k1", "k2"), case)]
+
+
+def _close_cells(got, expected):
+    """CSV cells equal to printed rounding, blanks included."""
+    assert len(got) == len(expected)
+    for a, b in zip(got, expected):
+        assert (a == b == "") or abs(float(a) - float(b)) <= 1e-10 * (1 + abs(float(b)))
+
+
+@pytest.mark.parametrize("c", MODEL_SCALES)
+def test_model_and_scan_survive_scaling(capsys, c):
+    # E, muB and omega2 times c, and the time grid over c: the same exit
+    # code, flags, curves and scan row as the unscaled model
+    for case in MODEL_REGIMES:
+        scaled = scaled_model(case, c)
+        base = _run(capsys, ["model", *_model_flags(case), "--t-count=5"])
+        got = _run(capsys, ["model", *_model_flags(scaled), f"--t-stop={10.0 / c!r}",
+                            "--t-count=5"])
+        assert got[0] == base[0]
+        if base[0] == 0:
+            (summary, _, rows), (expected, _, expected_rows) = (
+                _split_model_output(got[1]), _split_model_output(base[1]))
+            for key in ("real_spectrum_regime", "hermitian",
+                        "exceeds_unit_probability", "regime_note"):
+                assert summary[key] == expected[key]
+            _close_cells([_fmt(summary["coupling_ratio"])],
+                         [_fmt(expected["coupling_ratio"])])
+            for row, expected_row in zip(rows, expected_rows):
+                _close_cells(row.split(",")[1:], expected_row.split(",")[1:])
+        base = _run(capsys, ["scan", *_model_flags(case), "--t-count=5"])
+        got = _run(capsys, ["scan", *_model_flags(scaled), f"--t-stop={10.0 / c!r}",
+                            "--t-count=5"])
+        assert got[0] == base[0] == 0
+        row, expected_row = (out.splitlines()[1].split(",") for _, out, _ in (got, base))
+        assert row[3:5] == expected_row[3:5]
+        _close_cells(row[5:], expected_row[5:])
 
 
 def test_model_csv_matches_per_time_scalar_calls(capsys):

@@ -6,6 +6,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from conftest import MODEL_REGIMES, MODEL_SCALES, scaled_model
 
 from pseudoherm import (
     ComplexSpectrumRegimeError,
@@ -86,6 +87,16 @@ def test_level_splitting_values():
     assert level_splitting(zero_alpha) == 0.0
 
 
+def test_splitting_is_the_plain_root_where_the_product_is_normal():
+    rng = np.random.default_rng(31)
+    k1, k2 = (rng.choice([-1.0, 1.0], 4000) * 10.0 ** rng.uniform(-150, 150, 4000)
+              for _ in range(2))
+    k1[:3], k2[:3] = [0.0, -0.0, 2.0], [1.0, 3.0, -0.0]
+    fields = SimpleNamespace(E=1.0, muB=0.0, omega2=2.0, k1=k1, k2=k2)
+    plain = np.sqrt((k1 * k2).astype(complex))
+    assert spin_rotation._splitting(fields).tobytes() == plain.tobytes()
+
+
 def test_real_spectrum_regime():
     assert real_spectrum_regime(P1) is True
     assert real_spectrum_regime(COMPLEX_REGIME) is False
@@ -136,6 +147,43 @@ def test_model_eigenbasis_degenerate_couplings():
     with pytest.raises(ZeroSplittingError):
         model_eigenbasis(ModelParams(E=1.0, muB=0.5, omega2=1.0,
                                      k1=1.0, k2=0.6))
+
+
+def _outcome(call, *args):
+    """What ``call(*args)`` returns, or the type of the model error it raises."""
+    try:
+        return call(*args)
+    except (DegenerateModelError, ZeroSplittingError) as exc:
+        return type(exc)
+
+
+def _assert_close(got, expected, rtol, atol=0.0):
+    """``got`` equals ``expected`` to rounding, or both are one refusal."""
+    if isinstance(got, type) or isinstance(expected, type):
+        assert got is expected
+    else:
+        assert np.all(np.abs(got - expected) <= rtol * np.abs(expected) + atol)
+
+
+def _eigenvalues(params, unit):
+    return model_eigenbasis(params).eigenvalues / unit
+
+
+@pytest.mark.parametrize("c", MODEL_SCALES)
+def test_model_decisions_survive_scaling(c):
+    times = np.linspace(-10.0, 10.0, 41)
+    for case in MODEL_REGIMES:
+        params, scaled = ModelParams(*case), ModelParams(*scaled_model(case, c))
+        assert real_spectrum_regime(scaled) == real_spectrum_regime(params)
+        _assert_close(_outcome(coupling_ratio, scaled),
+                      _outcome(coupling_ratio, params), 1e-14)
+        _assert_close(_outcome(_eigenvalues, scaled, c),
+                      _outcome(_eigenvalues, params, 1.0), 1e-14)
+        # each closed form at t/c is the same probability, to rounding
+        for closed_form in (spin_flip_probability, probe_probability,
+                            probe_asymmetry):
+            _assert_close(_outcome(closed_form, scaled, times / c),
+                          _outcome(closed_form, params, times), 1e-12, 1e-13)
 
 
 def test_model_intertwiner_values():

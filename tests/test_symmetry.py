@@ -464,6 +464,53 @@ def test_verdict_survives_scaling_down():
     assert changed == 0
 
 
+def _report_verdict(matrix):
+    """``analyze``'s ``(pseudohermitian, all_even, admits_symmetry)`` and
+    real multiplicities, or None if it refuses the matrix."""
+    try:
+        report = build_analysis_report(matrix)
+    except PseudohermError:
+        return None
+    return (report.pseudohermitian, report.all_even, report.admits_symmetry,
+            [mult for _, mult in report.real_degeneracies])
+
+
+def _invariance_transforms(rng, n):
+    """The transforms no verdict may depend on: positive scaling, a real
+    shift, a similarity with cond <= 4, the transpose and the adjoint."""
+    shift = float(rng.uniform(-5.0, 5.0))
+    s = bounded_similarity(rng, n)
+    return {
+        "scale 1e10": lambda h: 1e10 * h,
+        "scale 1e-10": lambda h: 1e-10 * h,
+        "shift": lambda h: h + shift * np.eye(n),
+        "similarity": lambda h: s @ h @ np.linalg.inv(s),
+        "transpose": lambda h: h.T,
+        "adjoint": lambda h: h.conj().T,
+    }
+
+
+def test_verdicts_survive_scaling_shift_similarity_and_transposes():
+    rng = np.random.default_rng(4099)
+    compared = changed = 0
+    for n in range(2, 13):
+        for spectrum in (kramers_spectrum, odd_real_spectrum):
+            if spectrum is kramers_spectrum and n % 2:
+                continue
+            for _ in range(3):
+                h = with_spectrum(rng, spectrum(rng, n))
+                expected = _verdict(h), _report_verdict(h)
+                for name, transform in _invariance_transforms(rng, n).items():
+                    g = transform(h)
+                    for verdict, got in zip(expected, (_verdict(g), _report_verdict(g))):
+                        if verdict is not None and got is not None:
+                            compared += 1
+                            changed += got != verdict
+    assert changed == 0
+    # refusals are rare on a well-separated corpus, so the check has teeth
+    assert compared >= 0.95 * 2 * 6 * 3 * (6 + 11)
+
+
 @pytest.mark.xfail(strict=True, raises=AssertionError,
                    reason="an ill-conditioned similarity splits the doubled "
                           "real levels by more than the tolerance")
