@@ -16,7 +16,7 @@ from pseudoherm import (
     probe_asymmetry,
     real_spectrum_regime,
 )
-from pseudoherm.exceptions import DegenerateModelError, NotDiagonalizableError
+from pseudoherm.exceptions import NotDiagonalizableError
 
 TIMES = np.linspace(0.0, 6.0, 61)
 
@@ -31,10 +31,7 @@ def scan_line(k1, k2, label):
             even = str(kramers_test(effective_hamiltonian(params)).all_even)
         except NotDiagonalizableError:
             even = "(defective)"
-        try:
-            peak = f"{np.abs(probe_asymmetry(params, TIMES)).max():.4f}"
-        except DegenerateModelError:
-            peak = "(undefined)"
+        peak = f"{np.abs(probe_asymmetry(params, TIMES)).max():.4f}"
         print(f"  {muB: 5.2f}   {str(regime):5s}    {even:12s}       {peak}")
 
 

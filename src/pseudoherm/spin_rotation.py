@@ -18,13 +18,16 @@ oracle against which the generic eigensystem pipeline is tested:
 
     coupling ratio      chi = alpha/beta
     level splitting     R = sqrt(alpha*beta)     (principal root)
-    spin flip           (chi/2) (1 - cos 2Rt)
+    spin flip           (alpha t sinc(Rt))^2
     probe transition    (1/2) (cos Rt + alpha t sinc(Rt))^2
     probe asymmetry     2 alpha t sinc(2Rt)
 
 written with ``alpha*t*sinc(Rt)`` instead of ``sqrt(chi)*sin(Rt)`` so a
 single expression covers both spectral regimes and every sign of
-``alpha`` without choosing a square-root branch.
+``alpha`` without choosing a square-root branch.  The spin flip equals
+``(chi/2) (1 - cos 2Rt)`` but neither divides by ``beta`` nor cancels at
+small ``Rt``.  Where a coupling vanishes, the forms give the Jordan
+block's limits ``(alpha t)^2``, ``(1 + alpha t)^2/2`` and ``2 alpha t``.
 
 One rule decides when a model quantity vanishes: ``x`` counts as zero
 when ``|x| <= DEGENERACY_TOL * s``, with ``s`` the coupling scale
@@ -42,9 +45,9 @@ every entry of the array equals the float result at that time bit for
 bit, so a time grid is evaluated in one call.  The three closed forms
 are the N = 1 cases of one evaluator over field columns, arrays with one
 entry per model: it checks the times once, then refuses a model in one
-order (coupling ratio undefined, growth ``|Im z|`` out of the exponent
-range, value overflowing).  A scan builds no ``ModelParams``: the
-parameter checks and the generator take field columns too.  The
+order (growth ``|Im z|`` out of the exponent range, value overflowing).
+A scan builds no ``ModelParams``: the parameter checks and the generator
+take field columns too.  The
 arithmetic stays complex throughout: ``Rt`` is real or purely
 imaginary, so every complex product has a factor with zero imaginary
 part and rounds the same in numpy's array loops as in its scalar
@@ -63,7 +66,6 @@ from .evolution import (
     _finite_time,
     _first,
     _overflow_error,
-    _refuse_overflow,
 )
 from .exceptions import (
     ComplexSpectrumRegimeError,
@@ -175,9 +177,6 @@ def _splitting(params: ModelParams):
     return unit * np.sqrt(np.asarray(alpha / unit * (beta / unit), dtype=complex))
 
 
-_UNDEFINED_RATIO = "k2*omega2/2 - muB vanishes; the coupling ratio is undefined"
-
-
 def _vanishes(x, fields):
     """Whether ``x`` counts as zero for the models of ``fields``: the one
     rule of :data:`DEGENERACY_TOL`, with ``x`` and the fields floats or
@@ -186,11 +185,6 @@ def _vanishes(x, fields):
                                   abs(fields.k2 * fields.omega2) / 2.0),
                        abs(fields.muB))
     return abs(x) <= DEGENERACY_TOL * _tolerance_scale(scale)
-
-
-def _ratio_undefined(params: ModelParams) -> bool:
-    """Whether the denominator coupling counts as zero."""
-    return _vanishes(_beta(params), params)
 
 
 def _sinc(z) -> np.ndarray:
@@ -225,9 +219,11 @@ def coupling_ratio(params: ModelParams) -> float:
         most ``DEGENERACY_TOL`` times the coupling scale
         ``max(|k1*omega2|/2, |k2*omega2|/2, |muB|)``, with no floor.
     """
-    if _ratio_undefined(params):
-        raise DegenerateModelError(_UNDEFINED_RATIO)
-    return _alpha(params) / _beta(params)
+    beta = _beta(params)
+    if _vanishes(beta, params):
+        raise DegenerateModelError(
+            "k2*omega2/2 - muB vanishes; the coupling ratio is undefined")
+    return _alpha(params) / beta
 
 
 def level_splitting(params: ModelParams) -> complex:
@@ -303,6 +299,8 @@ def model_intertwiner(params: ModelParams) -> np.ndarray:
     ------
     ComplexSpectrumRegimeError
         Outside the real-spectrum regime (boundary included).
+    DegenerateModelError
+        If the coupling ratio is undefined.
     """
     if not real_spectrum_regime(params):
         raise ComplexSpectrumRegimeError(
@@ -314,18 +312,18 @@ def model_intertwiner(params: ModelParams) -> np.ndarray:
 def spin_flip_probability(params: ModelParams, t):
     """Probability of flipping from the second helicity state to the first.
 
-    Evaluates ``(chi/2) (1 - cos 2Rt)``; in the complex-spectrum regime
-    the cosine turns hyperbolic and the probability grows without bound.
-    ``t`` is a float or an ndarray of times; a float gives a float and an
-    array gives an array of the same shape.  The refusals below are
+    Evaluates ``(alpha t sinc(Rt))**2``, equal to ``(chi/2) (1 - cos 2Rt)``
+    but accurate to rounding at small ``Rt``, never ``-0.0``, and the Jordan
+    block's ``(alpha t)**2`` at a vanishing ``beta``; in the complex-spectrum
+    regime the sine turns hyperbolic and the probability grows without
+    bound.  ``t`` is a float or an ndarray of times; a float gives a float
+    and an array gives an array of the same shape.  The refusals below are
     checked in the order listed, here and in the other closed forms.
 
     Raises
     ------
     ValueError
         If any time is not finite.
-    DegenerateModelError
-        If the coupling ratio is undefined.
     EvolutionRangeError
         If the hyperbolic growth or the value would overflow; the
         message describes the first such time in array order.
@@ -366,21 +364,22 @@ def probe_asymmetry(params: ModelParams, t):
     return _closed_form(params, t, _asymmetry)
 
 
-# The closed forms on columns of alpha, beta and R, one row per model,
-# over the times t: each returns its argument z and its complex value.
+# The closed forms on columns of alpha and R, one row per model, over the
+# times t: each returns its growth argument z and its complex value.
 
-def _flip(alpha, beta, root, t):
-    z = 2.0 * root * t
-    return z, alpha / beta / 2.0 * (1.0 - np.cos(z))
+def _flip(alpha, root, t):
+    z = root * t
+    amplitude = alpha * t * _sinc(z)
+    return 2.0 * z, amplitude * amplitude
 
 
-def _probe(alpha, beta, root, t):
+def _probe(alpha, root, t):
     z = root * t
     amplitude = np.cos(z) + alpha * t * _sinc(z)
     return z, 0.5 * amplitude * amplitude
 
 
-def _asymmetry(alpha, beta, root, t):
+def _asymmetry(alpha, root, t):
     z = 2.0 * root * t
     return z, 2.0 * alpha * t * _sinc(z)
 
@@ -397,24 +396,21 @@ def _closed_form_stack(fields, t, form) -> tuple[np.ndarray, list[Exception | No
     a value computed here is bit for bit theirs.
     """
     t = _finite_time(t)
-    alpha, beta = _alpha(fields), _beta(fields)
+    alpha = _alpha(fields)
     count = np.size(alpha)
     column = (count,) + (1,) * t.ndim
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+    with np.errstate(over="ignore", invalid="ignore"):
         # an overflowing R t is out of range, and refused as such
-        z, value = form(np.reshape(alpha, column), np.reshape(beta, column),
+        z, value = form(np.reshape(alpha, column),
                         np.reshape(_splitting(fields), column), t)
     values = value.real
     growth = np.abs(z.imag).reshape(count, t.size)
     far = growth > EXP_ARG_LIMIT
     overflowed = ~np.isfinite(values).reshape(count, t.size)
-    undefined = np.reshape(_ratio_undefined(fields), -1)
-    refused = undefined | far.any(axis=1) | overflowed.any(axis=1)
+    refused = far.any(axis=1) | overflowed.any(axis=1)
     refusals: list[Exception | None] = [None] * count
     for k in np.flatnonzero(refused).tolist():
-        if undefined[k]:
-            refusals[k] = DegenerateModelError(_UNDEFINED_RATIO)
-        elif far[k].any():
+        if far[k].any():
             refusals[k] = EvolutionRangeError(
                 f"|Im(R t)| = {_first(growth[k], far[k]):.3e} exceeds "
                 f"the representable exponent range {EXP_ARG_LIMIT:g}")
@@ -425,8 +421,8 @@ def _closed_form_stack(fields, t, form) -> tuple[np.ndarray, list[Exception | No
 
 def _closed_form(params: ModelParams, t, form):
     """``form`` of the one model ``params``: the N = 1 stack, whose
-    refusal is raised."""
+    refusal is raised, as a float for a float time."""
     values, (refusal,) = _closed_form_stack(params, t, form)
     if refusal is not None:
         raise refusal
-    return _refuse_overflow(values[0], t)
+    return float(values[0]) if values.ndim == 1 else np.ascontiguousarray(values[0])

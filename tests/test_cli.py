@@ -468,7 +468,8 @@ def test_model_and_scan_survive_scaling(capsys, c):
 
 def test_model_csv_matches_per_time_scalar_calls(capsys):
     cases = [  # (model flags, time grid)
-        (dict(muB=0.3, k2=0.5), (-3.0, 3.0, 7)),      # -0 flip at t = 0
+        (dict(muB=0.3, k2=0.5), (-3.0, 3.0, 7)),      # complex regime
+        (dict(muB=0.6, k2=0.5), (-3.0, 3.0, 7)),      # alpha < 0: -0 asymmetry at t = 0
         (dict(muB=0.1, k2=0.5), (-2e-7, 1e12, 5)),    # exponents
         (dict(), (-10.0, 10.0, 41)),                  # Hermitian limit
         (dict(muB=0.1, k2=0.5, E=-2.0), (-7.5, 31.0, 23)),
@@ -649,7 +650,7 @@ def test_scan_blank_cells_at_defective_point(capsys):
     cells = out.strip().splitlines()[1].split(",")
     assert cells[3] == "false"
     assert cells[4] == ""  # Jordan block, no Kramers verdict
-    assert cells[5] == ""  # degenerate denominator, no asymmetry curve
+    assert cells[5] == "5"  # the Jordan limit 2 alpha t at t = 10
 
 
 def test_scan_defective_point_blanks_only_its_cells(capsys):
@@ -662,7 +663,10 @@ def test_scan_defective_point_blanks_only_its_cells(capsys):
     assert [r[:5] for r in rows] == [["1", "0.5", "0.15", "true", "false"],
                                      ["1", "0.5", "0.25", "false", ""],
                                      ["1", "0.5", "0.35", "false", "true"]]
-    assert rows[1][5] == "" and float(rows[0][5]) > 0 and float(rows[2][5]) > 0
+    # the Jordan point's asymmetry is its closed form's Jordan limit
+    jordan = ModelParams(muB=0.25, k1=1.0, k2=0.5)
+    peak = np.abs(probe_asymmetry(jordan, np.linspace(0.0, 10.0, 5))).max()
+    assert rows[1][5] == _fmt(peak) and float(rows[0][5]) > 0 and float(rows[2][5]) > 0
 
 
 def test_scan_column_matches_per_point_kramers_test(capsys):
@@ -689,8 +693,8 @@ def test_scan_column_matches_per_point_kramers_test(capsys):
 # (k1, k2, muB, t_start, t_stop, t_count) scan flags
 ASYMMETRY_SCANS = [
     # more points than one block: Jordan blocks (k2 = 0.5, muB = 0.25),
-    # Hermitian points, undefined ratios, and complex-regime points whose
-    # growth is out of range by t = 2000
+    # Hermitian points, and complex-regime points whose growth is out of
+    # range by t = 2000
     ("-1:1:9", "-1:1:9", "-0.5:0.5:5", 0.0, 2000.0, 7),
     # |Im(2 R t)| = 705 at the last time: out of range, yet finite
     ("1", "0.5", "0.3", 0.0, 3525.0, 2),
@@ -722,8 +726,9 @@ def test_scan_asymmetry_matches_per_point_probe_asymmetry(capsys, monkeypatch, c
         rows = out.strip().splitlines()[1:]
         assert [row.split(",")[5] for row in rows] == expected
     assert len(rows) == 1
-    # an undefined ratio, growth out of range, and an overflowing value
-    assert refusals == {"undefined", "700", "precision"}
+    # growth out of range and an overflowing value; a Jordan block has
+    # the closed forms' polynomial limits, so no refusal
+    assert refusals == {"700", "precision"}
 
 
 def test_scan_evaluates_asymmetry_per_block(capsys, monkeypatch):

@@ -349,8 +349,8 @@ def test_closed_forms_refuse_growth_past_the_limit_with_finite_values():
 
 
 def test_stacked_closed_forms_match_each_model():
-    # models that pass, one with an undefined ratio, one whose growth
-    # leaves the range by t = 3525 and one whose value overflows
+    # models that pass, a Jordan block (beta = 0) that passes too, one
+    # whose growth leaves the range by t = 3525 and one whose value overflows
     k1 = np.array([1.0, 1.0, 1.0, 1.0, 3.0, 2e4, 1e-300])
     k2 = np.array([0.5, 0.5, 0.5, 1.0, -3.0, -2e-7, -1e-300])
     muB = np.array([0.1, 0.25, 0.3, 0.0, 0.0, 0.0, 0.0])
@@ -370,8 +370,61 @@ def test_stacked_closed_forms_match_each_model():
                 else:
                     with pytest.raises(type(refusal), match=re.escape(str(refusal))):
                         closed_form(params, t)
-        assert {type(r) for r in refusals} == {type(None), DegenerateModelError,
-                                              EvolutionRangeError}
+            assert refusals[1] is None  # the beta = 0 row, checked above
+        assert {type(r) for r in refusals} == {type(None), EvolutionRangeError}
+
+
+def test_spin_flip_keeps_its_precision_at_small_angles():
+    # the series (alpha t)^2 (1 - (Rt)^2/3) of the flip has its next term
+    # below 5e-18 relative for |Rt| <= 1e-4; (chi/2)(1 - cos 2Rt) cancels there
+    cases = [((0.1, 0.5), [1e-9, -1e-9, 1e-6, -1e-6]),  # (muB, k2), times
+             ((0.25, 0.5 + 2e-8), [1e-9, 1e-6, 1e-3, 0.5, -1.0, 1.5])]
+    for (muB, k2), times in cases:
+        params = ModelParams(muB=muB, k2=k2)
+        alpha, beta = 1.0 / 2.0 - muB, k2 / 2.0 - muB
+        rt = np.sqrt(alpha * beta) * np.array(times)
+        assert np.abs(rt).max() <= 1e-4
+        expected = (alpha * np.array(times)) ** 2 * (1.0 - rt * rt / 3.0)
+        scalars = [spin_flip_probability(params, t) for t in times]
+        for got in (spin_flip_probability(params, np.array(times)), np.array(scalars)):
+            assert np.all(np.abs(got - expected) <= 1e-12 * expected)
+
+
+# H - E is nilpotent where a coupling vanishes, so the propagator is
+# exp(-iEt) (1 - i t (H - E)): [[1, alpha t], [0, 1]] at beta = 0 and
+# [[1, 0], [-beta t, 1]] at alpha = 0, up to that phase.  Its entries give
+# the flip |U_12|^2 = (alpha t)^2, the probe |U_12 + U_22|^2 / 2 =
+# (1 + alpha t)^2 / 2 and the asymmetry (1 + alpha t)^2/2 - (1 - alpha t)^2/2
+# = 2 alpha t (with alpha t = 0 at alpha = 0).
+JORDAN_PARAMS = (ModelParams(muB=0.25, k2=0.5), ModelParams(muB=0.75, k2=1.5),
+                 ModelParams(muB=0.5, k2=0.6))
+
+
+def test_closed_forms_take_the_jordan_limits():
+    times = np.array([0.0, -0.0, 1e-9, -0.4, 1.7, -12.5, 40.0, 3e5])
+    for params in JORDAN_PARAMS:
+        alpha = params.k1 * params.omega2 / 2.0 - params.muB
+        expected = ((alpha * times) ** 2, 0.5 * (1.0 + alpha * times) ** 2,
+                    2.0 * alpha * times)
+        for closed_form, values in zip(CLOSED_FORMS, expected):
+            scalars = [closed_form(params, t) for t in times.tolist()]
+            for got in (closed_form(params, times), np.array(scalars)):
+                assert np.all(np.abs(got - values) <= 1e-15 * np.abs(values))
+
+
+def test_spin_flip_is_never_negative_zero():
+    # every regime and sign of alpha, at both signed zeros of time; the
+    # times stop short of 1e3, where complex-regime growth leaves the range
+    rng = np.random.default_rng(7)
+    k1, k2, muB = rng.uniform(-1.0, 1.0, (3, 200))
+    fields = SimpleNamespace(E=1.0, omega2=1.0, k1=k1, k2=k2, muB=muB)
+    values, refusals = spin_rotation._closed_form_stack(
+        fields, ARRAY_TIMES[:-1], spin_rotation._flip)
+    assert refusals == [None] * k1.size and not np.signbit(values).any()
+    for params in ARRAY_PARAMS + JORDAN_PARAMS:
+        assert not np.signbit(spin_flip_probability(params, ARRAY_TIMES)).any()
+        assert not any(np.signbit(spin_flip_probability(params, t))
+                       for t in ARRAY_TIMES.tolist())
 
 
 def test_params_validation():
