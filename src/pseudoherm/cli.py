@@ -54,20 +54,18 @@ from .exceptions import (
 from .spectral import (
     DEFAULT_COND_CEILING,
     DEFAULT_TOL,
-    _biorthonormal_stack,
     _classify_stack,
+    _group_stack,
     biorthonormal_system,
 )
 from .spin_rotation import (
     ModelParams,
     _accepted,
-    _alpha,
     _asymmetry,
-    _beta,
     _closed_form_stack,
     _hamiltonian_stack,
+    _hermitian,
     _in_real_regime,
-    _vanishes,
     coupling_ratio,
     effective_hamiltonian,
     level_splitting,
@@ -428,8 +426,6 @@ def cmd_model(args) -> int:
     chi = coupling_ratio(params)            # degenerate regime exits 4
     system = model_eigenbasis(params)       # zero splitting exits 4
     h = effective_hamiltonian(params)
-    # ||H - H^H||_F = sqrt(2) |alpha - beta|
-    hermitian = bool(_vanishes(_alpha(params) - _beta(params), params))
     # whole-grid closed forms; the spin flip, with the largest exponent,
     # goes first so a range error names the same time a per-time loop would
     flip = spin_flip_probability(params, grid)
@@ -449,7 +445,7 @@ def cmd_model(args) -> int:
         "coupling_ratio": _g12(chi),
         "level_splitting": _pairs([level_splitting(params)])[0],
         "real_spectrum_regime": real_spectrum_regime(params),
-        "hermitian": hermitian,
+        "hermitian": _hermitian(params),
         "exceeds_unit_probability": exceeds,
     }
     try:
@@ -494,8 +490,9 @@ def _scan_rows(fields, grid: np.ndarray) -> str:
     """CSV rows of the points of the field columns ``fields``: one
     spectral pass, and asymmetry passes of at most ``_SCAN_CELLS`` cells;
     a point the model refuses blanks only its cells."""
-    systems = _biorthonormal_stack(_hamiltonian_stack(fields),
-                                   DEFAULT_TOL, DEFAULT_COND_CEILING)
+    # the block's eigenvalue groups, as arrays: no system is built
+    _, _, defective, _, groups = _group_stack(_hamiltonian_stack(fields),
+                                              DEFAULT_TOL, DEFAULT_COND_CEILING)
     rows = _SCAN_CELLS // grid.size or 1
     peaks = []
     for start in range(0, fields.k1.size, rows):
@@ -505,11 +502,10 @@ def _scan_rows(fields, grid: np.ndarray) -> str:
             texts = _g12_texts(np.abs(values).max(axis=1).tolist())
         peaks += ["" if refusal is not None else text
                   for text, refusal in zip(texts, refusals)]
-    # a defective point's generator has no system to classify
-    even = iter(_classify_stack([s for s in systems
-                                 if not isinstance(s, NotDiagonalizableError)])[2])
-    parity = ["" if isinstance(s, NotDiagonalizableError)
-              else "true" if next(even) else "false" for s in systems]
+    # a defective point's generator has no groups to classify
+    even = iter(_classify_stack(*groups)[2])
+    parity = ["" if refusal is not None else "true" if next(even) else "false"
+              for refusal in defective]
     regime = ["true" if real else "false" for real in _in_real_regime(fields).tolist()]
     cells = zip(fields.k1.tolist(), fields.k2.tolist(), fields.muB.tolist(),
                 regime, parity, peaks)

@@ -15,12 +15,13 @@ these pairs, so this module also carries the eigenvalue bookkeeping:
 clustering the spectrum into degenerate groups once, when the system is
 built, and splitting those groups into real ones and complex-conjugate
 partners.  Each system has one radius, ``tol * _tolerance_scale(rho)``
-with ``rho`` its spectral radius, and that radius alone decides which
-values cluster into one group, which groups are real (``|Im z|`` within
-it) and which are conjugate partners (distance within it).  One array
-classifier splits the groups of one system or a stack: each upper
-half-plane group, in group order, pairs with the nearest lower group not
-yet taken, within the radius and at equal multiplicity.  One function,
+with ``rho`` its spectral radius, computed by the clustering alone, and
+that radius decides which values cluster into one group, which groups
+are real (``|Im z|`` within it) and which are conjugate partners
+(distance within it).  One array classifier splits the groups of one
+system or a stack, as arrays: each upper half-plane group, in group
+order, pairs with the nearest lower group not yet taken, within the
+radius and at equal multiplicity.  One function,
 :func:`_tolerance_scale`, says what a relative tolerance is relative to,
 for the radius, for the residuals of :mod:`pseudoherm.symmetry` and for
 the two-level model's "vanishes" rule.
@@ -73,10 +74,10 @@ def _tolerance_scale(magnitude):
     itself, and 1 only where it is exactly zero, so that a zero spectrum
     or a zero matrix still has a scale.
 
-    Its callers: the clustering and classification radii here, the
-    residuals of :mod:`pseudoherm.symmetry`, and the two-level model's
-    one "vanishes" rule, ``spin_rotation._vanishes``, against the
-    model's coupling scale."""
+    Its callers: the clustering radius here, the residuals of
+    :mod:`pseudoherm.symmetry`, and the two-level model's one "vanishes"
+    rule, ``spin_rotation._vanishes``, against the model's coupling
+    scale."""
     return np.where(magnitude == 0, 1.0, magnitude)
 
 
@@ -90,11 +91,13 @@ def _cluster_stack(values: np.ndarray, tol: float):
     bit for bit, so the group order does not hang on how the means are
     summed.
 
-    Returns ``(perm, means, mults, groups)``.  ``perm`` reorders each row
-    so that the members of each group are adjacent, in (real, imag)
-    order, and the groups are sorted by (real, imag) of their mean.
+    Returns ``(perm, means, mults, counts, radii)``.  ``perm`` reorders
+    each row so that the members of each group are adjacent, in (real,
+    imag) order, and the groups are sorted by (real, imag) of their mean.
     ``means`` and ``mults`` list the groups' representatives and sizes in
-    that order, row after row; row ``e`` has ``groups[e]`` of them.
+    that order, row after row; row ``e`` has ``counts[e]`` of them and
+    the radius ``radii[e]``.  The last four are the groups as
+    :func:`_classify_stack` takes them.
     """
     count, n = values.shape
     size = count * n
@@ -102,8 +105,8 @@ def _cluster_stack(values: np.ndarray, tol: float):
     offset = np.arange(0, size, n)[:, None]
     order = np.lexsort((values.imag, values.real)) + offset
     ws = values.ravel()[order]
-    scale = tol * _tolerance_scale(np.abs(ws).max(axis=1, initial=0.0))
-    near = np.abs(ws[:, :, None] - ws[:, None, :]) <= scale[:, None, None]
+    radii = tol * _tolerance_scale(np.abs(ws).max(axis=1, initial=0.0))
+    near = np.abs(ws[:, :, None] - ws[:, None, :]) <= radii[:, None, None]
     # label each value with the smallest index it reaches: solver jitter can
     # interleave +ib / -ib members under the sort, so groups need not be runs
     root = np.arange(size).reshape(count, n)
@@ -134,7 +137,7 @@ def _cluster_stack(values: np.ndarray, tol: float):
     first = labels[within] == within
     heads = within[first]
     return (order.ravel()[within] - offset, means[heads], sizes[heads],
-            first.sum(axis=1).tolist())
+            first.sum(axis=1).tolist(), radii)
 
 
 @dataclass
@@ -145,7 +148,7 @@ class BiorthonormalSystem:
     chained within the system's radius ``tolerance * _tolerance_scale(rho)``,
     with ``rho`` the spectral radius, form one group, whatever order the
     solver returns them in.  Analyses of the system classify these groups
-    at the same radius instead of clustering again.
+    at that radius, ``radius``, instead of clustering again.
 
     Attributes
     ----------
@@ -165,6 +168,8 @@ class BiorthonormalSystem:
     condition : float
         2-norm condition number of ``right_vectors``, the ``cond(V)`` the
         condition ceiling was checked against.
+    radius : float
+        The radius the clustering computed and grouped the values at.
     """
 
     eigenvalues: np.ndarray
@@ -173,6 +178,7 @@ class BiorthonormalSystem:
     left_vectors: np.ndarray
     tolerance: float = DEFAULT_TOL
     condition: float = field(kw_only=True)
+    radius: float = field(kw_only=True)
 
     @property
     def dim(self) -> int:
@@ -233,9 +239,9 @@ def biorthonormal_system(matrix, tol: float = DEFAULT_TOL,
     hold to machine precision whenever the inverse is accurate, which the
     condition-number ceiling enforces.
 
-    This is the stacked spectral pass of :func:`_biorthonormal_stack` on
-    a stack of one matrix (N = 1): a system built alone is bit for bit
-    the one built for the same matrix inside a larger stack.
+    The eigenvalues are grouped by :func:`_group_stack` on a stack of
+    one (N = 1), so a system's groups and radius are bit for bit its row
+    of a larger stack; only here are the vectors inverted.
 
     Raises
     ------
@@ -247,22 +253,32 @@ def biorthonormal_system(matrix, tol: float = DEFAULT_TOL,
         not finite and positive.
     """
     a = _square_complex(matrix)
-    (system,) = _biorthonormal_stack(a[None], tol, cond_ceiling)
-    if isinstance(system, NotDiagonalizableError):
-        raise system
-    return system
+    v, (cond,), (refusal,), perm, groups = _group_stack(a[None], tol, cond_ceiling)
+    if refusal is not None:
+        raise refusal
+    values, mults, _, (radius,) = groups
+    # columns gathered as rows: the right vectors are the Fortran-ordered
+    # matrix a column gather ``v[:, perm]`` gives, and the products built
+    # on them round as they do on that layout
+    rows = v[0].T[perm[0]]
+    return BiorthonormalSystem(
+        eigenvalues=values, multiplicities=mults, right_vectors=rows.T,
+        left_vectors=np.linalg.inv(rows.T).conj().T, tolerance=tol,
+        condition=cond, radius=float(radius))
 
 
-def _biorthonormal_stack(stack: np.ndarray, tol: float, cond_ceiling: float
-                         ) -> list[BiorthonormalSystem | NotDiagonalizableError]:
-    """The biorthonormal system of each matrix of an ``(N, n, n)`` stack.
+def _group_stack(stack: np.ndarray, tol: float, cond_ceiling: float):
+    """The eigenvalue groups of each matrix of an ``(N, n, n)`` stack, as
+    arrays: one eigensolve, unit-norm eigenvector columns, their condition
+    numbers and one clustering, with no inverse and no system built.
 
-    One pass over the whole stack: one eigensolve, the eigenvector
-    condition numbers, one clustering and one inverse.  A matrix whose
-    eigenvector condition number is not finite or exceeds
-    ``cond_ceiling`` takes no further part; its place in the returned
-    list holds the :class:`NotDiagonalizableError` that
-    :func:`biorthonormal_system` raises for it alone.
+    Returns ``(vectors, condition, refusals, perm, groups)``.  Per matrix,
+    ``vectors`` holds its unit right eigenvectors in the solver's order,
+    ``condition`` their ``cond(V)``, and ``refusals`` ``None`` or the
+    :class:`NotDiagonalizableError` of :func:`biorthonormal_system`, for a
+    ``cond(V)`` that is not finite or exceeds ``cond_ceiling``.  ``perm``
+    and ``groups`` are :func:`_cluster_stack`'s for the matrices not
+    refused; ``groups`` is what :func:`_classify_stack` takes.
 
     Raises
     ------
@@ -276,32 +292,12 @@ def _biorthonormal_stack(stack: np.ndarray, tol: float, cond_ceiling: float
     v = v / np.linalg.norm(v, axis=-2, keepdims=True)
     cond = np.linalg.cond(v).tolist()
     # NaN and inf fail the comparison too
-    kept = [c <= cond_ceiling for c in cond]
-    results: list[BiorthonormalSystem | NotDiagonalizableError] = [
-        None if keep else NotDiagonalizableError(
-            f"eigenvector matrix condition number {c:.3e} exceeds "
-            f"ceiling {cond_ceiling:.3e}")
-        for c, keep in zip(cond, kept)]
-    index = np.flatnonzero(kept)
-    if index.size:
-        perm, values, mults, groups = _cluster_stack(w[index], tol)
-        # columns gathered as rows: each system's right vectors are the
-        # Fortran-ordered matrix a column gather ``v[:, perm]`` gives, and
-        # the products built on them round as they do on that layout
-        rows = v.swapaxes(1, 2)[index[:, None], perm]
-        phi = np.linalg.inv(rows.swapaxes(1, 2)).conj()
-        start = 0
-        for e, n_groups, right, left in zip(index.tolist(), groups, rows, phi):
-            results[e] = BiorthonormalSystem(
-                eigenvalues=values[start:start + n_groups],
-                multiplicities=mults[start:start + n_groups],
-                right_vectors=right.T,
-                left_vectors=left.T,
-                tolerance=tol,
-                condition=cond[e],
-            )
-            start += n_groups
-    return results
+    refusals = [None if c <= cond_ceiling else NotDiagonalizableError(
+        f"eigenvector matrix condition number {c:.3e} exceeds "
+        f"ceiling {cond_ceiling:.3e}") for c in cond]
+    perm, *groups = _cluster_stack(
+        w[np.flatnonzero([r is None for r in refusals])], tol)
+    return v, cond, refusals, perm, groups
 
 
 def classify_spectrum(system: BiorthonormalSystem) -> SpectrumClassification:
@@ -309,8 +305,9 @@ def classify_spectrum(system: BiorthonormalSystem) -> SpectrumClassification:
     conjugate pairs.
 
     The groups are the ones ``system`` was clustered into, classified
-    at the radius they were clustered at: ``r = tol * _tolerance_scale(rho)``
-    with ``tol`` the system's tolerance and ``rho`` its spectral radius.
+    at the radius they were clustered at, ``system.radius``:
+    ``r = tol * _tolerance_scale(rho)`` with ``tol`` the system's
+    tolerance and ``rho`` its spectral radius.
     A group ``z`` is real when ``|Im z| <= r``.  Each upper half-plane
     group, in group order, takes the nearest lower group not yet taken
     (the lower index on a tie); the pair holds when their distance is
@@ -329,30 +326,34 @@ def classify_spectrum(system: BiorthonormalSystem) -> SpectrumClassification:
         or partners disagree in multiplicity.  Such a spectrum cannot
         belong to an operator similar to its own adjoint.
     """
-    real, partner, _, (refusal,) = _classify_stack([system])
+    cls, _, refusal = _classification(system)
     if refusal is not None:
         raise refusal
-    return _classification(system, real, partner)
+    return cls
 
 
-def _classification(system: BiorthonormalSystem, real: np.ndarray,
-                    partner: np.ndarray) -> SpectrumClassification:
-    """``system``'s classification from :func:`_classify_stack`'s flags;
-    the pairs are complete only when the system was not refused."""
+def _classification(system: BiorthonormalSystem):
+    """:func:`_classify_stack` on ``system``'s own groups and radius:
+    ``(classification, all_even, refusal)``, with ``refusal`` ``None`` or
+    the error; the pairs are complete only when it is ``None``."""
+    real, partner, (all_even,), (refusal,) = _classify_stack(
+        system.eigenvalues, system.multiplicities, [len(system.eigenvalues)],
+        np.array([system.radius]))
     return SpectrumClassification(
         eigenvalues=system.eigenvalues.tolist(),
         multiplicities=system.multiplicities.tolist(),
         real_group_indices=np.flatnonzero(real).tolist(),
         pair_group_indices=[(k, j) for k, j in enumerate(partner.tolist()) if j >= 0],
-    )
+    ), all_even, refusal
 
 
-def _classify_stack(systems: list[BiorthonormalSystem]):
-    """Classify the eigenvalue groups of a list of systems in one pass,
-    each at its own radius by :func:`classify_spectrum`'s rule, with
-    distances taken within a system only.  A system's radius is its
-    tolerance times :func:`_tolerance_scale` of its largest group
-    magnitude, one value per system for realness and pairing alike.
+def _classify_stack(values: np.ndarray, mults: np.ndarray,
+                    counts: list[int], radii: np.ndarray):
+    """Classify the eigenvalue groups of a stack of systems in one pass,
+    by :func:`classify_spectrum`'s rule, with distances taken within a
+    system only.  The groups come as :func:`_cluster_stack` returns them:
+    system ``e`` has ``counts[e]`` of them and is classified at
+    ``radii[e]``, the radius it was clustered at.
 
     Returns ``(real, partner, all_even, refusals)``.  Over the groups of
     the systems in turn, ``real`` flags the real ones and ``partner``
@@ -361,32 +362,26 @@ def _classify_stack(systems: list[BiorthonormalSystem]):
     real group is odd, and ``refusals`` is ``None`` or the
     :class:`NotPseudohermitianError` of :func:`classify_spectrum`.
     """
-    if not systems:
-        return np.zeros(0, dtype=bool), np.zeros(0, dtype=int), [], []
-    sizes = np.array([len(s.eigenvalues) for s in systems])
-    owner = np.repeat(np.arange(len(systems)), sizes)
-    first = np.cumsum(sizes) - sizes
-    values = np.concatenate([s.eigenvalues for s in systems])
-    mults = np.concatenate([s.multiplicities for s in systems])
-    radius = (np.array([s.tolerance for s in systems])
-              * _tolerance_scale(np.maximum.reduceat(np.abs(values), first)))
-    real = np.abs(values.imag) <= radius[owner]
+    counts = np.asarray(counts, dtype=int)
+    owner = np.repeat(np.arange(counts.size), counts)
+    first = np.cumsum(counts) - counts
+    real = np.abs(values.imag) <= radii[owner]
     upper = ~real & (values.imag > 0)
-    odd = np.bincount(owner, weights=real & (mults % 2 == 1), minlength=len(systems))
+    odd = np.bincount(owner, weights=real & (mults % 2 == 1), minlength=counts.size)
 
     def table(mask):
         # each system's masked groups in group order, one row per system,
         # padded with -1 to at least one column
         index = np.flatnonzero(mask)
         rank = np.arange(index.size) - np.searchsorted(owner[index], owner[index])
-        rows = np.full((len(systems), rank.max(initial=0) + 1), -1)
+        rows = np.full((counts.size, rank.max(initial=0) + 1), -1)
         rows[owner[index], rank] = index
         return rows
 
     uppers, lowers = table(upper), table(~real & ~upper)
     taken = lowers < 0
-    open_ = np.ones(len(systems), dtype=bool)
-    refusals: list[NotPseudohermitianError | None] = [None] * len(systems)
+    open_ = np.ones(counts.size, dtype=bool)
+    refusals: list[NotPseudohermitianError | None] = [None] * counts.size
     partner = np.full(values.size, -1)
     # upper k of each system to each lower group of the same system
     dists = np.abs(values[lowers][:, None, :] - np.conj(values[uppers])[:, :, None])
@@ -399,7 +394,7 @@ def _classify_stack(systems: list[BiorthonormalSystem]):
         dist = np.where(free, dists[rows, k], np.inf)
         j = dist.argmin(axis=1)
         low = lowers[rows, j]
-        near = dist.min(axis=1) <= radius[rows]
+        near = dist.min(axis=1) <= radii[rows]
         ok = near & (mults[u] == mults[low])
         taken[rows[ok], j[ok]] = True
         partner[u[ok]] = low[ok] - first[rows[ok]]

@@ -245,6 +245,12 @@ def real_spectrum_regime(params: ModelParams) -> bool:
     return bool(_in_real_regime(params))
 
 
+def _hermitian(params: ModelParams) -> bool:
+    """Whether ``||H - H^H||_F = sqrt(2) |alpha - beta|`` vanishes, by
+    the model's one rule."""
+    return bool(_vanishes(_alpha(params) - _beta(params), params))
+
+
 def model_eigenbasis(params: ModelParams) -> BiorthonormalSystem:
     """Closed-form biorthonormal eigensystem of the two-level generator.
 
@@ -254,7 +260,8 @@ def model_eigenbasis(params: ModelParams) -> BiorthonormalSystem:
     closed-form inverse.  Columns are ordered like the generic pipeline
     orders them, by (real, imag) of the eigenvalue.  The right-vector
     matrix is ``diag(i r, 1)`` times a unitary, so its singular values are
-    ``|r|`` and 1 and its condition number is ``max(|r|, 1/|r|)``.
+    ``|r|`` and 1 and its condition number is ``max(|r|, 1/|r|)``; its
+    radius is the clustering's, ``DEFAULT_TOL * _tolerance_scale(rho)``.
 
     Raises
     ------
@@ -285,7 +292,8 @@ def model_eigenbasis(params: ModelParams) -> BiorthonormalSystem:
     return BiorthonormalSystem(
         eigenvalues=np.array(values), multiplicities=np.array([1, 1]),
         right_vectors=np.column_stack(right), left_vectors=np.column_stack(left),
-        tolerance=DEFAULT_TOL, condition=max(abs(root), 1.0 / abs(root)))
+        tolerance=DEFAULT_TOL, condition=max(abs(root), 1.0 / abs(root)),
+        radius=DEFAULT_TOL * float(_tolerance_scale(max(map(abs, values)))))
 
 
 def model_intertwiner(params: ModelParams) -> np.ndarray:

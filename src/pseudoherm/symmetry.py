@@ -38,7 +38,6 @@ from .spectral import (
     BiorthonormalSystem,
     SpectrumClassification,
     _classification,
-    _classify_stack,
     _square_complex,
     _tolerance_scale,
     biorthonormal_system,
@@ -122,7 +121,7 @@ def build_intertwiner(system: BiorthonormalSystem) -> np.ndarray:
     exactly the intertwining relation after conjugation by ``Phi``.
 
     The system's own eigenvalue groups are classified by
-    :func:`classify_spectrum`, at its tolerance.
+    :func:`classify_spectrum`, at its radius.
 
     Raises
     ------
@@ -217,7 +216,7 @@ def build_antilinear_symmetry(system: BiorthonormalSystem) -> AntilinearOperator
     the square ``A conj(A)`` collapses to ``V S S inv(V) = -1`` exactly;
     floating point enters only through ``inv(V)``.  The system's own
     eigenvalue groups are classified by :func:`classify_spectrum`, at its
-    tolerance.
+    radius.
 
     Raises
     ------
@@ -320,8 +319,7 @@ def _kramers_verdict(matrix, system: BiorthonormalSystem
     evenness, and the witness, like any metric, is built on it.  A
     witness whose commutator residual is out of :func:`kramers_test`'s
     bound raises :class:`AmbiguousSpectrumError`."""
-    real, partner, (all_even,), (refusal,) = _classify_stack([system])
-    cls = _classification(system, real, partner)
+    cls, all_even, refusal = _classification(system)
     witness = comm = square = None
     if refusal is None and all_even:
         witness = _antilinear_witness(system, cls)

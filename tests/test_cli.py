@@ -28,7 +28,7 @@ from pseudoherm import (
     probe_probability,
     spin_flip_probability,
 )
-from pseudoherm import cli, spin_rotation, symmetry
+from pseudoherm import cli, spectral, spin_rotation, symmetry
 from pseudoherm.cli import (
     AnalysisReport,
     MatrixFile,
@@ -762,9 +762,9 @@ def test_scan_classifies_once_per_block(capsys, monkeypatch):
     stacks = []
     classify = cli._classify_stack
 
-    def counted(systems):
-        stacks.append(len(systems))
-        return classify(systems)
+    def counted(values, mults, counts, radii):
+        stacks.append(len(counts))
+        return classify(values, mults, counts, radii)
 
     monkeypatch.setattr(cli, "_classify_stack", counted)
     # two blocks; k2 = 0.5 with muB = 0.25 is a Jordan block, left out
@@ -774,6 +774,25 @@ def test_scan_classifies_once_per_block(capsys, monkeypatch):
     blanks = [line.split(",")[4] for line in out.splitlines()[1:]].count("")
     assert blanks > 0
     assert len(stacks) == 2 and sum(stacks) == 405 - blanks
+
+
+def test_scan_builds_no_system(capsys, monkeypatch):
+    # scan classifies the grouping's arrays: no inverse, no system object
+    built = []
+    init = spectral.BiorthonormalSystem.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(spectral.BiorthonormalSystem, "__init__", counted)
+    code, out, _ = _run(capsys, ["scan", "--k1=-1:1:9", "--k2=-1:1:9",
+                                 "--muB=-0.5:0.5:5", "--t-count=3"])
+    assert code == 0 and len(out.splitlines()) == 406
+    assert built == []
+    # the count sees a system built anywhere else
+    spectral.biorthonormal_system(np.eye(2))
+    assert len(built) == 1
 
 
 def test_scan_bad_range_exits_3(capsys):

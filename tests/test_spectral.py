@@ -96,26 +96,36 @@ def test_stacked_pass_equals_single_matrix_calls():
             with_spectrum(rng, 1.0 + 1e-5 * np.arange(n)),
             with_spectrum(rng, kramers_spectrum(rng, n)),
         ])
-        results = spectral._biorthonormal_stack(stack, 1e-9, 1e12)
-        refused = [isinstance(r, NotDiagonalizableError) for r in results]
+        vectors, cond, refusals, perm, groups = spectral._group_stack(stack, 1e-9, 1e12)
+        values, mults, counts, radii = groups
+        refused = [r is not None for r in refusals]
         assert refused == [False, True, False, False, False, False, False]
-        assert results[5].multiplicities.tolist() == [1] * n
-        for h, stacked in zip(stack, results):
+        # a matrix's groups and radius alone are its row of the stack's
+        start, row = 0, 0
+        for e, h in enumerate(stack):
             try:
                 alone = biorthonormal_system(h)
             except NotDiagonalizableError as exc:
-                assert str(stacked) == str(exc)
+                assert str(refusals[e]) == str(exc)
                 continue
-            for name in ("eigenvalues", "multiplicities",
-                         "right_vectors", "left_vectors"):
-                mine, single = getattr(stacked, name), getattr(alone, name)
+            stop = start + counts[row]
+            stacked = {"eigenvalues": values[start:stop],
+                       "multiplicities": mults[start:stop],
+                       "right_vectors": vectors[e][:, perm[row]]}
+            for name, mine in stacked.items():
+                single = getattr(alone, name)
                 assert mine.dtype == single.dtype and mine.shape == single.shape
                 assert mine.tobytes() == single.tobytes(), (n, name)
-            assert stacked.tolerance == alone.tolerance
-            assert stacked.condition == alone.condition
+            assert np.float64(alone.radius).tobytes() == radii[row].tobytes()
+            assert alone.tolerance == 1e-9
+            assert cond[e] == alone.condition
             # cond(V), taken before the columns were grouped
-            assert np.isclose(stacked.condition, np.linalg.cond(alone.right_vectors),
+            assert np.isclose(alone.condition, np.linalg.cond(alone.right_vectors),
                               rtol=1e-12, atol=0)
+            if e == 5:
+                assert alone.multiplicities.tolist() == [1] * n
+            start, row = stop, row + 1
+        assert start == values.size and row == len(counts) == radii.size
 
 
 def test_group_representatives_are_member_means():
@@ -132,7 +142,7 @@ def test_group_representatives_are_member_means():
         members = [g[np.lexsort((g.imag, g.real))] for g in groups]
         expected.append(sorted((np.mean(m) for m in members),
                                key=lambda z: (z.real, z.imag)))
-    _, means, mults, counts = spectral._cluster_stack(np.array(rows), 1e-9)
+    _, means, mults, counts, _ = spectral._cluster_stack(np.array(rows), 1e-9)
     assert counts == [8, 8]
     assert means.tobytes() == np.array(expected).ravel().tobytes()
     assert mults.tolist() == [1, 2, 3, 5, 8, 9, 17, 130, 130, 17, 9, 8, 5, 3, 2, 1]
@@ -270,14 +280,18 @@ def test_stacked_classifier_equals_each_system_alone():
         [1.0, 1.0, 2.0, 2.0, 3.0, 3.0],              # real, all even
     ]
     matrices = [with_spectrum(rng, spectrum) for spectrum in spectra]
-    systems = spectral._biorthonormal_stack(
+    _, _, defective, _, groups = spectral._group_stack(
         np.stack(matrices), spectral.DEFAULT_TOL, spectral.DEFAULT_COND_CEILING)
-    real, partner, all_even, refusals = spectral._classify_stack(systems)
+    assert defective == [None] * len(matrices)
+    real, partner, all_even, refusals = spectral._classify_stack(*groups)
     start = 0
     messages = []
-    for e, system in enumerate(systems):
+    for e, matrix in enumerate(matrices):
+        system = biorthonormal_system(matrix)
         stop = start + len(system.eigenvalues)
-        alone = spectral._classify_stack([system])
+        alone = spectral._classify_stack(
+            system.eigenvalues, system.multiplicities, [len(system.eigenvalues)],
+            np.array([system.radius]))
         assert np.array_equal(real[start:stop], alone[0])
         assert np.array_equal(partner[start:stop], alone[1])
         assert [all_even[e]] == alone[2]
@@ -304,7 +318,8 @@ def test_stacked_classifier_equals_each_system_alone():
     assert "mismatched multiplicities 2 and 1" in messages[3]
     assert messages[4].endswith("has no conjugate partner")
     assert messages[5].endswith("within tolerance")
-    empty = spectral._classify_stack([])
+    empty = spectral._classify_stack(np.zeros(0, dtype=complex), np.zeros(0, dtype=int),
+                                     [], np.zeros(0))
     assert empty[0].size == empty[1].size == 0 and empty[2] == empty[3] == []
 
 

@@ -269,7 +269,7 @@ def test_all_even_stack_matches_each_report():
                           [0.0, 0.0, 2.0, 0.0], [0.0, 0.0, 0.0, 3.0]]),
                 np.diag([1j, -1j, 2.0, 2.0]),
                 np.diag([1j, 2j, 3.0, 4.0])]
-    systems = spectral._biorthonormal_stack(
+    _, _, defective, _, groups = spectral._group_stack(
         np.stack(matrices).astype(complex), spectral.DEFAULT_TOL,
         spectral.DEFAULT_COND_CEILING)
     expected = []
@@ -278,12 +278,12 @@ def test_all_even_stack_matches_each_report():
             expected.append(kramers_test(h).all_even)
         except NotDiagonalizableError:
             expected.append(None)
-    kept = [s for s in systems if not isinstance(s, NotDiagonalizableError)]
-    even = iter(spectral._classify_stack(kept)[2])
-    assert [None if isinstance(s, NotDiagonalizableError) else next(even)
-            for s in systems] == expected
+    even = iter(spectral._classify_stack(*groups)[2])
+    assert [None if refusal is not None else next(even)
+            for refusal in defective] == expected
     assert expected == [True, False, True, False, None, True, False]
-    assert spectral._classify_stack([])[2] == []
+    empty = (np.zeros(0, dtype=complex), np.zeros(0, dtype=int), [], np.zeros(0))
+    assert spectral._classify_stack(*empty)[2] == []
 
 
 def test_each_analysis_clusters_once(monkeypatch):
@@ -291,8 +291,8 @@ def test_each_analysis_clusters_once(monkeypatch):
     cluster, classify = spectral._cluster_stack, spectral._classify_stack
 
     def counted_cluster(*args, **kwargs):
-        clusters.append(args)
-        return cluster(*args, **kwargs)
+        clusters.append(cluster(*args, **kwargs))
+        return clusters[-1]
 
     def counted_classify(*args, **kwargs):
         classifications.append(args)
@@ -300,7 +300,6 @@ def test_each_analysis_clusters_once(monkeypatch):
 
     monkeypatch.setattr(spectral, "_cluster_stack", counted_cluster)
     monkeypatch.setattr(spectral, "_classify_stack", counted_classify)
-    monkeypatch.setattr(symmetry, "_classify_stack", counted_classify)
     rng = np.random.default_rng(41)
     # admits a witness, has an odd real group, has an unpaired eigenvalue
     for h in (with_spectrum(rng, kramers_spectrum(rng, 6)),
@@ -312,6 +311,8 @@ def test_each_analysis_clusters_once(monkeypatch):
             analyze(h)
             assert len(clusters) == 1
             assert len(classifications) == 1
+            # the classifier reads the one radius the clustering computed
+            assert classifications[0][3].tobytes() == clusters[0][4].tobytes()
         # the classifier itself clusters nothing: the system's one clustering
         clusters.clear()
         classifications.clear()
@@ -320,6 +321,23 @@ def test_each_analysis_clusters_once(monkeypatch):
         except NotPseudohermitianError:
             pass
         assert len(clusters) == 1 and len(classifications) == 1
+        assert classifications[0][3].tobytes() == clusters[0][4].tobytes()
+
+
+def _one_radius_case():
+    # clustered at 0.5 * 10.4 = 5.2, the radius of the raw eigenvalues;
+    # the group means 10.2 and 1+5.15j would give 5.1, and 1+5.15j lies
+    # between the two radii from the real axis
+    return np.diag([10, 10.4, 1 + 5.15j])
+
+
+def test_one_radius_clusters_and_classifies():
+    system = biorthonormal_system(_one_radius_case(), tol=0.5)
+    assert system.radius == 5.2
+    assert spectral.classify_spectrum(system).real_groups == [(1.0, 1), (10.2, 2)]
+    report = kramers_test(_one_radius_case(), tol=0.5)
+    assert report.pseudohermitian and not report.all_even
+    assert report.witness is None
 
 
 def _dense_pairings(system, cls):
