@@ -17,7 +17,10 @@ codes: 0 success, 2 numeric failure (``NotDiagonalizableError``,
 ``EvolutionRangeError``), 3 input failure (parse errors, bad grids),
 4 degenerate model regime.
 All floats are printed with 12 significant digits so identical inputs
-produce byte-identical output.
+produce byte-identical output: each is the text of ``'%.12g' % x``.  The
+model CSV, the metric's texts and scan's peak column come from one
+vectorized writer, :func:`_csv_rows`, that matches ``'%.12g'`` byte for
+byte and leaves the cells it cannot settle exactly to ``'%.12g'`` itself.
 
 Matrix files hold the dimension on the first line followed by dim*dim
 whitespace-separated row-major complex tokens of the form ``a+bi``,
@@ -79,6 +82,7 @@ from .spin_rotation import (
 from .symmetry import (
     _intertwiner,
     _kramers_verdict,
+    _residual_gate,
     intertwining_residual,
 )
 
@@ -100,17 +104,196 @@ def _g12(x) -> float:
     return float(f"{float(x):.12g}")
 
 
-def _g12_texts(values: list[float]) -> list[str]:
-    """``'%.12g'`` text of each float, from one C-level format call."""
-    return (("%.12g\n" * len(values)) % tuple(values)).split("\n")[:-1]
+# The '%.12g' writer.  Each cell is a 12-digit integer mantissa m and the
+# decimal exponent e of its first digit: m = round(|x| 10^(11-e)), the
+# product taken exactly (Dekker) against 10^(11-e) held as a double-double,
+# with floor(log10|x|) as the first guess of e.  Its bytes are gathered
+# from a per-cell source row through one template per layout.  A cell the
+# decomposition cannot settle exactly is written by '%.12g' itself.
+
+# cells per pass: bounds the writer's temporaries
+_G12_CHUNK = 4096
+# magnitudes the decomposition takes: no split or product under- or overflows
+_G12_RANGE = (1e-280, 1e280)
+# the decimal exponents the power table covers: those of _G12_RANGE, and
+# one more either side for a guess that settles by a step
+_G12_EXPONENTS = (-282, 281)
+# how close to a half the 13th digit onwards may come before '%.12g'
+# decides the rounding; the computed fraction is good to ~1e-15
+_G12_TIE = 1e-9
+# a source row, in 4-byte words: the 12 digits, |e| as 4 digits, room
+# for a verbatim cell's text, then the 8 constant bytes, the last one NUL
+_G12_TEXT = 24
+_G12_TAIL = b"-.e+0,\n\0"
+_MINUS, _POINT, _E, _PLUS, _ZERO, _COMMA, _NEWLINE, _NUL = range(
+    _G12_TEXT, _G12_TEXT + len(_G12_TAIL))
+# bytes of a cell and its separator, at most: '-0.0000' and 12 digits, or
+# '-d.' 11 digits 'e-ddd', or the longest '%.12g' text of a double (19)
+_G12_WIDTH = 20
+# layouts: fixed notation for e in -4..11 (kinds 0..15), then the exponent
+# form by sign and digit count of e (kinds 16..19), each by digit count,
+# sign and separator, numbered kind * 48 + (digits - 1) * 4 + sign * 2 +
+# separator; then verbatim text by length and separator
+_G12_KINDS = 20
+_G12_VERBATIM = _G12_KINDS * 48
+
+
+def _g12_template(kind: int, digits: int, negative: bool) -> list[int]:
+    """Source columns of a cell of the given layout, without separator."""
+    cols = [_MINUS] if negative else []
+    if kind < 16:
+        e = kind - 4
+        if e >= 0:
+            cols += range(e + 1)
+            if digits > e + 1:
+                cols += [_POINT, *range(e + 1, digits)]
+        else:
+            cols += [_ZERO, _POINT, *[_ZERO] * (-e - 1), *range(digits)]
+    else:
+        long_exponent, negative_exponent = divmod(kind - 16, 2)
+        cols += [0, *([_POINT, *range(1, digits)] if digits > 1 else []),
+                 _E, _MINUS if negative_exponent else _PLUS,
+                 *range(14 - long_exponent, 16)]
+    return cols
+
+
+@functools.cache
+def _g12_tables() -> SimpleNamespace:
+    """The writer's tables, built on first use.
+
+    ``powers`` rows hold 10^k as ``hi + lo``, for k = 11 - e from the
+    largest e down, and ``hi`` split into 26-bit halves for Dekker's
+    product; ``kinds`` is the layout number of each e's kind; ``ascii``
+    holds the four digits of 0..9999 as one word, and ``digits`` their
+    count without trailing zeros (1 for 0); ``templates`` give each
+    layout's source columns, padded with NUL.
+    """
+    low, high = _G12_EXPONENTS
+    powers = []
+    for k in range(11 - high, 12 - low):
+        if k >= 0:
+            exact = 10 ** k
+            hi = float(exact)
+            lo = float(exact - int(hi))
+        else:
+            # int / int and int -> float round correctly
+            den = 10 ** -k
+            hi = 1 / den
+            num, two = hi.as_integer_ratio()
+            lo = (two - num * den) / (two * den)
+        powers.append((hi, lo))
+    hi, lo = np.array(powers).T
+    scaled = hi * 134217729.0  # 2^27 + 1: Veltkamp's split
+    top = scaled - (scaled - hi)
+    e = np.arange(low, high + 1)
+    kinds = np.where((e >= -4) & (e < 12), e + 4,
+                     16 + 2 * (np.abs(e) >= 100) + (e < 0)) * 48
+    digits = np.arange(10000)[:, None] // np.array([1000, 100, 10, 1]) % 10
+    trailing = np.cumprod(digits[:, ::-1] == 0, axis=1).sum(axis=1)
+    rows = []
+    for kind in range(_G12_KINDS):
+        for count in range(1, 13):
+            for negative in (False, True):
+                cells = _g12_template(kind, count, negative)
+                rows += [cells + [_COMMA], cells + [_NEWLINE]]
+    for length in range(1, _G12_WIDTH):
+        rows += [[*range(length), _COMMA], [*range(length), _NEWLINE]]
+    templates = np.full((len(rows), _G12_WIDTH), _NUL, dtype=np.intp)
+    for row, cols in zip(templates, rows):
+        row[:len(cols)] = cols
+    return SimpleNamespace(
+        powers=np.column_stack([hi, top, hi - top, lo]),
+        kinds=kinds,
+        ascii=(digits + ord("0")).astype(np.uint8).view(np.uint32).ravel(),
+        digits=np.maximum(4 - trailing, 1),
+        templates=templates,
+        tail=np.frombuffer(_G12_TAIL, dtype=np.uint64)[0])
+
+
+def _g12_scaled(magnitude: np.ndarray, e: np.ndarray, tables) -> tuple:
+    """``magnitude * 10^(11-e)`` as ``p + r``: ``p`` the rounded product,
+    ``r`` the rest, to ~1e-19."""
+    hi, top, bottom, lo = tables.powers.take(_G12_EXPONENTS[1] - e, axis=0).T
+    scaled = magnitude * 134217729.0
+    head = scaled - (scaled - magnitude)
+    tail = magnitude - head
+    p = magnitude * hi
+    # the product's rounding error, exactly
+    error = ((head * top - p) + head * bottom + tail * top) + tail * bottom
+    return p, error + magnitude * lo
+
+
+def _g12_chunk(x: np.ndarray, width: int) -> bytes:
+    """``'%.12g'`` bytes of the float cells ``x``, rows of ``width``
+    separated by ``,`` and ended by a newline."""
+    tables = _g12_tables()
+    magnitude = np.abs(x)
+    zero = magnitude == 0
+    # False for nan and inf; those cells are decomposed as 1
+    inside = (magnitude >= _G12_RANGE[0]) & (magnitude <= _G12_RANGE[1])
+    magnitude[~inside] = 1.0
+    e = np.floor(np.log10(magnitude)).astype(np.intp)
+    p, r = _g12_scaled(magnitude, e, tables)
+    # log10 can be one off next to a power of ten: settle by one step
+    step = (p >= 1e12).astype(np.intp) - (p < 1e11)
+    moved = np.flatnonzero(step)
+    if moved.size:
+        e[moved] += step[moved]
+        p[moved], r[moved] = _g12_scaled(magnitude[moved], e[moved], tables)
+    whole = np.floor(p)
+    fraction = (p - whole) + r
+    # just past 10^11 or 10^12 the rounding carries to the right 12 digits
+    settled = (p >= 1e11 - 0.04) & (p < 1e12 + 0.4)
+    verbatim = ~zero & ~(inside & settled & (np.abs(fraction - 0.5) >= _G12_TIE))
+    mantissa = whole + (fraction >= 0.5)
+    carry = mantissa >= 1e12
+    mantissa[carry] = 1e11
+    e += carry
+    mantissa[zero] = 0
+    e[zero] = 0
+    # the three 4-digit groups; each quotient is exact
+    upper = np.floor(mantissa / 1e8)
+    rest = mantissa - upper * 1e8
+    middle = np.floor(rest / 1e4)
+    upper, middle, lower = (group.astype(np.intp)
+                            for group in (upper, middle, rest - middle * 1e4))
+    digits = tables.digits
+    count = np.where(lower, 8 + digits.take(lower),
+                     np.where(middle, 4 + digits.take(middle), digits.take(upper)))
+    layout = tables.kinds.take(e - _G12_EXPONENTS[0]) + count * 4 + np.signbit(x) * 2 - 4
+    layout.reshape(-1, width)[:, -1] += 1
+    source = np.empty((x.size, _G12_TEXT + len(_G12_TAIL)), dtype=np.uint8)
+    words = source.view(np.uint32)
+    ascii = tables.ascii
+    words[:, 0] = ascii.take(upper)
+    words[:, 1] = ascii.take(middle)
+    words[:, 2] = ascii.take(lower)
+    words[:, 3] = ascii.take(np.abs(e))
+    source.view(np.uint64)[:, -1] = tables.tail
+    for k in np.flatnonzero(verbatim).tolist():
+        text = b"%.12g" % x[k]
+        source[k, :len(text)] = np.frombuffer(text, dtype=np.uint8)
+        layout[k] = _G12_VERBATIM + (len(text) - 1) * 2 + layout[k] % 2
+    index = tables.templates.take(layout, axis=0)
+    index += np.arange(0, source.size, source.shape[1])[:, None]
+    return source.ravel().take(index.ravel()).tobytes().translate(None, b"\0")
 
 
 def _csv_rows(columns: np.ndarray) -> str:
-    """CSV lines of ``'%.12g'`` cells, one per row of a 2-d float array,
-    from one C-level format call."""
+    """CSV lines of ``'%.12g'`` cells, one per row of a 2-d float array:
+    byte for byte the text of ``'%.12g' % x`` for each cell, written by
+    passes of at most ``_G12_CHUNK`` cells."""
     rows, width = columns.shape
-    line = ",".join(["%.12g"] * width) + "\n"
-    return (line * rows) % tuple(columns.ravel().tolist())
+    step = max(_G12_CHUNK // width, 1)
+    return b"".join(
+        _g12_chunk(np.ascontiguousarray(columns[start:start + step], dtype=float).ravel(),
+                   width)
+        for start in range(0, rows, step)).decode("ascii")
+
+
+def _g12_texts(values: np.ndarray) -> list[str]:
+    """``'%.12g'`` text of each float of a 1-d array."""
+    return _csv_rows(np.reshape(values, (-1, 1))).split("\n")[:-1]
 
 
 def _rounded_parts(m: np.ndarray) -> tuple[list[str], list[float]]:
@@ -119,7 +302,7 @@ def _rounded_parts(m: np.ndarray) -> tuple[list[str], list[float]]:
     one rounding pass, as by :func:`_g12`."""
     m = np.ascontiguousarray(m, dtype=complex)
     # the float view interleaves re and im in row-major order
-    texts = _g12_texts(m.view(float).ravel().tolist())
+    texts = _g12_texts(m.view(float).ravel())
     return texts, list(map(float, texts))
 
 
@@ -326,7 +509,9 @@ def build_analysis_report(matrix, tol: float = DEFAULT_TOL,
         before it is formatted.
     AmbiguousSpectrumError
         If the Kramers witness fails :func:`~pseudoherm.symmetry.kramers_test`'s
-        residual gate.
+        residual gate, or the metric's intertwining residual exceeds the
+        same bound, ``(tol + 1e3 n eps) cond(V)``; a refused metric is
+        never formatted.
     """
     system = biorthonormal_system(matrix, tol=tol, cond_ceiling=cond_ceiling)
     verdict, cls = _kramers_verdict(matrix, system)
@@ -339,10 +524,11 @@ def build_analysis_report(matrix, tol: float = DEFAULT_TOL,
     if verdict.pseudohermitian:
         # the metric on the verdict's own classification, checked first
         eta = _intertwiner(system, cls)
-        residual = _g12(intertwining_residual(matrix, eta))
+        residual = intertwining_residual(matrix, eta)
+        _residual_gate(system, residual, "metric intertwining")
         metric_text = _MetricText(eta)
         intertwiner = {"matrix": _pairs(eta, metric_text.values),
-                       "residual": residual}
+                       "residual": _g12(residual)}
     if verdict.witness is not None:
         witness_residuals = {
             "commutator": _g12(verdict.commutator_residual),
@@ -499,7 +685,7 @@ def _scan_rows(fields, grid: np.ndarray) -> str:
         values, refusals = _closed_form_stack(
             _select(fields, slice(start, start + rows)), grid, _asymmetry)
         with np.errstate(invalid="ignore"):  # a refused row may hold NaN
-            texts = _g12_texts(np.abs(values).max(axis=1).tolist())
+            texts = _g12_texts(np.abs(values).max(axis=1))
         peaks += ["" if refusal is not None else text
                   for text, refusal in zip(texts, refusals)]
     # a defective point's generator has no groups to classify

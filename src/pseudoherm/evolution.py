@@ -130,9 +130,9 @@ def evolution_operator(system: BiorthonormalSystem, t: float) -> np.ndarray:
 def _amplitudes(system: BiorthonormalSystem, initial, final, t) -> np.ndarray:
     """``<final| U(t) |initial>`` for a time or an array of times.
 
-    ``Phi^H |initial>`` and ``<final| Psi`` are formed once, so each time
-    costs O(n): the amplitude is ``sum_n (<final| Psi)_n exp(-i E_n t)
-    (Phi^H |initial>)_n``.
+    ``Phi^H |initial>`` and ``<final| Psi`` are formed once per call, at
+    O(n^2), so within a call each time costs O(n): the amplitude is
+    ``sum_n (<final| Psi)_n exp(-i E_n t) (Phi^H |initial>)_n``.
     """
     phases = np.exp(_exponents(system, t))
     # Phi^H |initial> as the conjugate of <initial| Phi: no n x n copy
@@ -148,7 +148,10 @@ def transition_probability(system: BiorthonormalSystem, initial, final, t):
     given; callers supply unit-norm vectors when a probability reading is
     intended.  For non-Hermitian generators the result is not bounded by
     one and the forward and backward values generally differ.  ``U(t)``
-    itself is never formed, and each extra time costs O(n).
+    itself is never formed, and within one call each extra time costs
+    O(n).  Each call forms its two O(n^2) projections of the states
+    again, so a scalar call per time costs far more than one call on an
+    array of times: pass a grid as one array.
 
     ``t`` is a float or an ndarray of times; a float gives a float and an
     array gives an array of the same shape.

@@ -47,10 +47,11 @@ class AmbiguousSpectrumError(PseudohermError):
     """The eigenvalue groups do not hold up at the requested tolerance.
 
     The antilinear witness built on the groups leaves a commutator
-    residual above ``(tol + 1e3 n eps) cond(V)``: the levels merged into
-    one group are further apart than a backward error of ``tol`` relative
-    to the spectral radius explains, so the Kramers verdict is refused
-    rather than given.
+    residual, or the metric built on them an intertwining residual, above
+    ``(tol + 1e3 n eps) cond(V)``: the levels merged into one group, or a
+    level counted as real, are further from it than a backward error of
+    ``tol`` relative to the spectral radius explains, so the verdict is
+    refused rather than given.
     """
 
 

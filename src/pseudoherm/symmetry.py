@@ -56,7 +56,7 @@ __all__ = [
 ]
 
 SINGULAR_COND = 1e14
-# rounding allowance of the witness gate, in units of n * eps
+# rounding allowance of the residual gate, in units of n * eps
 _GATE_ROUNDING = 1e3
 
 
@@ -312,6 +312,20 @@ def kramers_test(matrix, tol: float = DEFAULT_TOL,
     return _kramers_verdict(h, system)[0]
 
 
+def _residual_gate(system: BiorthonormalSystem, residual: float, what: str) -> None:
+    """Refuse a construction on ``system``'s groups whose relative
+    ``residual`` exceeds ``(tol + 1e3 n eps) cond(V)``: a backward error
+    of ``tol`` plus rounding, amplified by cond(V).  Raises
+    :class:`AmbiguousSpectrumError` naming ``what`` was refused."""
+    rounding = _GATE_ROUNDING * system.dim * np.finfo(float).eps
+    bound = (system.tolerance + rounding) * system.condition
+    if not residual <= bound:
+        raise AmbiguousSpectrumError(
+            f"ambiguous spectrum: {what} residual {residual:.3e} "
+            f"exceeds {bound:.3e}, the bound at tolerance "
+            f"{system.tolerance:g} and cond(V) {system.condition:.3e}")
+
+
 def _kramers_verdict(matrix, system: BiorthonormalSystem
                      ) -> tuple[KramersReport, SpectrumClassification]:
     """The Kramers report on ``system``'s own groups, and their
@@ -324,14 +338,7 @@ def _kramers_verdict(matrix, system: BiorthonormalSystem
     if refusal is None and all_even:
         witness = _antilinear_witness(system, cls)
         comm = commutator_residual(matrix, witness)
-        # a backward error of tol plus rounding, amplified by cond(V)
-        rounding = _GATE_ROUNDING * system.dim * np.finfo(float).eps
-        bound = (system.tolerance + rounding) * system.condition
-        if not comm <= bound:
-            raise AmbiguousSpectrumError(
-                f"ambiguous spectrum: witness commutator residual {comm:.3e} "
-                f"exceeds {bound:.3e}, the bound at tolerance "
-                f"{system.tolerance:g} and cond(V) {system.condition:.3e}")
+        _residual_gate(system, comm, "witness commutator")
         square = square_residual(witness)
     report = KramersReport(
         pseudohermitian=refusal is None,

@@ -152,6 +152,13 @@ def test_analyze_ambiguous_spectrum_exits_2(tmp_path, capsys):
     code, out, err = _run(capsys, ["analyze", "--tol", "0.5", path])
     assert (code, out) == (2, "")
     assert "ambiguous spectrum" in err
+    # 10 and 10.4 merge and 1+5.15i counts as real, with no witness; the
+    # metric built on those levels leaves a residual of 0.67 over a bound
+    # of 0.5: refused before it is formatted
+    path = _write(tmp_path, "3 10 0 0 0 10.4 0 0 0 1+5.15i")
+    code, out, err = _run(capsys, ["analyze", "--tol", "0.5", path])
+    assert (code, out) == (2, "")
+    assert "ambiguous spectrum: metric intertwining residual 6.709e-01" in err
 
 
 def test_analyze_input_failures_exit_3(tmp_path, capsys):
@@ -195,6 +202,60 @@ EDGE_VALUES = np.array([
      complex(-1e-5, 1e-4)],
     [complex(1234567890123.0, 1.5e16), complex(-3.0, 0.0), complex(0.5, -0.0)],
 ])
+
+
+def test_metric_block_is_what_json_writes():
+    # subnormal parts take json's spelling and integral ones its '.0'
+    m = np.array([[5e-324 + 2.5e-320j, 1e-310], [123456789012 + 1e16j, -3 + 1e-5j]])
+    text = cli._MetricText(m)
+    matrix = _pairs(m, text.values)
+    assert text.block_for(matrix) == text.block
+    mark = json.dumps(cli._MATRIX_MARK)
+    spliced = json.dumps({"intertwiner": {"matrix": cli._MATRIX_MARK}}, indent=2)
+    assert spliced.replace(mark, text.block) == json.dumps(
+        {"intertwiner": {"matrix": matrix}}, indent=2)
+
+
+def _assert_percent_rows(cells: np.ndarray) -> None:
+    """``_csv_rows`` of ``cells`` is the reference, each cell written by
+    ``'%.12g'`` on its own; a failure names the first row that differs."""
+    rows = cli._csv_rows(cells).split("\n")
+    expected = [",".join("%.12g" % v for v in row) for row in cells.tolist()] + [""]
+    wrong = next((k for k, pair in enumerate(zip(rows, expected))
+                  if pair[0] != pair[1]), None)
+    assert wrong is None, (wrong, rows[wrong], expected[wrong])
+    assert len(rows) == len(expected)
+
+
+def test_g12_writer_matches_percent_format(monkeypatch):
+    rng = np.random.default_rng(97)
+    bits = np.frombuffer(rng.bytes(8 * 201_000), dtype=float)
+    powers = [float(f"1e{k}") for k in range(-310, 309)]
+    # the 13th digit a tie, in 13-digit integers
+    halves = rng.integers(10 ** 11, 10 ** 12, 2000) * 10 + 5
+    specials = [1234567890125.0, 9.9999999999995, 999999999999.5, 1e-4, 1e12,
+                0.0, -0.0, 5e-324, 2.5e-320, 1e-310, 2.2250738585072009e-308,
+                2.2250738585072014e-308, 1.7976931348623157e308,
+                np.inf, -np.inf, np.nan, 2.0 ** 53, 2.0 ** 53 - 1]
+    with np.errstate(over="ignore"):  # the largest float's upper neighbour
+        corpus = np.concatenate([
+            bits[np.isfinite(bits)][:200_000],
+            np.nextafter(powers, -np.inf), powers, np.nextafter(powers, np.inf),
+            rng.integers(-2 ** 53, 2 ** 53, 20_000, endpoint=True).astype(float),
+            halves.astype(float),
+            specials, np.nextafter(specials, -np.inf), np.nextafter(specials, np.inf)])
+    corpus = np.concatenate([corpus, -corpus])[rng.permutation(2 * corpus.size)]
+    # one and five columns; each table spans many passes of the writer
+    for width in (1, 5):
+        cells = corpus[:corpus.size // width * width].reshape(-1, width)
+        assert cells.size > 10 * cli._G12_CHUNK
+        _assert_percent_rows(cells)
+    texts = ["%.12g" % v for v in corpus[:5000].tolist()]
+    assert cli._g12_texts(corpus[:5000]) == texts
+    # a first guess two decades off settles in no step: '%.12g' writes it
+    log10 = np.log10
+    monkeypatch.setattr(np, "log10", lambda x: log10(x) + 2)
+    _assert_percent_rows(corpus[:20_000].reshape(-1, 5))
 
 
 def test_analyze_report_round_trip():
@@ -523,6 +584,8 @@ def test_overflowing_exponent_warns_nothing(capsys):
 def test_model_bad_time_grid_exits_3(capsys):
     assert _run(capsys, ["model", "--t-start", "5", "--t-stop", "1"])[0] == 3
     assert _run(capsys, ["model", "--t-count", "0"])[0] == 3
+    code, out, err = _run(capsys, ["model", "--t-start=nan"])
+    assert code == 3 and out == "" and "bounds must be finite" in err
     # a grid too large to allocate fails at once, committing no memory
     code, out, err = _run(capsys, ["model", f"--t-count={10**15}"])
     assert code == 3 and out == "" and "input error: Unable to allocate" in err
@@ -798,6 +861,10 @@ def test_scan_builds_no_system(capsys, monkeypatch):
 def test_scan_bad_range_exits_3(capsys):
     assert _run(capsys, ["scan", "--k1", "1:2"])[0] == 3
     assert _run(capsys, ["scan", "--k1", "oops"])[0] == 3
+    code, out, err = _run(capsys, ["scan", "--k1=1:2:0"])
+    assert code == 3 and out == "" and "with count >= 1" in err
+    code, out, err = _run(capsys, ["scan", "--k1=nan"])
+    assert code == 3 and out == "" and "contains non-finite values" in err
     code, out, err = _run(capsys, ["scan", f"--k1=0:1:{10**15}"])
     assert code == 3 and out == "" and "input error: Unable to allocate" in err
 

@@ -57,6 +57,8 @@ def test_input_validation():
         biorthonormal_system(np.zeros((2, 3)))
     with pytest.raises(ValueError):
         biorthonormal_system(np.array([[np.nan, 0], [0, 1]]))
+    with pytest.raises(ValueError, match="nonempty"):
+        biorthonormal_system(np.zeros((0, 0)))
     # NaN passes a plain `tol <= 0` check; inf would merge every eigenvalue
     for bad in (0.0, -1e-9, np.nan, np.inf):
         with pytest.raises(ValueError, match="tol must be finite and positive"):

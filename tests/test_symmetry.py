@@ -186,6 +186,9 @@ def test_commutator_residual_values():
     value = commutator_residual(np.diag([1.0, 2.0]), block)
     assert abs(value - 0.6324555320336759) <= 1e-15
 
+    with pytest.raises(ValueError, match="dimensions disagree"):
+        commutator_residual(np.eye(2), AntilinearOperator(matrix=np.eye(3)))
+
 
 def test_kramers_flags_on_hand_matrices():
     report = kramers_test(np.diag([2.0, 2.0]))
@@ -338,6 +341,10 @@ def test_one_radius_clusters_and_classifies():
     report = kramers_test(_one_radius_case(), tol=0.5)
     assert report.pseudohermitian and not report.all_even
     assert report.witness is None
+    # the metric on those groups is not backed by its residual, 0.67 over
+    # the bound (tol + 1e3 n eps) cond(V) = 0.5: refused
+    with pytest.raises(AmbiguousSpectrumError, match="metric intertwining residual"):
+        build_analysis_report(_one_radius_case(), tol=0.5)
 
 
 def _dense_pairings(system, cls):
