@@ -20,7 +20,9 @@ All floats are printed with 12 significant digits so identical inputs
 produce byte-identical output: each is the text of ``'%.12g' % x``.  The
 model CSV, the metric's texts and scan's peak column come from one
 vectorized writer, :func:`_csv_rows`, that matches ``'%.12g'`` byte for
-byte and leaves the cells it cannot settle exactly to ``'%.12g'`` itself.
+byte and leaves the cells it cannot settle exactly to ``'%.12g'`` itself;
+:func:`_g12_round` rounds arrays of report floats on the same
+decomposition, bit for bit ``float('%.12g' % x)``.
 
 Matrix files hold the dimension on the first line followed by dim*dim
 whitespace-separated row-major complex tokens of the form ``a+bi``,
@@ -35,7 +37,6 @@ import argparse
 import functools
 import json
 import math
-import operator
 import sys
 from dataclasses import dataclass, fields
 from itertools import chain
@@ -223,10 +224,11 @@ def _g12_scaled(magnitude: np.ndarray, e: np.ndarray, tables) -> tuple:
     return p, error + magnitude * lo
 
 
-def _g12_chunk(x: np.ndarray, width: int) -> bytes:
-    """``'%.12g'`` bytes of the float cells ``x``, rows of ``width``
-    separated by ``,`` and ended by a newline."""
-    tables = _g12_tables()
+def _g12_decompose(x: np.ndarray, tables) -> tuple:
+    """The 12-digit integer mantissa ``m`` and decimal exponent ``e`` of
+    each float of ``x``, ``'%.12g' % x`` being ``m 10^(e-11)`` with its
+    sign, and the mask of the cells the decomposition cannot settle
+    exactly, which '%.12g' writes itself.  A zero has ``m = e = 0``."""
     magnitude = np.abs(x)
     zero = magnitude == 0
     # False for nan and inf; those cells are decomposed as 1
@@ -251,6 +253,41 @@ def _g12_chunk(x: np.ndarray, width: int) -> bytes:
     e += carry
     mantissa[zero] = 0
     e[zero] = 0
+    return mantissa, e, verbatim
+
+
+def _g12_round(x: np.ndarray) -> np.ndarray:
+    """``float('%.12g' % v)`` of each float ``v`` of ``x``, bit for bit.
+
+    The decimal ``m 10^(e-11)`` is taken as ``p + r`` by the writer's
+    exact product, good to ~1e-30 of its size, so the one sum ``p + r``
+    rounds it as ``float()`` does unless it lies within 2^-30 ulp of a
+    rounding boundary.  Those cells, the ones the decomposition leaves
+    to ``'%.12g'`` and those below 1e-259, past the power table, are
+    parsed by ``float()`` from the writer's texts."""
+    tables = _g12_tables()
+    mantissa, e, verbatim = _g12_decompose(x, tables)
+    # m 10^(e-11) is m 10^(11-f) for f = 22 - e, a row of the table
+    past = e < 22 - _G12_EXPONENTS[1]
+    p, r = _g12_scaled(mantissa, np.where(past, 22, 22 - e), tables)
+    rounded = p + r
+    # the sum's rounding error, exactly, as |r| < |p|; a boundary lies
+    # half an ulp away, or a quarter below a power of two
+    error = np.abs(r - (rounded - p))
+    half = np.spacing(rounded) / 2
+    unsure = np.minimum(np.abs(error - half),
+                        np.abs(error - half / 2)) < half * 2.0 ** -30
+    rounded = np.copysign(rounded, x)
+    rest = np.flatnonzero(verbatim | past | unsure)
+    rounded[rest] = list(map(float, _g12_texts(x[rest])))
+    return rounded
+
+
+def _g12_chunk(x: np.ndarray, width: int) -> bytes:
+    """``'%.12g'`` bytes of the float cells ``x``, rows of ``width``
+    separated by ``,`` and ended by a newline."""
+    tables = _g12_tables()
+    mantissa, e, verbatim = _g12_decompose(x, tables)
     # the three 4-digit groups; each quotient is exact
     upper = np.floor(mantissa / 1e8)
     rest = mantissa - upper * 1e8
@@ -296,50 +333,17 @@ def _g12_texts(values: np.ndarray) -> list[str]:
     return _csv_rows(np.reshape(values, (-1, 1))).split("\n")[:-1]
 
 
-def _rounded_parts(m: np.ndarray) -> tuple[list[str], list[float]]:
-    """The ``'%.12g'`` text of every real and imaginary part of ``m``,
-    row-major with re before im, and the floats those texts spell: the
-    one rounding pass, as by :func:`_g12`."""
+def _pairs(m) -> list:
+    """``[re, im]`` pairs of a complex vector, or rows of them for a
+    matrix, each part rounded as by :func:`_g12`."""
     m = np.ascontiguousarray(m, dtype=complex)
     # the float view interleaves re and im in row-major order
-    texts = _g12_texts(m.view(float).ravel())
-    return texts, list(map(float, texts))
-
-
-def _pairs(m, values: list[float] | None = None) -> list:
-    """``[re, im]`` pairs of a complex vector, or rows of them for a
-    matrix, each part rounded as by :func:`_g12`.  ``values`` are the
-    parts :func:`_rounded_parts` gave for ``m``, when already formatted;
-    the pairs hold those very float objects."""
-    m = np.asarray(m)
-    parts = iter(_rounded_parts(m)[1] if values is None else values)
+    parts = iter(_g12_round(m.view(float).ravel()).tolist())
     pairs = list(map(list, zip(parts, parts)))
     if m.ndim == 1:
         return pairs
     cols = m.shape[1]
     return [pairs[k:k + cols] for k in range(0, len(pairs), cols)]
-
-
-def _json_floats(values: list[float], texts: list[str]) -> list[str]:
-    """The text ``json.dumps`` writes for each float, respelled in place
-    from ``texts``, the ``'%.12g'`` texts that ``values`` were parsed from.
-
-    ``'%.12g'`` and ``repr`` spell a float with at most 12 significant
-    digits the same way, except that ``'%.12g'`` drops the ``.0`` of an
-    integral value and writes an exponent from 1e12 on, where ``repr``
-    does from 1e16 on; ``'%.1f'`` spells those integral values as
-    ``repr`` does.  Subnormals take json's own spelling.  The values
-    must be finite, as a metric that passed its residual check is.
-    """
-    a = np.array(values)
-    magnitude = np.abs(a)
-    subnormal = (magnitude < np.finfo(float).tiny) & (a != 0)
-    integral = (a == np.trunc(a)) & (magnitude < 1e16)
-    for k in np.flatnonzero(integral).tolist():
-        texts[k] = "%.1f" % values[k]
-    for k in np.flatnonzero(subnormal).tolist():
-        texts[k] = json.dumps(values[k])
-    return texts
 
 
 def _render_block(texts: list[str], rows: int, cols: int, indent: str) -> str:
@@ -356,36 +360,37 @@ def _render_block(texts: list[str], rows: int, cols: int, indent: str) -> str:
 _METRIC_INDENT = " " * 4
 
 
-class _MetricText:
-    """The JSON block of a finite metric, written from its one format pass.
+def _metric_block(matrix) -> str | None:
+    """The ``json.dumps`` text of a metric nested in a report, written
+    from the ``'%.12g'`` writer's texts, or None.
 
-    Holds the rendered block and the float objects it spells, row-major
-    with re before im, for :func:`_pairs` to nest.  The block stands for
-    a matrix only while that matrix has the same shape and holds these
-    very objects: a float replaced by an equal one, or ``0.0`` by
-    ``-0.0``, no longer matches.
+    The metric must be a regular grid of ``[re, im]`` pairs of finite
+    ``float`` that :func:`_g12_round` leaves unchanged, bit for bit, as
+    :func:`build_analysis_report` leaves them: each is the float its
+    ``'%.12g'`` text spells.  ``repr``, json's spelling, writes those
+    texts, except that ``'%.12g'`` drops the ``.0`` of an integral
+    value, writes an exponent from 1e12 on, where ``repr`` does from 1e16
+    on, and gives a subnormal 12 digits: ``repr`` writes those parts.
     """
-
-    __slots__ = ("rows", "cols", "values", "block")
-
-    def __init__(self, m: np.ndarray):
-        self.rows, self.cols = m.shape
-        texts, self.values = _rounded_parts(m)
-        self.block = _render_block(_json_floats(self.values, texts),
-                                   self.rows, self.cols, _METRIC_INDENT)
-
-    def block_for(self, matrix) -> str | None:
-        if (type(matrix) is not list or len(matrix) != self.rows
-                or set(map(type, matrix)) != {list}
-                or set(map(len, matrix)) != {self.cols}):
-            return None
-        pairs = list(chain.from_iterable(matrix))
-        if set(map(type, pairs)) != {list} or set(map(len, pairs)) != {2}:
-            return None
-        # rows x cols pairs of two: as many parts as values
-        if not all(map(operator.is_, chain.from_iterable(pairs), self.values)):
-            return None
-        return self.block
+    if type(matrix) is not list or set(map(type, matrix)) != {list}:
+        return None
+    cols = len(matrix[0])
+    pairs = list(chain.from_iterable(matrix))
+    if (set(map(len, matrix)) != {cols} or set(map(type, pairs)) != {list}
+            or set(map(len, pairs)) != {2}):
+        return None
+    values = list(chain.from_iterable(pairs))
+    if set(map(type, values)) != {float}:
+        return None
+    a = np.array(values)
+    if not np.isfinite(a).all() or _g12_round(a).tobytes() != a.tobytes():
+        return None
+    texts = _g12_texts(a)
+    magnitude = np.abs(a)
+    integral = (a == np.trunc(a)) & (magnitude < 1e16)
+    for k in np.flatnonzero(integral | (magnitude < np.finfo(float).tiny)).tolist():
+        texts[k] = repr(values[k])
+    return _render_block(texts, len(matrix), cols, _METRIC_INDENT)
 
 
 @dataclass
@@ -451,13 +456,12 @@ class AnalysisReport:
     ``json.dumps(dataclasses.asdict(r), indent=2)``: identical reports
     print identical text.
 
-    The metric is formatted once: :func:`build_analysis_report` rounds it
-    and writes its JSON block from the same ``'%.12g'`` texts, and
-    ``to_json`` reuses that block while the metric still holds the very
-    float objects it was written from, in the same shape.  Any other
-    metric, edited or built by hand, is written by ``json.dumps`` itself.
-    The block is kept outside the dataclass fields, so ``asdict``, ``==``,
-    ``repr`` and ``from_json`` do not see it.
+    The report stores no text.  ``to_json`` writes a metric that is a
+    regular grid of ``[re, im]`` pairs of floats already rounded to 12
+    digits, as :func:`build_analysis_report` leaves it, from the
+    ``'%.12g'`` writer's texts (:func:`_metric_block`), whether the report
+    was built, read back with ``from_json`` or copied; any other metric is
+    written by ``json.dumps`` itself.
     """
 
     version: str
@@ -472,17 +476,12 @@ class AnalysisReport:
     intertwiner: dict | None
     witness_residuals: dict | None
 
-    # the metric's block from build_analysis_report; not a field
-    _metric_text = None
-
     def to_json(self) -> str:
         values = {f.name: getattr(self, f.name) for f in fields(self)}
-        # the n x n metric is most of the text; json's indent=2 encoder
-        # runs in Python, so the block written in C at build time is reused
-        metric = (self.intertwiner.get("matrix")
-                  if isinstance(self.intertwiner, dict) else None)
-        block = (self._metric_text.block_for(metric)
-                 if self._metric_text is not None else None)
+        # the n x n metric is most of the text, and json's indent=2 encoder
+        # runs in Python: the writer's array passes write it instead
+        block = (_metric_block(self.intertwiner.get("matrix"))
+                 if isinstance(self.intertwiner, dict) else None)
         if block is not None:
             text = json.dumps({**values, "intertwiner": {
                 **self.intertwiner, "matrix": _MATRIX_MARK}}, indent=2)
@@ -520,21 +519,19 @@ def build_analysis_report(matrix, tol: float = DEFAULT_TOL,
                  "kind": "real" if k in real else "complex"}
                 for k, (value, mult) in enumerate(zip(_pairs(system.eigenvalues),
                                                       cls.multiplicities))]
-    intertwiner = witness_residuals = metric_text = None
+    intertwiner = witness_residuals = None
     if verdict.pseudohermitian:
         # the metric on the verdict's own classification, checked first
         eta = _intertwiner(system, cls)
         residual = intertwining_residual(matrix, eta)
         _residual_gate(system, residual, "metric intertwining")
-        metric_text = _MetricText(eta)
-        intertwiner = {"matrix": _pairs(eta, metric_text.values),
-                       "residual": _g12(residual)}
+        intertwiner = {"matrix": _pairs(eta), "residual": _g12(residual)}
     if verdict.witness is not None:
         witness_residuals = {
             "commutator": _g12(verdict.commutator_residual),
             "square": _g12(verdict.square_residual),
         }
-    report = AnalysisReport(
+    return AnalysisReport(
         version=__version__,
         dim=system.dim,
         tolerance=_g12(tol),
@@ -548,8 +545,6 @@ def build_analysis_report(matrix, tol: float = DEFAULT_TOL,
         intertwiner=intertwiner,
         witness_residuals=witness_residuals,
     )
-    report._metric_text = metric_text
-    return report
 
 
 def _parse_range(token: str) -> list[float]:

@@ -35,7 +35,8 @@ when ``|x| <= DEGENERACY_TOL * s``, with ``s`` the coupling scale
 only when it is exactly zero).  With ``x = beta`` it makes the coupling
 ratio undefined, with ``x = alpha`` the splitting zero, and with
 ``x = alpha - beta`` (``||H - H^H||_F = sqrt(2)|alpha - beta|``) the
-generator Hermitian.  Scaling ``E``, ``muB`` and ``omega2`` by ``c > 0``
+generator Hermitian; with either coupling it puts the model outside the
+real-spectrum regime.  Scaling ``E``, ``muB`` and ``omega2`` by ``c > 0``
 scales ``alpha``, ``beta`` and ``s`` by ``c``, so it changes none of these
 decisions, and each closed form at ``t/c`` keeps its value.
 
@@ -154,7 +155,9 @@ def _squared_norm(E, alpha, beta):
 
 
 def _in_real_regime(params: ModelParams):
-    return _alpha(params) * _beta(params) > 0.0
+    """``alpha*beta > 0`` with neither coupling vanishing by :func:`_vanishes`."""
+    alpha, beta = _alpha(params), _beta(params)
+    return (alpha * beta > 0.0) & ~(_vanishes(alpha, params) | _vanishes(beta, params))
 
 
 def _accepted(fields) -> int:
@@ -237,10 +240,12 @@ def level_splitting(params: ModelParams) -> complex:
 
 
 def real_spectrum_regime(params: ModelParams) -> bool:
-    """Whether both couplings have the same strict sign.
+    """Whether both couplings have the same strict sign and neither
+    vanishes by the model's one rule.
 
     True exactly when the spectrum is real and non-degenerate.  The
-    boundary (either coupling zero) counts as outside the regime.
+    boundary (either coupling zero, or vanishing against the coupling
+    scale) counts as outside the regime.
     """
     return bool(_in_real_regime(params))
 
@@ -306,9 +311,8 @@ def model_intertwiner(params: ModelParams) -> np.ndarray:
     Raises
     ------
     ComplexSpectrumRegimeError
-        Outside the real-spectrum regime (boundary included).
-    DegenerateModelError
-        If the coupling ratio is undefined.
+        Outside the real-spectrum regime, boundary included: also where a
+        coupling vanishes, and so wherever the coupling ratio is undefined.
     """
     if not real_spectrum_regime(params):
         raise ComplexSpectrumRegimeError(

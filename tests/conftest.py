@@ -145,3 +145,37 @@ def odd_real_spectrum(rng, n):
             remaining -= 1
     values = np.array(values)
     return values[rng.permutation(len(values))]
+
+
+# the Sylvester kernel's SVD costs O(n^6): refused above this dimension
+SYLVESTER_MAX_DIM = 24
+
+
+def sylvester_kernel(h):
+    """``(d, gap)``: ``d = dim{X : H X = X conj(H)}`` and the gap that
+    decides it, with no clustering of eigenvalues.
+
+    ``X`` lies in the null space of ``K = I (x) H - conj(H)^T (x) I``
+    (column-major vec).  For a diagonalizable ``H`` with groups
+    ``(lambda_k, m_k)``, ``d = sum of m_k m_l over lambda_k = conj(lambda_l)``.
+    With ``K``'s singular values in descending order after ``2 ||H||_2``,
+    a bound on ``||K||_2``, and each floored at eps times that bound,
+    ``d`` is read at the largest ratio of neighbours, and the gap is that
+    ratio: large when the null block stands clear.  A small gap means no
+    block does, and ``d`` then means nothing.
+    """
+    h = np.asarray(h, dtype=complex)
+    n = len(h)
+    if n > SYLVESTER_MAX_DIM:
+        raise ValueError(f"the Sylvester kernel of a {n} x {n} matrix is too "
+                         f"costly; at most {SYLVESTER_MAX_DIM}")
+    bound = 2.0 * np.linalg.norm(h, 2)
+    if bound == 0:
+        return n * n, math.inf
+    eye = np.eye(n)
+    s = np.linalg.svd(np.kron(eye, h) - np.kron(h.conj().T, eye), compute_uv=False)
+    s = np.maximum(np.concatenate([[bound], s]), np.finfo(float).eps * bound)
+    ratios = s[:-1] / s[1:]
+    k = int(np.argmax(ratios))
+    # the null block is s[k + 1:]
+    return n * n - k, float(ratios[k])

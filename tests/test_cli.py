@@ -3,6 +3,7 @@
 import copy
 import dataclasses
 import json
+import math
 import warnings
 from itertools import product
 
@@ -207,12 +208,12 @@ EDGE_VALUES = np.array([
 def test_metric_block_is_what_json_writes():
     # subnormal parts take json's spelling and integral ones its '.0'
     m = np.array([[5e-324 + 2.5e-320j, 1e-310], [123456789012 + 1e16j, -3 + 1e-5j]])
-    text = cli._MetricText(m)
-    matrix = _pairs(m, text.values)
-    assert text.block_for(matrix) == text.block
+    matrix = _pairs(m)
+    block = cli._metric_block(matrix)
+    assert block is not None
     mark = json.dumps(cli._MATRIX_MARK)
     spliced = json.dumps({"intertwiner": {"matrix": cli._MATRIX_MARK}}, indent=2)
-    assert spliced.replace(mark, text.block) == json.dumps(
+    assert spliced.replace(mark, block) == json.dumps(
         {"intertwiner": {"matrix": matrix}}, indent=2)
 
 
@@ -227,7 +228,10 @@ def _assert_percent_rows(cells: np.ndarray) -> None:
     assert len(rows) == len(expected)
 
 
-def test_g12_writer_matches_percent_format(monkeypatch):
+def _writer_corpus():
+    """~450k floats that probe the '%.12g' writer: random bit patterns,
+    both sides of every 10^k, integers, 13-digit ties and specials, each
+    with its negation, shuffled."""
     rng = np.random.default_rng(97)
     bits = np.frombuffer(rng.bytes(8 * 201_000), dtype=float)
     powers = [float(f"1e{k}") for k in range(-310, 309)]
@@ -244,7 +248,12 @@ def test_g12_writer_matches_percent_format(monkeypatch):
             rng.integers(-2 ** 53, 2 ** 53, 20_000, endpoint=True).astype(float),
             halves.astype(float),
             specials, np.nextafter(specials, -np.inf), np.nextafter(specials, np.inf)])
-    corpus = np.concatenate([corpus, -corpus])[rng.permutation(2 * corpus.size)]
+    corpus = np.concatenate([corpus, -corpus])
+    return corpus[rng.permutation(corpus.size)]
+
+
+def test_g12_writer_matches_percent_format(monkeypatch):
+    corpus = _writer_corpus()
     # one and five columns; each table spans many passes of the writer
     for width in (1, 5):
         cells = corpus[:corpus.size // width * width].reshape(-1, width)
@@ -256,6 +265,36 @@ def test_g12_writer_matches_percent_format(monkeypatch):
     log10 = np.log10
     monkeypatch.setattr(np, "log10", lambda x: log10(x) + 2)
     _assert_percent_rows(corpus[:20_000].reshape(-1, 5))
+
+
+def _assert_rounds_as_percent(values: np.ndarray) -> None:
+    """``_g12_round`` of ``values`` is ``float('%.12g' % v)`` bit for bit,
+    the sign of zero and of nan included; a failure names the first
+    value that differs."""
+    got = cli._g12_round(values)
+    assert got.shape == values.shape
+    expected = np.array([float("%.12g" % v) for v in values.tolist()])
+    wrong = np.flatnonzero(got.view(np.int64) != expected.view(np.int64))
+    assert wrong.size == 0, (values[wrong[0]], got[wrong[0]], expected[wrong[0]])
+
+
+def test_g12_round_matches_percent_format(monkeypatch):
+    tiny = np.finfo(float).tiny
+    subnormals = np.concatenate([[5e-324, tiny - 5e-324, tiny / 3],
+                                 np.random.default_rng(7).uniform(0, tiny, 1000)])
+    powers = np.array([float(f"1e{k}") for k in range(-323, 309)])
+    with np.errstate(over="ignore"):
+        sides = [np.nextafter(powers, -np.inf), np.nextafter(powers, np.inf)]
+    # 12-digit decimals m 10^7, many of them halfway between two doubles
+    midpoints = np.random.default_rng(11).integers(10 ** 11, 10 ** 12, 2000) * 1e7
+    edges = np.concatenate([EDGE_VALUES.view(float).ravel(), [np.inf, -np.inf, np.nan],
+                            subnormals, -subnormals, powers, -powers, *sides, midpoints])
+    corpus = np.concatenate([_writer_corpus(), edges])
+    _assert_rounds_as_percent(corpus)
+    # a first guess two decades off settles in no step: '%.12g' rounds it
+    log10 = np.log10
+    monkeypatch.setattr(np, "log10", lambda x: log10(x) + 2)
+    _assert_rounds_as_percent(corpus[:20_000])
 
 
 def test_analyze_report_round_trip():
@@ -299,6 +338,10 @@ def _edits():
     def other_float(m):
         m[1][0][0] = 0.5 if m[1][0][0] != 0.5 else 0.25
 
+    def next_float(m):
+        # one ulp off its 12-digit value: no '%.12g' text spells it
+        m[1][0][0] = math.nextafter(m[1][0][0], math.inf)
+
     def three_entries(m):
         m[0][1].append(1.0)
 
@@ -317,8 +360,8 @@ def _edits():
     def tuple_pair(m):
         m[0][0] = tuple(m[0][0])
 
-    return (equal_float, negative_zero, other_float, three_entries, pair_moved,
-            drop_row, reshape, tuple_pair)
+    return (equal_float, negative_zero, other_float, next_float, three_entries,
+            pair_moved, drop_row, reshape, tuple_pair)
 
 
 def test_edited_metric_is_written_afresh():
@@ -342,7 +385,7 @@ def test_edited_metric_is_written_afresh():
     shallow.intertwiner["matrix"][0][0][1] = -0.0
     assert _written_as_json(shallow) and _written_as_json(report)
     assert shallow.to_json() != report.to_json()
-    # the stored block is no field: equality, repr and asdict ignore it
+    # the report stores no text: a read-back report is equal in every view
     parsed = AnalysisReport.from_json(report.to_json())
     assert parsed == report and repr(parsed) == repr(report)
     assert dataclasses.asdict(parsed) == dataclasses.asdict(report)
@@ -360,12 +403,38 @@ def test_each_metric_is_formatted_once(monkeypatch):
 
     monkeypatch.setattr(cli, "_g12_texts", counted)
     rng = np.random.default_rng(53)
-    for n, spectrum in ((6, kramers_spectrum(rng, 6)), (5, odd_real_spectrum(rng, 5))):
+    z = rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6))
+    # a Hermitian matrix's metric holds noise near 1e-16 off the diagonal
+    for n, h in ((6, with_spectrum(rng, kramers_spectrum(rng, 6))),
+                 (5, with_spectrum(rng, odd_real_spectrum(rng, 5))),
+                 (6, z + z.conj().T)):
         formatted.clear()
-        report = build_analysis_report(with_spectrum(rng, spectrum))
+        report = build_analysis_report(h)
         text = report.to_json()
         assert formatted.count(2 * n * n) == 1
+        # and no float was rounded through its text
+        assert set(formatted) <= {0, 2 * n * n}
         assert text == json.dumps(dataclasses.asdict(report), indent=2)
+
+
+def test_read_back_and_copied_reports_write_the_metric_by_the_writer(monkeypatch):
+    formatted = []
+    g12_texts = cli._g12_texts
+
+    def counted(values):
+        formatted.append(len(values))
+        return g12_texts(values)
+
+    monkeypatch.setattr(cli, "_g12_texts", counted)
+    rng = np.random.default_rng(59)
+    report = build_analysis_report(with_spectrum(rng, kramers_spectrum(rng, 6)))
+    text = report.to_json()
+    for other in (AnalysisReport.from_json(text), dataclasses.replace(report),
+                  dataclasses.replace(report, intertwiner=copy.deepcopy(report.intertwiner))):
+        formatted.clear()
+        assert other.to_json() == text
+        assert formatted.count(2 * 6 * 6) == 1
+        assert text == json.dumps(dataclasses.asdict(other), indent=2)
 
 
 def test_refused_metric_is_never_formatted(tmp_path, capsys, monkeypatch):
@@ -703,6 +772,23 @@ def test_scan_grid_straddles_regime_boundary(capsys):
     # point has no real levels at all, so evenness holds vacuously
     assert [r[4] for r in rows] == ["false", "false", "true"]
     assert all(float(r[5]) > 0 for r in rows)
+
+
+def test_scan_regime_follows_the_model_vanishing_rule(capsys):
+    # a range is linear, so each k2 is its own scan; beta = k2 / 2 vanishes
+    # against the coupling scale 0.5 below 5e-13, where model exits 4
+    rows = []
+    for k2 in ("1e-10", "1e-14", "1e-18", "1e-20"):
+        code, out, _ = _run(capsys, ["scan", "--k1=1", f"--k2={k2}", "--t-count=3"])
+        assert code == 0
+        rows += [line.split(",") for line in out.strip().splitlines()[1:]]
+        assert _run(capsys, ["model", "--k1=1", f"--k2={k2}", "--t-count=3"])[0] == (
+            0 if k2 == "1e-10" else 4)
+    assert [row[3] for row in rows] == ["true", "false", "false", "false"]
+    # criterion 6 on every row: a real-regime point is odd, with asymmetry
+    for row in rows:
+        if row[3] == "true":
+            assert row[4] == "false" and float(row[5]) > 1e-6, row
 
 
 def test_scan_blank_cells_at_defective_point(capsys):

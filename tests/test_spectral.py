@@ -7,6 +7,7 @@ from conftest import (
     kramers_spectrum,
     odd_real_spectrum,
     separated_reals,
+    sylvester_kernel,
     with_spectrum,
 )
 
@@ -360,6 +361,39 @@ def test_classify_multiplicities_sum_to_dim():
         total = sum(m for _, m in cls.real_groups)
         total += 2 * sum(m for _, _, m in cls.conjugate_pairs)
         assert total == n
+
+
+def test_sylvester_kernel_on_known_spectra():
+    # diag(1, 1, 2i, -2i): 2^2 for the real level, 2 * 1 for the pair
+    assert sylvester_kernel(np.diag([1.0, 1.0, 2j, -2j]))[0] == 6
+    # unpaired levels leave no null block: no gap stands clear
+    assert sylvester_kernel(np.diag([1j, 2j]))[1] < 1e3
+    assert sylvester_kernel(np.diag([1.0, 3.0, 3.0, 3.0]))[0] == 10
+    # a multiple of the identity, and zero: every X commutes
+    assert sylvester_kernel(2.5 * np.eye(3))[0] == sylvester_kernel(np.zeros((3, 3)))[0] == 9
+    with pytest.raises(ValueError):
+        sylvester_kernel(np.eye(25))
+
+
+def test_classification_matches_the_sylvester_kernel():
+    rng = np.random.default_rng(4111)
+    compared = 0
+    for n in range(2, 13):
+        for spectrum in (kramers_spectrum, odd_real_spectrum):
+            if spectrum is kramers_spectrum and n % 2:
+                continue
+            for _ in range(3):
+                h = with_spectrum(rng, spectrum(rng, n))
+                d, gap = sylvester_kernel(h)
+                if gap <= 1e3:
+                    continue
+                cls = classify_spectrum(biorthonormal_system(h))
+                claimed = (sum(m * m for _, m in cls.real_groups)
+                           + 2 * sum(m * m for _, _, m in cls.conjugate_pairs))
+                assert claimed == d, (n, spectrum.__name__)
+                compared += 1
+    # the corpus is well separated, so the gap stands clear almost always
+    assert compared >= 0.95 * 3 * (6 + 11)
 
 
 def test_reconstruct_round_trip():

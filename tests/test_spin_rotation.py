@@ -103,6 +103,13 @@ def test_real_spectrum_regime():
     # vanishing product sits on the boundary and does not qualify
     boundary = ModelParams(E=1.0, muB=0.5, omega2=1.0, k1=1.0, k2=0.6)
     assert real_spectrum_regime(boundary) is False
+    # so does a product of one sign whose coupling vanishes by the model's
+    # rule; the closed-form metric is refused as outside the regime
+    for vanishing in (ModelParams(k1=1.0, k2=1e-18), ModelParams(k1=1e-18, k2=1.0)):
+        assert real_spectrum_regime(vanishing) is False
+        with pytest.raises(ComplexSpectrumRegimeError):
+            model_intertwiner(vanishing)
+    assert real_spectrum_regime(ModelParams(k1=1.0, k2=1e-10)) is True
 
 
 def test_model_eigenbasis_biorthonormality():

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 from conftest import (
+    MODEL_REGIMES,
     bounded_similarity,
     haar_unitary,
     kramers_spectrum,
@@ -14,6 +15,7 @@ from conftest import (
 from pseudoherm import (
     AmbiguousSpectrumError,
     AntilinearOperator,
+    ModelParams,
     NotDiagonalizableError,
     NotPseudohermitianError,
     OddDegeneracyError,
@@ -23,6 +25,7 @@ from pseudoherm import (
     build_antilinear_symmetry,
     build_intertwiner,
     commutator_residual,
+    effective_hamiltonian,
     intertwining_residual,
     kramers_test,
     spectral,
@@ -548,3 +551,47 @@ def test_ill_conditioned_similarity_is_right_or_refused():
         verdict = _verdict(s @ np.diag(values) @ np.linalg.inv(s))
         wrong += verdict not in (None, (True, True, True))
     assert wrong == 0
+
+
+# the helicity model doubled, H (x) 1_2, commutes exactly with the
+# antilinear map of sigma_z (x) i sigma_y, whose square is -1: sigma_z
+# conj(H) = H sigma_z, and every entry involved is 0, +-1 or a coupling
+DOUBLED_WITNESS = np.kron(np.diag([1.0, -1.0]),
+                          np.array([[0.0, 1.0], [-1.0, 0.0]])).astype(complex)
+
+
+def _doubled_models():
+    """``H (x) 1_2`` for the model's real, complex and Hermitian regimes."""
+    return {regime: np.kron(effective_hamiltonian(ModelParams(*case)), np.eye(2))
+            for regime, case in zip(("real", "complex", "hermitian"), MODEL_REGIMES)}
+
+
+def test_doubled_model_has_an_exact_witness():
+    witness = AntilinearOperator(DOUBLED_WITNESS)
+    assert square_residual(witness) == 0.0
+    for h in _doubled_models().values():
+        assert commutator_residual(h, witness) == 0.0
+
+
+_RADII_MISSING = pytest.mark.xfail(
+    strict=True, raises=AssertionError,
+    reason="ROADMAP item 1: without per-eigenvalue radii, a similarity this "
+           "ill-conditioned splits the doubled levels by more than the tolerance")
+
+
+@pytest.mark.parametrize("c", [1.0, 1e2, 1e4, pytest.param(1e6, marks=_RADII_MISSING),
+                               pytest.param(1e8, marks=_RADII_MISSING)])
+def test_doubled_model_admits_under_similarity(c):
+    # S = Q1 diag(logspace(0, log10 c, 4)) Q2 has condition number c
+    rng = np.random.default_rng(4129)
+    refused = []
+    for regime, h in _doubled_models().items():
+        for draw in range(10):
+            s = (haar_unitary(rng, 4) * np.logspace(0, np.log10(c), 4)) @ haar_unitary(rng, 4)
+            try:
+                admitted = kramers_test(s @ h @ np.linalg.inv(s)).admits_symmetry
+            except PseudohermError:
+                admitted = False
+            if not admitted:
+                refused.append((regime, draw))
+    assert refused == []
