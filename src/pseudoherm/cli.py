@@ -257,30 +257,33 @@ def _g12_decompose(x: np.ndarray, tables) -> tuple:
 
 
 def _g12_round(x: np.ndarray) -> np.ndarray:
-    """``float('%.12g' % v)`` of each float ``v`` of ``x``, bit for bit.
+    """``float('%.12g' % v)`` of each float ``v`` of a 1-d ``x``, bit for bit.
 
-    The decimal ``m 10^(e-11)`` is taken as ``p + r`` by the writer's
-    exact product, good to ~1e-30 of its size, so the one sum ``p + r``
-    rounds it as ``float()`` does unless it lies within 2^-30 ulp of a
-    rounding boundary.  Those cells, the ones the decomposition leaves
-    to ``'%.12g'`` and those below 1e-259, past the power table, are
-    parsed by ``float()`` from the writer's texts."""
+    In passes of ``_G12_CHUNK`` cells, the decimal ``m 10^(e-11)`` is
+    taken as ``p + r`` by the writer's exact product, good to ~1e-30 of
+    its size, so the one sum ``p + r`` rounds it as ``float()`` does
+    unless it lies within 2^-30 ulp of a rounding boundary.  Those cells,
+    the ones the decomposition leaves to ``'%.12g'`` and those below
+    1e-259, past the power table, are parsed from the writer's texts."""
     tables = _g12_tables()
-    mantissa, e, verbatim = _g12_decompose(x, tables)
-    # m 10^(e-11) is m 10^(11-f) for f = 22 - e, a row of the table
-    past = e < 22 - _G12_EXPONENTS[1]
-    p, r = _g12_scaled(mantissa, np.where(past, 22, 22 - e), tables)
-    rounded = p + r
-    # the sum's rounding error, exactly, as |r| < |p|; a boundary lies
-    # half an ulp away, or a quarter below a power of two
-    error = np.abs(r - (rounded - p))
-    half = np.spacing(rounded) / 2
-    unsure = np.minimum(np.abs(error - half),
-                        np.abs(error - half / 2)) < half * 2.0 ** -30
-    rounded = np.copysign(rounded, x)
-    rest = np.flatnonzero(verbatim | past | unsure)
-    rounded[rest] = list(map(float, _g12_texts(x[rest])))
-    return rounded
+    out = np.empty(x.shape)
+    for start in range(0, x.size, _G12_CHUNK):
+        part = x[start:start + _G12_CHUNK]
+        mantissa, e, verbatim = _g12_decompose(part, tables)
+        # m 10^(e-11) is m 10^(11-f) for f = 22 - e, a row of the table
+        past = e < 22 - _G12_EXPONENTS[1]
+        p, r = _g12_scaled(mantissa, np.where(past, 22, 22 - e), tables)
+        rounded = p + r
+        # the sum's rounding error, exactly, as |r| < |p|; a boundary lies
+        # half an ulp away, or a quarter below a power of two
+        error = np.abs(r - (rounded - p))
+        half = np.spacing(rounded) / 2
+        unsure = np.minimum(np.abs(error - half),
+                            np.abs(error - half / 2)) < half * 2.0 ** -30
+        rounded = np.copysign(rounded, part, out=out[start:start + _G12_CHUNK])
+        rest = np.flatnonzero(verbatim | past | unsure)
+        rounded[rest] = list(map(float, _g12_texts(part[rest])))
+    return out
 
 
 def _g12_chunk(x: np.ndarray, width: int) -> bytes:
@@ -338,31 +341,17 @@ def _pairs(m) -> list:
     matrix, each part rounded as by :func:`_g12`."""
     m = np.ascontiguousarray(m, dtype=complex)
     # the float view interleaves re and im in row-major order
-    parts = iter(_g12_round(m.view(float).ravel()).tolist())
-    pairs = list(map(list, zip(parts, parts)))
-    if m.ndim == 1:
-        return pairs
-    cols = m.shape[1]
-    return [pairs[k:k + cols] for k in range(0, len(pairs), cols)]
-
-
-def _render_block(texts: list[str], rows: int, cols: int, indent: str) -> str:
-    """``json.dumps`` indent-2 layout of a rows x cols matrix of pairs
-    spelled by ``texts``, nested at ``indent``, filled in by one ``%``."""
-    row_nl, pair_nl, value_nl = (f"\n{indent}{' ' * k}" for k in (2, 4, 6))
-    pair = f"[{value_nl}%s,{value_nl}%s{pair_nl}]"
-    row = f"[{pair_nl}" + f",{pair_nl}".join([pair] * cols) + f"{row_nl}]"
-    template = f"[{row_nl}" + f",{row_nl}".join([row] * rows) + f"\n{indent}]"
-    return template % tuple(texts)
+    return _g12_round(m.view(float).ravel()).reshape(*m.shape, 2).tolist()
 
 
 # the metric block sits in the report's "intertwiner" object
 _METRIC_INDENT = " " * 4
 
 
-def _metric_block(matrix) -> str | None:
-    """The ``json.dumps`` text of a metric nested in a report, written
-    from the ``'%.12g'`` writer's texts, or None.
+def _metric_block(matrix, head: str = "", tail: str = "") -> str | None:
+    """The ``json.dumps`` text of a metric nested in a report, between
+    ``head`` and ``tail`` in one join, or None: the writer's texts fill row
+    templates in passes of ``_G12_CHUNK`` cells.
 
     The metric must be a regular grid of ``[re, im]`` pairs of finite
     ``float`` that :func:`_g12_round` leaves unchanged, bit for bit, as
@@ -385,12 +374,24 @@ def _metric_block(matrix) -> str | None:
     a = np.array(values)
     if not np.isfinite(a).all() or _g12_round(a).tobytes() != a.tobytes():
         return None
-    texts = _g12_texts(a)
-    magnitude = np.abs(a)
-    integral = (a == np.trunc(a)) & (magnitude < 1e16)
-    for k in np.flatnonzero(integral | (magnitude < np.finfo(float).tiny)).tolist():
-        texts[k] = repr(values[k])
-    return _render_block(texts, len(matrix), cols, _METRIC_INDENT)
+    row_nl, pair_nl, value_nl = (f"\n{_METRIC_INDENT}{' ' * k}" for k in (2, 4, 6))
+    pair = f"[{value_nl}%s,{value_nl}%s{pair_nl}]"
+    row = f"[{pair_nl}" + f",{pair_nl}".join([pair] * cols) + f"{row_nl}]"
+    step = 2 * cols * max(_G12_CHUNK // (2 * cols), 1)
+    pieces = []
+    for start in range(0, a.size, step):
+        part = a[start:start + step]
+        texts = _g12_texts(part)
+        magnitude = np.abs(part)
+        integral = (part == np.trunc(part)) & (magnitude < 1e16)
+        for k in np.flatnonzero(integral | (magnitude < np.finfo(float).tiny)).tolist():
+            texts[k] = repr(values[start + k])
+        pieces += [f",{row_nl}", f",{row_nl}".join([row] * (part.size // (2 * cols)))
+                   % tuple(texts)]
+    pieces[0] = f"[{row_nl}"  # the first pass opens the block
+    # the floats' array and lists go before the one join
+    del a, part, values, pairs
+    return "".join([head, *pieces, f"\n{_METRIC_INDENT}]", tail])
 
 
 @dataclass
@@ -459,9 +460,10 @@ class AnalysisReport:
     The report stores no text.  ``to_json`` writes a metric that is a
     regular grid of ``[re, im]`` pairs of floats already rounded to 12
     digits, as :func:`build_analysis_report` leaves it, from the
-    ``'%.12g'`` writer's texts (:func:`_metric_block`), whether the report
-    was built, read back with ``from_json`` or copied; any other metric is
-    written by ``json.dumps`` itself.
+    ``'%.12g'`` writer's texts in passes of ``_G12_CHUNK`` cells, joined
+    once to json's text of the rest (:func:`_metric_block`), whether the
+    report was built, read back with ``from_json`` or copied; any other
+    metric is written by ``json.dumps`` itself.
     """
 
     version: str
@@ -479,15 +481,15 @@ class AnalysisReport:
     def to_json(self) -> str:
         values = {f.name: getattr(self, f.name) for f in fields(self)}
         # the n x n metric is most of the text, and json's indent=2 encoder
-        # runs in Python: the writer's array passes write it instead
-        block = (_metric_block(self.intertwiner.get("matrix"))
-                 if isinstance(self.intertwiner, dict) else None)
-        if block is not None:
+        # runs in Python: the writer writes it between json's text of the rest
+        if isinstance(self.intertwiner, dict):
             text = json.dumps({**values, "intertwiner": {
                 **self.intertwiner, "matrix": _MATRIX_MARK}}, indent=2)
-            mark = json.dumps(_MATRIX_MARK)
-            if text.count(mark) == 1:
-                return text.replace(mark, block)
+            parts = text.split(json.dumps(_MATRIX_MARK))
+            if len(parts) == 2:
+                written = _metric_block(self.intertwiner.get("matrix"), *parts)
+                if written is not None:
+                    return written
         return json.dumps(values, indent=2)
 
     @classmethod

@@ -4,8 +4,9 @@ import copy
 import dataclasses
 import json
 import math
+import tracemalloc
 import warnings
-from itertools import product
+from itertools import chain, product
 
 import numpy as np
 import pytest
@@ -217,6 +218,47 @@ def test_metric_block_is_what_json_writes():
         {"intertwiner": {"matrix": matrix}}, indent=2)
 
 
+def _rows_per_pass(n):
+    """Rows of an n x n metric that one pass of the render writes."""
+    return max(cli._G12_CHUNK // (2 * n), 1)
+
+
+def _hermitian_matrix(rng, n):
+    z = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    return z + z.conj().T
+
+
+def test_metric_of_several_passes_is_what_json_writes():
+    rng = np.random.default_rng(71)
+    # n = 50 takes one full pass of 40 rows and one of 10; n = 70 two of
+    # 29 rows and one of 12
+    for n in (50, 70):
+        assert 2 * n * n > cli._G12_CHUNK and n % _rows_per_pass(n)
+        for h in (with_spectrum(rng, np.linspace(-3.0, 3.0, n)), _hermitian_matrix(rng, n)):
+            report = build_analysis_report(h)
+            assert cli._metric_block(report.intertwiner["matrix"]) is not None
+            assert report.to_json() == json.dumps(dataclasses.asdict(report), indent=2)
+
+
+def test_edge_parts_in_a_later_pass_are_what_json_writes():
+    # integral, subnormal, signed zero and 1e12..1e16 parts, whose '%.12g'
+    # and repr spellings differ, in the second and the last, short pass
+    rng = np.random.default_rng(73)
+    n = 50
+    report = build_analysis_report(with_spectrum(rng, np.linspace(-3.0, 3.0, n)))
+    edges = list(chain.from_iterable(_pairs(EDGE_VALUES)))
+    assert len(edges) == 9
+    matrix = copy.deepcopy(report.intertwiner["matrix"])
+    for row in (_rows_per_pass(n), n - 2, n - 1):
+        assert row >= _rows_per_pass(n)
+        matrix[row][3:3 + len(edges)] = copy.deepcopy(edges)
+    edited = dataclasses.replace(report, intertwiner={**report.intertwiner,
+                                                      "matrix": matrix})
+    assert cli._metric_block(matrix) is not None
+    assert edited.to_json() == json.dumps(dataclasses.asdict(edited), indent=2)
+    assert AnalysisReport.from_json(edited.to_json()) == edited
+
+
 def _assert_percent_rows(cells: np.ndarray) -> None:
     """``_csv_rows`` of ``cells`` is the reference, each cell written by
     ``'%.12g'`` on its own; a failure names the first row that differs."""
@@ -295,6 +337,33 @@ def test_g12_round_matches_percent_format(monkeypatch):
     log10 = np.log10
     monkeypatch.setattr(np, "log10", lambda x: log10(x) + 2)
     _assert_rounds_as_percent(corpus[:20_000])
+
+
+def _traced_peak(call):
+    """Peak bytes that ``call()`` allocates on top of what is live."""
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_g12_round_works_in_bounded_passes():
+    values = np.random.default_rng(79).standard_normal(1 << 17)
+    cli._g12_round(values[:8])  # the writer's tables are built on first use
+    # the result is one input's bytes; a pass's temporaries, a few
+    # _G12_CHUNK cells each, come on top
+    assert _traced_peak(lambda: cli._g12_round(values)) <= 2 * values.nbytes
+
+
+def test_to_json_holds_about_two_copies_of_its_text():
+    # a Hermitian matrix gives a metric at any n; the text is ~1.2 MB
+    report = build_analysis_report(_hermitian_matrix(np.random.default_rng(83), 128))
+    text = report.to_json()
+    assert len(text) > 10 ** 6
+    # the block and the output; the floats' array and json's text are small
+    assert _traced_peak(report.to_json) <= 3 * len(text)
 
 
 def test_analyze_report_round_trip():
@@ -395,10 +464,12 @@ def test_edited_metric_is_written_afresh():
 
 def test_each_metric_is_formatted_once(monkeypatch):
     formatted = []
+    cells = []
     g12_texts = cli._g12_texts
 
     def counted(values):
         formatted.append(len(values))
+        cells.append(np.array(values))
         return g12_texts(values)
 
     monkeypatch.setattr(cli, "_g12_texts", counted)
@@ -415,6 +486,18 @@ def test_each_metric_is_formatted_once(monkeypatch):
         # and no float was rounded through its text
         assert set(formatted) <= {0, 2 * n * n}
         assert text == json.dumps(dataclasses.asdict(report), indent=2)
+    # n = 48 renders in passes of 4032 and 576 cells: together the calls
+    # cover the metric's 2 n^2 cells in order, each exactly once
+    n = 48
+    cells.clear()
+    report = build_analysis_report(_hermitian_matrix(rng, n))
+    text = report.to_json()
+    written = [values for values in cells if values.size]
+    assert [values.size for values in written] == [4032, 576]
+    metric = np.array(list(chain.from_iterable(chain.from_iterable(
+        report.intertwiner["matrix"]))))
+    assert np.concatenate(written).tobytes() == metric.tobytes()
+    assert text == json.dumps(dataclasses.asdict(report), indent=2)
 
 
 def test_read_back_and_copied_reports_write_the_metric_by_the_writer(monkeypatch):

@@ -579,19 +579,44 @@ _RADII_MISSING = pytest.mark.xfail(
            "ill-conditioned splits the doubled levels by more than the tolerance")
 
 
-@pytest.mark.parametrize("c", [1.0, 1e2, 1e4, pytest.param(1e6, marks=_RADII_MISSING),
-                               pytest.param(1e8, marks=_RADII_MISSING)])
-def test_doubled_model_admits_under_similarity(c):
-    # S = Q1 diag(logspace(0, log10 c, 4)) Q2 has condition number c
+def _doubled_draws(c):
+    """``(regime, draw, S H4 S^-1)`` for ten draws per regime of
+    ``S = Q1 diag(logspace(0, log10 c, 4)) Q2``, whose condition number is c."""
     rng = np.random.default_rng(4129)
-    refused = []
     for regime, h in _doubled_models().items():
         for draw in range(10):
             s = (haar_unitary(rng, 4) * np.logspace(0, np.log10(c), 4)) @ haar_unitary(rng, 4)
-            try:
-                admitted = kramers_test(s @ h @ np.linalg.inv(s)).admits_symmetry
-            except PseudohermError:
-                admitted = False
-            if not admitted:
-                refused.append((regime, draw))
+            yield regime, draw, s @ h @ np.linalg.inv(s)
+
+
+@pytest.mark.parametrize("c", [1.0, 1e2, 1e4, pytest.param(1e5, marks=_RADII_MISSING),
+                               pytest.param(1e6, marks=_RADII_MISSING),
+                               pytest.param(1e8, marks=_RADII_MISSING)])
+def test_doubled_model_admits_under_similarity(c):
+    refused = []
+    for regime, draw, h in _doubled_draws(c):
+        try:
+            admitted = kramers_test(h).admits_symmetry
+        except PseudohermError:
+            admitted = False
+        if not admitted:
+            refused.append((regime, draw))
     assert refused == []
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="ROADMAP item 1: a doubled level split by the solver "
+                          "reads as two simple real levels, a silent wrong verdict")
+def test_doubled_model_is_never_pseudohermitian_with_an_odd_level():
+    # every real level of H (x) 1_2 is doubled: "pseudohermitian with an
+    # odd real group" is wrong, where "not pseudohermitian" only refuses
+    # too much; at cond 1e5 Hermitian draws 3 and 8 answer it
+    wrong = []
+    for regime, draw, h in _doubled_draws(1e5):
+        try:
+            verdict = kramers_test(h)
+        except PseudohermError:
+            continue
+        if verdict.pseudohermitian and not verdict.all_even:
+            wrong.append((regime, draw))
+    assert wrong == []
