@@ -58,8 +58,8 @@ from .exceptions import (
 from .spectral import (
     DEFAULT_COND_CEILING,
     DEFAULT_TOL,
-    _classify_stack,
     _group_stack,
+    _real_groups,
     biorthonormal_system,
 )
 from .spin_rotation import (
@@ -686,7 +686,7 @@ def _scan_rows(fields, grid: np.ndarray) -> str:
         peaks += ["" if refusal is not None else text
                   for text, refusal in zip(texts, refusals)]
     # a defective point's generator has no groups to classify
-    even = iter(_classify_stack(*groups)[2])
+    even = iter(_real_groups(*groups)[1])
     parity = ["" if refusal is not None else "true" if next(even) else "false"
               for refusal in defective]
     regime = ["true" if real else "false" for real in _in_real_regime(fields).tolist()]

@@ -15,13 +15,14 @@ these pairs, so this module also carries the eigenvalue bookkeeping:
 clustering the spectrum into degenerate groups once, when the system is
 built, and splitting those groups into real ones and complex-conjugate
 partners.  Each system has one radius, ``tol * _tolerance_scale(rho)``
-with ``rho`` its spectral radius, computed by the clustering alone, and
-that radius decides which values cluster into one group, which groups
-are real (``|Im z|`` within it) and which are conjugate partners
-(distance within it).  One array classifier splits the groups of one
-system or a stack, as arrays: each upper half-plane group, in group
-order, pairs with the nearest lower group not yet taken, within the
-radius and at equal multiplicity.  One function,
+with ``rho`` its spectral radius (:func:`_radius`), computed by the
+clustering alone, and that radius decides which values cluster into one
+group, which groups are real (``|Im z|`` within it) and which are
+conjugate partners (distance within it).  :func:`_real_groups` applies
+the "real" rule and the parity to a stack of systems as arrays;
+:func:`_classification` alone pairs, one system at a time: each upper
+half-plane group, in group order, takes the nearest lower group not yet
+taken, within the radius and at equal multiplicity.  One function,
 :func:`_tolerance_scale`, says what a relative tolerance is relative to,
 for the radius, for the residuals of :mod:`pseudoherm.symmetry` and for
 the two-level model's "vanishes" rule.
@@ -81,6 +82,13 @@ def _tolerance_scale(magnitude):
     return np.where(magnitude == 0, 1.0, magnitude)
 
 
+def _radius(tol: float, values: np.ndarray):
+    """The radius of each row of ``values``, ``tol * _tolerance_scale(rho)``
+    with ``rho`` the row's spectral radius: the one rule that both the
+    clustering and the two-level model's closed-form system apply."""
+    return tol * _tolerance_scale(np.abs(values).max(axis=-1, initial=0.0))
+
+
 def _cluster_stack(values: np.ndarray, tol: float):
     """Group nearly equal eigenvalues, row by row of an ``(N, n)`` stack.
 
@@ -97,7 +105,7 @@ def _cluster_stack(values: np.ndarray, tol: float):
     ``means`` and ``mults`` list the groups' representatives and sizes in
     that order, row after row; row ``e`` has ``counts[e]`` of them and
     the radius ``radii[e]``.  The last four are the groups as
-    :func:`_classify_stack` takes them.
+    :func:`_real_groups` takes them.
     """
     count, n = values.shape
     size = count * n
@@ -105,7 +113,7 @@ def _cluster_stack(values: np.ndarray, tol: float):
     offset = np.arange(0, size, n)[:, None]
     order = np.lexsort((values.imag, values.real)) + offset
     ws = values.ravel()[order]
-    radii = tol * _tolerance_scale(np.abs(ws).max(axis=1, initial=0.0))
+    radii = _radius(tol, ws)
     near = np.abs(ws[:, :, None] - ws[:, None, :]) <= radii[:, None, None]
     # label each value with the smallest index it reaches: solver jitter can
     # interleave +ib / -ib members under the sort, so groups need not be runs
@@ -278,7 +286,7 @@ def _group_stack(stack: np.ndarray, tol: float, cond_ceiling: float):
     :class:`NotDiagonalizableError` of :func:`biorthonormal_system`, for a
     ``cond(V)`` that is not finite or exceeds ``cond_ceiling``.  ``perm``
     and ``groups`` are :func:`_cluster_stack`'s for the matrices not
-    refused; ``groups`` is what :func:`_classify_stack` takes.
+    refused; ``groups`` is what :func:`_real_groups` takes.
 
     Raises
     ------
@@ -305,13 +313,11 @@ def classify_spectrum(system: BiorthonormalSystem) -> SpectrumClassification:
     conjugate pairs.
 
     The groups are the ones ``system`` was clustered into, classified
-    at the radius they were clustered at, ``system.radius``:
-    ``r = tol * _tolerance_scale(rho)`` with ``tol`` the system's
-    tolerance and ``rho`` its spectral radius.
-    A group ``z`` is real when ``|Im z| <= r``.  Each upper half-plane
-    group, in group order, takes the nearest lower group not yet taken
-    (the lower index on a tie); the pair holds when their distance is
-    within ``r`` and their multiplicities agree.
+    at the radius they were clustered at, ``r = system.radius``
+    (:func:`_radius`).  A group ``z`` is real when ``|Im z| <= r``.  Each
+    upper half-plane group, in group order, takes the nearest lower group
+    not yet taken (the lower index on a tie); the pair holds when their
+    distance is within ``r`` and their multiplicities agree.
     No spectrum is clustered here: classify the system of a matrix,
     built once by :func:`biorthonormal_system`.
 
@@ -332,89 +338,58 @@ def classify_spectrum(system: BiorthonormalSystem) -> SpectrumClassification:
     return cls
 
 
-def _classification(system: BiorthonormalSystem):
-    """:func:`_classify_stack` on ``system``'s own groups and radius:
-    ``(classification, all_even, refusal)``, with ``refusal`` ``None`` or
-    the error; the pairs are complete only when it is ``None``."""
-    real, partner, (all_even,), (refusal,) = _classify_stack(
-        system.eigenvalues, system.multiplicities, [len(system.eigenvalues)],
-        np.array([system.radius]))
-    return SpectrumClassification(
-        eigenvalues=system.eigenvalues.tolist(),
-        multiplicities=system.multiplicities.tolist(),
-        real_group_indices=np.flatnonzero(real).tolist(),
-        pair_group_indices=[(k, j) for k, j in enumerate(partner.tolist()) if j >= 0],
-    ), all_even, refusal
-
-
-def _classify_stack(values: np.ndarray, mults: np.ndarray,
-                    counts: list[int], radii: np.ndarray):
-    """Classify the eigenvalue groups of a stack of systems in one pass,
-    by :func:`classify_spectrum`'s rule, with distances taken within a
-    system only.  The groups come as :func:`_cluster_stack` returns them:
-    system ``e`` has ``counts[e]`` of them and is classified at
-    ``radii[e]``, the radius it was clustered at.
-
-    Returns ``(real, partner, all_even, refusals)``.  Over the groups of
-    the systems in turn, ``real`` flags the real ones and ``partner``
-    gives a paired upper group its lower partner's index in its system
-    (-1 for every other group).  Per system, ``all_even`` is whether no
-    real group is odd, and ``refusals`` is ``None`` or the
-    :class:`NotPseudohermitianError` of :func:`classify_spectrum`.
-    """
-    counts = np.asarray(counts, dtype=int)
-    owner = np.repeat(np.arange(counts.size), counts)
-    first = np.cumsum(counts) - counts
+def _real_groups(values: np.ndarray, mults: np.ndarray, counts: list[int],
+                 radii: np.ndarray):
+    """The one "real" rule and the parity, over the groups of a stack of
+    systems as :func:`_cluster_stack` returns them: system ``e`` has
+    ``counts[e]`` groups and the radius ``radii[e]``.  Returns ``(real,
+    all_even)``: ``real`` flags, over the groups of the systems in turn,
+    those with ``|Im z| <= radii[e]``; per system, ``all_even`` is
+    whether none of its real groups is odd.  No group is paired here."""
+    owner = np.repeat(np.arange(len(counts)), counts)
     real = np.abs(values.imag) <= radii[owner]
+    odd = np.bincount(owner, weights=real & (mults % 2 == 1), minlength=len(counts))
+    return real, (odd == 0).tolist()
+
+
+def _classification(system: BiorthonormalSystem):
+    """Classify ``system``'s own groups at its radius, by
+    :func:`classify_spectrum`'s rule: ``(classification, all_even,
+    refusal)``, with ``refusal`` ``None`` or the error.  The real groups
+    are always complete; the pairs only when ``refusal`` is ``None``."""
+    values, mults, radius = system.eigenvalues, system.multiplicities, system.radius
+    real, (all_even,) = _real_groups(values, mults, [values.size], np.array([radius]))
     upper = ~real & (values.imag > 0)
-    odd = np.bincount(owner, weights=real & (mults % 2 == 1), minlength=counts.size)
-
-    def table(mask):
-        # each system's masked groups in group order, one row per system,
-        # padded with -1 to at least one column
-        index = np.flatnonzero(mask)
-        rank = np.arange(index.size) - np.searchsorted(owner[index], owner[index])
-        rows = np.full((counts.size, rank.max(initial=0) + 1), -1)
-        rows[owner[index], rank] = index
-        return rows
-
-    uppers, lowers = table(upper), table(~real & ~upper)
-    taken = lowers < 0
-    open_ = np.ones(counts.size, dtype=bool)
-    refusals: list[NotPseudohermitianError | None] = [None] * counts.size
-    partner = np.full(values.size, -1)
-    # upper k of each system to each lower group of the same system
-    dists = np.abs(values[lowers][:, None, :] - np.conj(values[uppers])[:, :, None])
-    for k, column in enumerate(uppers.T):
-        rows = ((column >= 0) & open_).nonzero()[0]
-        if not rows.size:
-            break
-        u = column[rows]
-        free = ~taken[rows]
-        dist = np.where(free, dists[rows, k], np.inf)
-        j = dist.argmin(axis=1)
-        low = lowers[rows, j]
-        near = dist.min(axis=1) <= radii[rows]
-        ok = near & (mults[u] == mults[low])
-        taken[rows[ok], j[ok]] = True
-        partner[u[ok]] = low[ok] - first[rows[ok]]
-        open_[rows[~ok]] = False
-        for i in (~ok).nonzero()[0].tolist():
-            a, b = values[u[i]], values[low[i]]
-            if not free[i].any():
-                message = f"eigenvalue {a:g} has no conjugate partner"
-            elif not near[i]:
-                message = f"eigenvalue {a:g} has no conjugate partner within tolerance"
+    lowers = np.flatnonzero(~real & ~upper)
+    free = np.ones(lowers.size, dtype=bool)
+    pairs, refusal = [], None
+    for u in np.flatnonzero(upper).tolist():
+        if not free.any():
+            message = f"eigenvalue {values[u]:g} has no conjugate partner"
+        else:
+            # the nearest lower group not yet taken, the lower index on a tie
+            dist = np.where(free, np.abs(values[lowers] - np.conj(values[u])), np.inf)
+            j = int(dist.argmin())
+            low = int(lowers[j])
+            if not dist[j] <= radius:
+                message = (f"eigenvalue {values[u]:g} has no conjugate partner "
+                           "within tolerance")
+            elif mults[u] != mults[low]:
+                message = (f"conjugate pair {values[u]:g} / {values[low]:g} has mismatched "
+                           f"multiplicities {mults[u]} and {mults[low]}")
             else:
-                message = (f"conjugate pair {a:g} / {b:g} has mismatched "
-                           f"multiplicities {mults[u[i]]} and {mults[low[i]]}")
-            refusals[rows[i]] = NotPseudohermitianError(message)
-    stray = ~taken & open_[:, None]
-    for r in np.flatnonzero(stray.any(axis=1)).tolist():
-        listing = ", ".join(f"{values[j]:g}" for j in lowers[r][stray[r]])
-        refusals[r] = NotPseudohermitianError(
-            f"eigenvalues without conjugate partners: {listing}")
-    return real, partner, (odd == 0).tolist(), refusals
+                free[j] = False
+                pairs.append((u, low))
+                continue
+        refusal = NotPseudohermitianError(message)
+        break
+    if refusal is None and free.any():
+        listing = ", ".join(f"{values[j]:g}" for j in lowers[free])
+        refusal = NotPseudohermitianError(f"eigenvalues without conjugate partners: {listing}")
+    return SpectrumClassification(
+        eigenvalues=values.tolist(), multiplicities=mults.tolist(),
+        real_group_indices=np.flatnonzero(real).tolist(), pair_group_indices=pairs,
+    ), all_even, refusal
 
 
 def reconstruct(system: BiorthonormalSystem) -> np.ndarray:

@@ -74,7 +74,7 @@ from .exceptions import (
     EvolutionRangeError,
     ZeroSplittingError,
 )
-from .spectral import DEFAULT_TOL, BiorthonormalSystem, _tolerance_scale
+from .spectral import DEFAULT_TOL, BiorthonormalSystem, _radius, _tolerance_scale
 
 __all__ = [
     "ModelParams",
@@ -266,7 +266,7 @@ def model_eigenbasis(params: ModelParams) -> BiorthonormalSystem:
     orders them, by (real, imag) of the eigenvalue.  The right-vector
     matrix is ``diag(i r, 1)`` times a unitary, so its singular values are
     ``|r|`` and 1 and its condition number is ``max(|r|, 1/|r|)``; its
-    radius is the clustering's, ``DEFAULT_TOL * _tolerance_scale(rho)``.
+    radius is the clustering's, by the same rule, :func:`spectral._radius`.
 
     Raises
     ------
@@ -298,7 +298,7 @@ def model_eigenbasis(params: ModelParams) -> BiorthonormalSystem:
         eigenvalues=np.array(values), multiplicities=np.array([1, 1]),
         right_vectors=np.column_stack(right), left_vectors=np.column_stack(left),
         tolerance=DEFAULT_TOL, condition=max(abs(root), 1.0 / abs(root)),
-        radius=DEFAULT_TOL * float(_tolerance_scale(max(map(abs, values)))))
+        radius=float(_radius(DEFAULT_TOL, np.array(values))))
 
 
 def model_intertwiner(params: ModelParams) -> np.ndarray:

@@ -992,13 +992,13 @@ def test_scan_evaluates_asymmetry_per_block(capsys, monkeypatch):
 
 def test_scan_classifies_once_per_block(capsys, monkeypatch):
     stacks = []
-    classify = cli._classify_stack
+    classify = cli._real_groups
 
     def counted(values, mults, counts, radii):
         stacks.append(len(counts))
         return classify(values, mults, counts, radii)
 
-    monkeypatch.setattr(cli, "_classify_stack", counted)
+    monkeypatch.setattr(cli, "_real_groups", counted)
     # two blocks; k2 = 0.5 with muB = 0.25 is a Jordan block, left out
     code, out, _ = _run(capsys, ["scan", "--k1=-1:1:9", "--k2=-1:1:9",
                                  "--muB=-0.5:0.5:5", "--t-count=3"])
@@ -1006,6 +1006,23 @@ def test_scan_classifies_once_per_block(capsys, monkeypatch):
     blanks = [line.split(",")[4] for line in out.splitlines()[1:]].count("")
     assert blanks > 0
     assert len(stacks) == 2 and sum(stacks) == 405 - blanks
+
+
+def test_scan_pairs_no_groups(capsys, monkeypatch):
+    # scan reads realness and parity alone: no pairing runs on a block
+    flags = ["scan", "--k1=-1:1:9", "--k2=-1:1:9", "--muB=-0.5:0.5:5", "--t-count=3"]
+    expected = _run(capsys, flags)
+    parity = {line.split(",")[4] for line in expected[1].splitlines()[1:]}
+    assert parity == {"true", "false", ""}
+
+    def refuse(system):
+        raise AssertionError("scan paired groups")
+
+    for module in (spectral, symmetry):
+        monkeypatch.setattr(module, "_classification", refuse)
+    assert _run(capsys, flags) == expected
+    with pytest.raises(AssertionError, match="paired"):
+        spectral.classify_spectrum(spectral.biorthonormal_system(np.eye(2)))
 
 
 def test_scan_builds_no_system(capsys, monkeypatch):

@@ -286,34 +286,34 @@ def test_stacked_classifier_equals_each_system_alone():
     _, _, defective, _, groups = spectral._group_stack(
         np.stack(matrices), spectral.DEFAULT_TOL, spectral.DEFAULT_COND_CEILING)
     assert defective == [None] * len(matrices)
-    real, partner, all_even, refusals = spectral._classify_stack(*groups)
+    real, all_even = spectral._real_groups(*groups)
     start = 0
     messages = []
     for e, matrix in enumerate(matrices):
         system = biorthonormal_system(matrix)
         stop = start + len(system.eigenvalues)
-        alone = spectral._classify_stack(
+        alone = spectral._real_groups(
             system.eigenvalues, system.multiplicities, [len(system.eigenvalues)],
             np.array([system.radius]))
         assert np.array_equal(real[start:stop], alone[0])
-        assert np.array_equal(partner[start:stop], alone[1])
-        assert [all_even[e]] == alone[2]
-        assert [str(refusals[e])] == [str(r) for r in alone[3]]
-        # the N = 1 call is classify_spectrum's
+        assert [all_even[e]] == alone[1]
+        # the N = 1 call is the one classify_spectrum pairs after
+        cls, even, refusal = spectral._classification(system)
+        assert even == all_even[e]
+        assert cls.real_group_indices == np.flatnonzero(real[start:stop]).tolist()
         try:
-            cls = classify_spectrum(system)
+            classify_spectrum(system)
         except NotPseudohermitianError as error:
             messages.append(str(error))
-            assert str(refusals[e]) == str(error)
+            assert str(refusal) == str(error)
         else:
             messages.append(None)
-            assert refusals[e] is None
-            assert cls.real_group_indices == np.flatnonzero(real[start:stop]).tolist()
-            assert cls.pair_group_indices == [
-                (k, j) for k, j in enumerate(partner[start:stop].tolist()) if j >= 0]
+            assert refusal is None
+            assert all(not real[start + k] and not real[start + j]
+                       for k, j in cls.pair_group_indices)
         assert all_even[e] == kramers_test(matrices[e]).all_even
         start = stop
-    assert start == real.size == partner.size
+    assert start == real.size
     assert all_even == [True, False, True, False, False, True, True, True]
     assert [m is None for m in messages] == [True, True, False, False, False,
                                              False, True, True]
@@ -321,9 +321,9 @@ def test_stacked_classifier_equals_each_system_alone():
     assert "mismatched multiplicities 2 and 1" in messages[3]
     assert messages[4].endswith("has no conjugate partner")
     assert messages[5].endswith("within tolerance")
-    empty = spectral._classify_stack(np.zeros(0, dtype=complex), np.zeros(0, dtype=int),
-                                     [], np.zeros(0))
-    assert empty[0].size == empty[1].size == 0 and empty[2] == empty[3] == []
+    empty = spectral._real_groups(np.zeros(0, dtype=complex), np.zeros(0, dtype=int),
+                                  [], np.zeros(0))
+    assert empty[0].size == 0 and empty[1] == []
 
 
 def test_pairing_follows_group_order():
