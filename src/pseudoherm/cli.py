@@ -19,10 +19,11 @@ codes: 0 success, 2 numeric failure (``NotDiagonalizableError``,
 All floats are printed with 12 significant digits so identical inputs
 produce byte-identical output: each is the text of ``'%.12g' % x``.  The
 model CSV, the metric's texts and scan's peak column come from one
-vectorized writer, :func:`_csv_rows`, that matches ``'%.12g'`` byte for
-byte and leaves the cells it cannot settle exactly to ``'%.12g'`` itself;
-:func:`_g12_round` rounds arrays of report floats on the same
-decomposition, bit for bit ``float('%.12g' % x)``.
+vectorized writer, :func:`_csv_rows`, whose layouts are read off
+``'%.12g'`` itself and which leaves the cells it cannot settle exactly
+to ``'%.12g'``; :func:`_g12_round` rounds arrays of report floats on the
+same decomposition, bit for bit ``float('%.12g' % x)``, and leaves the
+rest to :func:`_g12`.
 
 Matrix files hold the dimension on the first line followed by dim*dim
 whitespace-separated row-major complex tokens of the form ``a+bi``,
@@ -109,52 +110,49 @@ def _g12(x) -> float:
 # decimal exponent e of its first digit: m = round(|x| 10^(11-e)), the
 # product taken exactly (Dekker) against 10^(11-e) held as a double-double,
 # with floor(log10|x|) as the first guess of e.  Its bytes are gathered
-# from a per-cell source row through one template per layout.  A cell the
+# from a per-cell source row through one template per layout, notation
+# kind by digit count, each read off '%.12g' itself.  A cell the
 # decomposition cannot settle exactly is written by '%.12g' itself.
 
 # cells per pass: bounds the writer's temporaries
 _G12_CHUNK = 4096
-# magnitudes the decomposition takes: no split or product under- or overflows
-_G12_RANGE = (1e-280, 1e280)
+# magnitudes the decomposition takes: no split or product under- or
+# overflows, and e -> 22 - e maps their exponents onto themselves, so
+# _g12_round's m 10^(e-11) is a row of the power table too
+_G12_RANGE = (1e-258, 1e280)
 # the decimal exponents the power table covers: those of _G12_RANGE, and
 # one more either side for a guess that settles by a step
-_G12_EXPONENTS = (-282, 281)
+_G12_EXPONENTS = (-259, 281)
 # how close to a half the 13th digit onwards may come before '%.12g'
 # decides the rounding; the computed fraction is good to ~1e-15
 _G12_TIE = 1e-9
-# a source row, in 4-byte words: the 12 digits, |e| as 4 digits, room
-# for a verbatim cell's text, then the 8 constant bytes, the last one NUL
-_G12_TEXT = 24
-_G12_TAIL = b"-.e+0,\n\0"
-_MINUS, _POINT, _E, _PLUS, _ZERO, _COMMA, _NEWLINE, _NUL = range(
-    _G12_TEXT, _G12_TEXT + len(_G12_TAIL))
+# a source row: the 12 digits, |e| as 4 digits and room for a verbatim
+# cell's text in 24 bytes, then 8 constant bytes stored as one word: the
+# cell's sign ('-' or NUL), then _G12_TAIL with its separator, ',' or a
+# newline at a row's end
+_G12_TAIL = b".e+-0,\0"
+_SIGN, _POINT, _E, _PLUS, _MINUS, _ZERO, _SEP, _NUL = range(24, 32)
 # bytes of a cell and its separator, at most: '-0.0000' and 12 digits, or
 # '-d.' 11 digits 'e-ddd', or the longest '%.12g' text of a double (19)
 _G12_WIDTH = 20
-# layouts: fixed notation for e in -4..11 (kinds 0..15), then the exponent
-# form by sign and digit count of e (kinds 16..19), each by digit count,
-# sign and separator, numbered kind * 48 + (digits - 1) * 4 + sign * 2 +
-# separator; then verbatim text by length and separator
-_G12_KINDS = 20
-_G12_VERBATIM = _G12_KINDS * 48
 
 
-def _g12_template(kind: int, digits: int, negative: bool) -> list[int]:
-    """Source columns of a cell of the given layout, without separator."""
-    cols = [_MINUS] if negative else []
-    if kind < 16:
-        e = kind - 4
-        if e >= 0:
-            cols += range(e + 1)
-            if digits > e + 1:
-                cols += [_POINT, *range(e + 1, digits)]
+def _g12_template(e: int, digits: int) -> list[int]:
+    """Source columns of a cell whose first digit has decimal exponent
+    ``e``, with ``digits`` significant digits, read off ``'%.12g'``."""
+    text = "%.12g" % (int("1" * digits) * 10.0 ** (e - digits + 1))
+    significand, _, exponent = text.partition("e")
+    cols, column = [], 0
+    for char in significand:
+        if char == "." or (char == "0" and not column):
+            cols.append(_POINT if char == "." else _ZERO)
         else:
-            cols += [_ZERO, _POINT, *[_ZERO] * (-e - 1), *range(digits)]
-    else:
-        long_exponent, negative_exponent = divmod(kind - 16, 2)
-        cols += [0, *([_POINT, *range(1, digits)] if digits > 1 else []),
-                 _E, _MINUS if negative_exponent else _PLUS,
-                 *range(14 - long_exponent, 16)]
+            cols.append(column)
+            column += 1
+    if exponent:
+        # the exponent's 2 or 3 digits are the last columns of |e|
+        cols += [_E, _PLUS if exponent[0] == "+" else _MINUS,
+                 *range(17 - len(exponent), 16)]
     return cols
 
 
@@ -164,10 +162,12 @@ def _g12_tables() -> SimpleNamespace:
 
     ``powers`` rows hold 10^k as ``hi + lo``, for k = 11 - e from the
     largest e down, and ``hi`` split into 26-bit halves for Dekker's
-    product; ``kinds`` is the layout number of each e's kind; ``ascii``
-    holds the four digits of 0..9999 as one word, and ``digits`` their
-    count without trailing zeros (1 for 0); ``templates`` give each
-    layout's source columns, padded with NUL.
+    product; ``kinds`` is each e's first layout, its notation kind times
+    12; ``ascii`` holds the four digits of 0..9999 as one word, and
+    ``digits`` their count without trailing zeros (1 for 0); ``templates``
+    give each layout's source columns, padded with NUL: ``kind * 12 +
+    digits - 1``, then verbatim text by length from ``verbatim`` on;
+    ``tails`` are a row's constant bytes, unsigned and signed.
     """
     low, high = _G12_EXPONENTS
     powers = []
@@ -187,28 +187,27 @@ def _g12_tables() -> SimpleNamespace:
     scaled = hi * 134217729.0  # 2^27 + 1: Veltkamp's split
     top = scaled - (scaled - hi)
     e = np.arange(low, high + 1)
-    kinds = np.where((e >= -4) & (e < 12), e + 4,
-                     16 + 2 * (np.abs(e) >= 100) + (e < 0)) * 48
-    digits = np.arange(10000)[:, None] // np.array([1000, 100, 10, 1]) % 10
-    trailing = np.cumprod(digits[:, ::-1] == 0, axis=1).sum(axis=1)
-    rows = []
-    for kind in range(_G12_KINDS):
-        for count in range(1, 13):
-            for negative in (False, True):
-                cells = _g12_template(kind, count, negative)
-                rows += [cells + [_COMMA], cells + [_NEWLINE]]
-    for length in range(1, _G12_WIDTH):
-        rows += [[*range(length), _COMMA], [*range(length), _NEWLINE]]
+    # the notation kinds: fixed for e in -4..11, else the exponent form
+    # by the sign and digit count of e
+    kinds = np.where((e >= -4) & (e < 12), e + 4, 16 + 2 * (np.abs(e) >= 100) + (e < 0))
+    _, first = np.unique(kinds, return_index=True)
+    rows = [[_SIGN, *_g12_template(low + k, count), _SEP]
+            for k in first.tolist() for count in range(1, 13)]
+    verbatim = len(rows)
+    rows += [[*range(length), _SEP] for length in range(1, _G12_WIDTH)]
     templates = np.full((len(rows), _G12_WIDTH), _NUL, dtype=np.intp)
     for row, cols in zip(templates, rows):
         row[:len(cols)] = cols
+    digits = np.arange(10000)[:, None] // np.array([1000, 100, 10, 1]) % 10
+    trailing = np.cumprod(digits[:, ::-1] == 0, axis=1).sum(axis=1)
     return SimpleNamespace(
         powers=np.column_stack([hi, top, hi - top, lo]),
-        kinds=kinds,
+        kinds=kinds * 12,
         ascii=(digits + ord("0")).astype(np.uint8).view(np.uint32).ravel(),
         digits=np.maximum(4 - trailing, 1),
         templates=templates,
-        tail=np.frombuffer(_G12_TAIL, dtype=np.uint64)[0])
+        verbatim=verbatim,
+        tails=np.frombuffer(b"\0" + _G12_TAIL + b"-" + _G12_TAIL, dtype=np.uint64))
 
 
 def _g12_scaled(magnitude: np.ndarray, e: np.ndarray, tables) -> tuple:
@@ -263,16 +262,15 @@ def _g12_round(x: np.ndarray) -> np.ndarray:
     taken as ``p + r`` by the writer's exact product, good to ~1e-30 of
     its size, so the one sum ``p + r`` rounds it as ``float()`` does
     unless it lies within 2^-30 ulp of a rounding boundary.  Those cells,
-    the ones the decomposition leaves to ``'%.12g'`` and those below
-    1e-259, past the power table, are parsed from the writer's texts."""
+    and the ones the decomposition leaves to ``'%.12g'``, are rounded by
+    :func:`_g12`."""
     tables = _g12_tables()
     out = np.empty(x.shape)
     for start in range(0, x.size, _G12_CHUNK):
         part = x[start:start + _G12_CHUNK]
         mantissa, e, verbatim = _g12_decompose(part, tables)
         # m 10^(e-11) is m 10^(11-f) for f = 22 - e, a row of the table
-        past = e < 22 - _G12_EXPONENTS[1]
-        p, r = _g12_scaled(mantissa, np.where(past, 22, 22 - e), tables)
+        p, r = _g12_scaled(mantissa, 22 - e, tables)
         rounded = p + r
         # the sum's rounding error, exactly, as |r| < |p|; a boundary lies
         # half an ulp away, or a quarter below a power of two
@@ -281,8 +279,8 @@ def _g12_round(x: np.ndarray) -> np.ndarray:
         unsure = np.minimum(np.abs(error - half),
                             np.abs(error - half / 2)) < half * 2.0 ** -30
         rounded = np.copysign(rounded, part, out=out[start:start + _G12_CHUNK])
-        rest = np.flatnonzero(verbatim | past | unsure)
-        rounded[rest] = list(map(float, _g12_texts(part[rest])))
+        rest = np.flatnonzero(verbatim | unsure)
+        rounded[rest] = list(map(_g12, part[rest].tolist()))
     return out
 
 
@@ -300,20 +298,20 @@ def _g12_chunk(x: np.ndarray, width: int) -> bytes:
     digits = tables.digits
     count = np.where(lower, 8 + digits.take(lower),
                      np.where(middle, 4 + digits.take(middle), digits.take(upper)))
-    layout = tables.kinds.take(e - _G12_EXPONENTS[0]) + count * 4 + np.signbit(x) * 2 - 4
-    layout.reshape(-1, width)[:, -1] += 1
-    source = np.empty((x.size, _G12_TEXT + len(_G12_TAIL)), dtype=np.uint8)
+    layout = tables.kinds.take(e - _G12_EXPONENTS[0]) + count - 1
+    source = np.empty((x.size, _NUL + 1), dtype=np.uint8)
     words = source.view(np.uint32)
     ascii = tables.ascii
     words[:, 0] = ascii.take(upper)
     words[:, 1] = ascii.take(middle)
     words[:, 2] = ascii.take(lower)
     words[:, 3] = ascii.take(np.abs(e))
-    source.view(np.uint64)[:, -1] = tables.tail
+    source.view(np.uint64)[:, -1] = tables.tails.take(np.signbit(x))
+    source[width - 1::width, _SEP] = ord("\n")  # each row's last cell
     for k in np.flatnonzero(verbatim).tolist():
         text = b"%.12g" % x[k]
         source[k, :len(text)] = np.frombuffer(text, dtype=np.uint8)
-        layout[k] = _G12_VERBATIM + (len(text) - 1) * 2 + layout[k] % 2
+        layout[k] = tables.verbatim + len(text) - 1
     index = tables.templates.take(layout, axis=0)
     index += np.arange(0, source.size, source.shape[1])[:, None]
     return source.ravel().take(index.ravel()).tobytes().translate(None, b"\0")
@@ -354,12 +352,11 @@ def _metric_block(matrix, head: str = "", tail: str = "") -> str | None:
     templates in passes of ``_G12_CHUNK`` cells.
 
     The metric must be a regular grid of ``[re, im]`` pairs of finite
-    ``float`` that :func:`_g12_round` leaves unchanged, bit for bit, as
-    :func:`build_analysis_report` leaves them: each is the float its
-    ``'%.12g'`` text spells.  ``repr``, json's spelling, writes those
-    texts, except that ``'%.12g'`` drops the ``.0`` of an integral
-    value, writes an exponent from 1e12 on, where ``repr`` does from 1e16
-    on, and gives a subnormal 12 digits: ``repr`` writes those parts.
+    ``float``.  A part whose ``'%.12g'`` text is not json's spelling is
+    written by ``repr``, json's spelling: one that :func:`_g12_round`
+    changes, an integral one below 1e16 (``'%.12g'`` drops its ``.0``,
+    and writes an exponent from 1e12 on) and a subnormal one (``'%.12g'``
+    gives it 12 digits).  Each pass takes that mask of its own parts.
     """
     if type(matrix) is not list or set(map(type, matrix)) != {list}:
         return None
@@ -372,7 +369,7 @@ def _metric_block(matrix, head: str = "", tail: str = "") -> str | None:
     if set(map(type, values)) != {float}:
         return None
     a = np.array(values)
-    if not np.isfinite(a).all() or _g12_round(a).tobytes() != a.tobytes():
+    if not np.isfinite(a).all():
         return None
     row_nl, pair_nl, value_nl = (f"\n{_METRIC_INDENT}{' ' * k}" for k in (2, 4, 6))
     pair = f"[{value_nl}%s,{value_nl}%s{pair_nl}]"
@@ -383,8 +380,10 @@ def _metric_block(matrix, head: str = "", tail: str = "") -> str | None:
         part = a[start:start + step]
         texts = _g12_texts(part)
         magnitude = np.abs(part)
-        integral = (part == np.trunc(part)) & (magnitude < 1e16)
-        for k in np.flatnonzero(integral | (magnitude < np.finfo(float).tiny)).tolist():
+        respelled = ((_g12_round(part) != part)
+                     | ((part == np.trunc(part)) & (magnitude < 1e16))
+                     | (magnitude < np.finfo(float).tiny))
+        for k in np.flatnonzero(respelled).tolist():
             texts[k] = repr(values[start + k])
         pieces += [f",{row_nl}", f",{row_nl}".join([row] * (part.size // (2 * cols)))
                    % tuple(texts)]
@@ -458,11 +457,11 @@ class AnalysisReport:
     print identical text.
 
     The report stores no text.  ``to_json`` writes a metric that is a
-    regular grid of ``[re, im]`` pairs of floats already rounded to 12
-    digits, as :func:`build_analysis_report` leaves it, from the
-    ``'%.12g'`` writer's texts in passes of ``_G12_CHUNK`` cells, joined
-    once to json's text of the rest (:func:`_metric_block`), whether the
-    report was built, read back with ``from_json`` or copied; any other
+    regular grid of ``[re, im]`` pairs of finite floats from the
+    ``'%.12g'`` writer's texts, or ``repr`` where those are not json's
+    spelling, in passes of ``_G12_CHUNK`` cells, joined once to json's
+    text of the rest (:func:`_metric_block`), whether the report was
+    built, read back with ``from_json``, copied or edited; any other
     metric is written by ``json.dumps`` itself.
     """
 

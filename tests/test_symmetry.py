@@ -590,11 +590,28 @@ def _doubled_draws(c):
             yield regime, draw, s @ h @ np.linalg.inv(s)
 
 
+def _miscounted(h):
+    """Whether the classification of ``h`` is refused or its groups' sum
+    of ``m_k m_l`` over conjugate groups is not the Sylvester kernel's
+    dimension ``d``; None where the kernel's gap does not stand clear."""
+    d, gap = sylvester_kernel(h)
+    if gap <= 1e3:
+        return None
+    try:
+        cls = spectral.classify_spectrum(biorthonormal_system(h))
+    except PseudohermError:
+        return True
+    return (sum(m * m for _, m in cls.real_groups)
+            + 2 * sum(m * m for _, _, m in cls.conjugate_pairs)) != d
+
+
 @pytest.mark.parametrize("c", [1.0, 1e2, 1e4, pytest.param(1e5, marks=_RADII_MISSING),
                                pytest.param(1e6, marks=_RADII_MISSING),
                                pytest.param(1e8, marks=_RADII_MISSING)])
 def test_doubled_model_admits_under_similarity(c):
-    refused = []
+    # where the Sylvester kernel's gap stands clear, the groups must
+    # count its dimension d
+    refused, miscounted, compared = [], [], 0
     for regime, draw, h in _doubled_draws(c):
         try:
             admitted = kramers_test(h).admits_symmetry
@@ -602,7 +619,12 @@ def test_doubled_model_admits_under_similarity(c):
             admitted = False
         if not admitted:
             refused.append((regime, draw))
-    assert refused == []
+        wrong = _miscounted(h)
+        compared += wrong is not None
+        if wrong:
+            miscounted.append((regime, draw))
+    assert refused == [] and miscounted == []
+    assert compared == 30
 
 
 @pytest.mark.xfail(strict=True, raises=AssertionError,
@@ -679,17 +701,9 @@ def test_paired_model_admits_under_similarity(c):
                 admitted = False
             if not admitted:
                 refused.append((pair, draw))
-            d, gap = sylvester_kernel(h)
-            if gap > 1e3:
-                compared += 1
-                try:
-                    cls = spectral.classify_spectrum(biorthonormal_system(h))
-                except PseudohermError:
-                    claimed = None
-                else:
-                    claimed = (sum(m * m for _, m in cls.real_groups)
-                               + 2 * sum(m * m for _, _, m in cls.conjugate_pairs))
-                if claimed != d:
-                    miscounted.append((pair, draw))
+            wrong = _miscounted(h)
+            compared += wrong is not None
+            if wrong:
+                miscounted.append((pair, draw))
     assert refused == [] and miscounted == []
     assert compared == 45
