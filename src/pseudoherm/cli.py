@@ -395,15 +395,15 @@ def _metric_block(matrix, head: str = "", tail: str = "") -> str | None:
 
 @dataclass
 class MatrixFile:
-    """Parsed matrix file: dimension plus row-major entries.
+    """Parsed matrix file: dimension plus the row-major entries as one 1-d
+    complex array, which :meth:`to_matrix` views as ``(dim, dim)``.
 
-    An entry token is whatever ``complex()`` accepts once ``i`` and ``I``
-    read as ``j``, and must be finite; a parse error names the first bad
-    token in file order.
+    A token is whatever ``complex()`` accepts once ``i``/``I`` read as ``j``,
+    and must be finite; a parse error names the first bad token in file order.
     """
 
     dim: int
-    entries: list[complex]
+    entries: np.ndarray
 
     @classmethod
     def parse(cls, text: str) -> "MatrixFile":
@@ -424,7 +424,7 @@ class MatrixFile:
                 f"expected {dim * dim} entries for dimension {dim}, "
                 f"found {len(tokens)}")
         try:
-            entries = list(map(complex, tokens))
+            entries = np.fromiter(map(complex, tokens), complex, len(tokens))
         except ValueError:
             entries = None
         if entries is None or not np.isfinite(entries).all():
@@ -439,7 +439,7 @@ class MatrixFile:
         return cls(dim=dim, entries=entries)
 
     def to_matrix(self) -> np.ndarray:
-        return np.array(self.entries, dtype=complex).reshape(self.dim, self.dim)
+        return self.entries.reshape(self.dim, self.dim)
 
 
 # stands in for the metric matrix while json writes the rest of a report

@@ -70,19 +70,28 @@ def _split_model_output(out):
 def test_matrix_file_token_forms():
     parsed = MatrixFile.parse("2  1+2i  -3i  2.5  4j")
     assert parsed.dim == 2
-    assert parsed.entries == [1 + 2j, -3j, 2.5 + 0j, 4j]
+    assert parsed.entries.tolist() == [1 + 2j, -3j, 2.5 + 0j, 4j]
     assert np.array_equal(parsed.to_matrix(),
                           np.array([[1 + 2j, -3j], [2.5, 4j]]))
     scientific = MatrixFile.parse("1 1e-3+2e2I")
-    assert scientific.entries == [0.001 + 200j]
+    assert scientific.entries.tolist() == [0.001 + 200j]
     # a token is whatever complex() accepts once i and I read as j
     accepted = MatrixFile.parse("2 4J (1+2i) 1_0 (-3)")
-    assert accepted.entries == [4j, 1 + 2j, 10 + 0j, -3 + 0j]
+    assert accepted.entries.tolist() == [4j, 1 + 2j, 10 + 0j, -3 + 0j]
+    for entries in (parsed.entries, scientific.entries, accepted.entries):
+        assert all(type(z) is complex for z in entries.tolist())
 
 
 def test_matrix_file_row_major_order():
-    parsed = MatrixFile.parse("2\n1 2\n3 4\n")
-    assert np.array_equal(parsed.to_matrix(), np.array([[1, 2], [3, 4]]))
+    # tokens need not follow the rows, and tabs and CRLF separate them too
+    for text in ("2\n1 2\n3 4\n", "2\n1 2 3\n4\n", "2\r\n1\t2\r\n3\t4\r\n"):
+        parsed = MatrixFile.parse(text)
+        assert parsed.entries.dtype == complex
+        assert parsed.entries.shape == (parsed.dim ** 2,)
+        matrix = parsed.to_matrix()
+        assert np.array_equal(matrix, np.array([[1, 2], [3, 4]]))
+        # the matrix is a view of the parsed entries, not a copy
+        assert np.shares_memory(matrix, parsed.entries)
 
 
 def test_matrix_file_rejections():

@@ -540,18 +540,40 @@ def test_verdicts_survive_scaling_shift_similarity_and_transposes():
     assert compared >= 0.95 * 2 * 6 * 3 * (6 + 11)
 
 
+def _similarity_sweep(c):
+    """``S H S^-1`` for seeds 0-9, with H = diag(1, 1, -0.5, -0.5,
+    0.3 +- 0.7i) and ``S = Q1 diag(logspace(0, log10 c, 6)) Q2``, whose
+    condition number is c."""
+    values = np.array([1.0, 1.0, -0.5, -0.5, 0.3 + 0.7j, 0.3 - 0.7j])
+    for seed in range(10):
+        rng = np.random.default_rng(seed)
+        s = (haar_unitary(rng, 6) * np.logspace(0, np.log10(c), 6)) @ haar_unitary(rng, 6)
+        yield s @ np.diag(values) @ np.linalg.inv(s)
+
+
 @pytest.mark.xfail(strict=True, raises=AssertionError,
                    reason="an ill-conditioned similarity splits the doubled "
                           "real levels by more than the tolerance")
 def test_ill_conditioned_similarity_is_right_or_refused():
-    values = np.array([1.0, 1.0, -0.5, -0.5, 0.3 + 0.7j, 0.3 - 0.7j])
     wrong = 0
-    for seed in range(10):
-        rng = np.random.default_rng(seed)
-        s = (haar_unitary(rng, 6) * np.logspace(0, 5, 6)) @ haar_unitary(rng, 6)
-        verdict = _verdict(s @ np.diag(values) @ np.linalg.inv(s))
+    for h in _similarity_sweep(1e5):
+        verdict = _verdict(h)
         wrong += verdict not in (None, (True, True, True))
     assert wrong == 0
+
+
+_RADII_MISSING = pytest.mark.xfail(
+    strict=True, raises=AssertionError,
+    reason="ROADMAP item 1: without per-eigenvalue radii, a similarity this "
+           "ill-conditioned splits the doubled levels by more than the tolerance")
+
+
+@pytest.mark.parametrize("c", [1.0, 1e2, 1e4, *(pytest.param(c, marks=_RADII_MISSING)
+                                                for c in (1e5, 1e6, 1e7, 1e8))])
+def test_ill_conditioned_similarity_is_counted_by_the_sylvester_kernel(c):
+    # the Sylvester kernel judges every draw (its gap stands clear), and
+    # the groups must count its dimension d
+    assert [_miscounted(h) for h in _similarity_sweep(c)] == [False] * 10
 
 
 # the helicity model doubled, H (x) 1_2, commutes exactly with the
@@ -572,12 +594,6 @@ def test_doubled_model_has_an_exact_witness():
     assert square_residual(witness) == 0.0
     for h in _doubled_models().values():
         assert commutator_residual(h, witness) == 0.0
-
-
-_RADII_MISSING = pytest.mark.xfail(
-    strict=True, raises=AssertionError,
-    reason="ROADMAP item 1: without per-eigenvalue radii, a similarity this "
-           "ill-conditioned splits the doubled levels by more than the tolerance")
 
 
 def _doubled_draws(c):
