@@ -122,7 +122,8 @@ _G12_CHUNK = 4096
 _G12_RANGE = (1e-258, 1e280)
 # the decimal exponents the power table covers: those of _G12_RANGE, and
 # one more either side for a guess that settles by a step
-_G12_EXPONENTS = (-259, 281)
+_G12_EXPONENTS = tuple(math.floor(math.log10(x)) + step
+                       for x, step in zip(_G12_RANGE, (-1, 1)))
 # how close to a half the 13th digit onwards may come before '%.12g'
 # decides the rounding; the computed fraction is good to ~1e-15
 _G12_TIE = 1e-9
@@ -172,17 +173,11 @@ def _g12_tables() -> SimpleNamespace:
     low, high = _G12_EXPONENTS
     powers = []
     for k in range(11 - high, 12 - low):
-        if k >= 0:
-            exact = 10 ** k
-            hi = float(exact)
-            lo = float(exact - int(hi))
-        else:
-            # int / int and int -> float round correctly
-            den = 10 ** -k
-            hi = 1 / den
-            num, two = hi.as_integer_ratio()
-            lo = (two - num * den) / (two * den)
-        powers.append((hi, lo))
+        # 10^k = p / q exactly; int / int rounds correctly, so hi = num / two
+        # is the double nearest 10^k and lo the double nearest the rest
+        p, q = 10 ** max(k, 0), 10 ** max(-k, 0)
+        num, two = (p / q).as_integer_ratio()
+        powers.append((num / two, (p * two - num * q) / (q * two)))
     hi, lo = np.array(powers).T
     scaled = hi * 134217729.0  # 2^27 + 1: Veltkamp's split
     top = scaled - (scaled - hi)
@@ -673,8 +668,8 @@ def _scan_rows(fields, grid: np.ndarray) -> str:
     spectral pass, and asymmetry passes of at most ``_SCAN_CELLS`` cells;
     a point the model refuses blanks only its cells."""
     # the block's eigenvalue groups, as arrays: no system is built
-    _, _, defective, _, groups = _group_stack(_hamiltonian_stack(fields),
-                                              DEFAULT_TOL, DEFAULT_COND_CEILING)
+    _, _, kept, _, groups = _group_stack(_hamiltonian_stack(fields),
+                                         DEFAULT_TOL, DEFAULT_COND_CEILING)
     rows = _SCAN_CELLS // grid.size or 1
     peaks = []
     for start in range(0, fields.k1.size, rows):
@@ -685,9 +680,8 @@ def _scan_rows(fields, grid: np.ndarray) -> str:
         peaks += ["" if refusal is not None else text
                   for text, refusal in zip(texts, refusals)]
     # a defective point's generator has no groups to classify
-    even = iter(_real_groups(*groups)[1])
-    parity = ["" if refusal is not None else "true" if next(even) else "false"
-              for refusal in defective]
+    parity = np.full(kept.size, "", dtype=object)
+    parity[kept] = np.where(_real_groups(*groups)[1], "true", "false")
     regime = ["true" if real else "false" for real in _in_real_regime(fields).tolist()]
     cells = zip(fields.k1.tolist(), fields.k2.tolist(), fields.muB.tolist(),
                 regime, parity, peaks)

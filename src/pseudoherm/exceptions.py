@@ -51,7 +51,9 @@ class AmbiguousSpectrumError(PseudohermError):
     ``(tol + 1e3 n eps) cond(V)``: the levels merged into one group, or a
     level counted as real, are further from it than a backward error of
     ``tol`` relative to the spectral radius explains, so the verdict is
-    refused rather than given.
+    refused rather than given.  This gate is the one place ``tol`` is
+    read as a backward error; the groups were formed at the forward
+    radius ``tol * rho`` on the computed eigenvalues.
     """
 
 

@@ -249,7 +249,9 @@ def biorthonormal_system(matrix, tol: float = DEFAULT_TOL,
 
     The eigenvalues are grouped by :func:`_group_stack` on a stack of
     one (N = 1), so a system's groups and radius are bit for bit its row
-    of a larger stack; only here are the vectors inverted.
+    of a larger stack; only here are the vectors inverted.  ``tol`` sets
+    the radius ``tol * rho``, a forward distance between computed
+    eigenvalues, not a backward error of the matrix.
 
     Raises
     ------
@@ -261,9 +263,11 @@ def biorthonormal_system(matrix, tol: float = DEFAULT_TOL,
         not finite and positive.
     """
     a = _square_complex(matrix)
-    v, (cond,), (refusal,), perm, groups = _group_stack(a[None], tol, cond_ceiling)
-    if refusal is not None:
-        raise refusal
+    v, cond, kept, perm, groups = _group_stack(a[None], tol, cond_ceiling)
+    if not kept[0]:
+        raise NotDiagonalizableError(
+            f"eigenvector matrix condition number {cond[0]:.3e} exceeds "
+            f"ceiling {cond_ceiling:.3e}")
     values, mults, _, (radius,) = groups
     # columns gathered as rows: the right vectors are the Fortran-ordered
     # matrix a column gather ``v[:, perm]`` gives, and the products built
@@ -272,7 +276,7 @@ def biorthonormal_system(matrix, tol: float = DEFAULT_TOL,
     return BiorthonormalSystem(
         eigenvalues=values, multiplicities=mults, right_vectors=rows.T,
         left_vectors=np.linalg.inv(rows.T).conj().T, tolerance=tol,
-        condition=cond, radius=float(radius))
+        condition=float(cond[0]), radius=float(radius))
 
 
 def _group_stack(stack: np.ndarray, tol: float, cond_ceiling: float):
@@ -280,13 +284,12 @@ def _group_stack(stack: np.ndarray, tol: float, cond_ceiling: float):
     arrays: one eigensolve, unit-norm eigenvector columns, their condition
     numbers and one clustering, with no inverse and no system built.
 
-    Returns ``(vectors, condition, refusals, perm, groups)``.  Per matrix,
+    Returns ``(vectors, condition, kept, perm, groups)``.  Per matrix,
     ``vectors`` holds its unit right eigenvectors in the solver's order,
-    ``condition`` their ``cond(V)``, and ``refusals`` ``None`` or the
-    :class:`NotDiagonalizableError` of :func:`biorthonormal_system`, for a
-    ``cond(V)`` that is not finite or exceeds ``cond_ceiling``.  ``perm``
-    and ``groups`` are :func:`_cluster_stack`'s for the matrices not
-    refused; ``groups`` is what :func:`_real_groups` takes.
+    ``condition`` their ``cond(V)``, and ``kept`` whether it is
+    diagonalizable by the one test, ``cond(V) <= cond_ceiling`` (NaN and
+    inf fail it).  ``perm`` and ``groups`` are :func:`_cluster_stack`'s
+    for the kept matrices; ``groups`` is what :func:`_real_groups` takes.
 
     Raises
     ------
@@ -298,14 +301,10 @@ def _group_stack(stack: np.ndarray, tol: float, cond_ceiling: float):
     _check_tolerance("cond_ceiling", cond_ceiling)
     w, v = np.linalg.eig(stack)
     v = v / np.linalg.norm(v, axis=-2, keepdims=True)
-    cond = np.linalg.cond(v).tolist()
-    # NaN and inf fail the comparison too
-    refusals = [None if c <= cond_ceiling else NotDiagonalizableError(
-        f"eigenvector matrix condition number {c:.3e} exceeds "
-        f"ceiling {cond_ceiling:.3e}") for c in cond]
-    perm, *groups = _cluster_stack(
-        w[np.flatnonzero([r is None for r in refusals])], tol)
-    return v, cond, refusals, perm, groups
+    cond = np.linalg.cond(v)
+    kept = cond <= cond_ceiling
+    perm, *groups = _cluster_stack(w[kept], tol)
+    return v, cond, kept, perm, groups
 
 
 def classify_spectrum(system: BiorthonormalSystem) -> SpectrumClassification:
@@ -314,10 +313,12 @@ def classify_spectrum(system: BiorthonormalSystem) -> SpectrumClassification:
 
     The groups are the ones ``system`` was clustered into, classified
     at the radius they were clustered at, ``r = system.radius``
-    (:func:`_radius`).  A group ``z`` is real when ``|Im z| <= r``.  Each
-    upper half-plane group, in group order, takes the nearest lower group
-    not yet taken (the lower index on a tie); the pair holds when their
-    distance is within ``r`` and their multiplicities agree.
+    (:func:`_radius`): a forward radius on the computed values, not a
+    backward error, that does not grow with their condition.  A group
+    ``z`` is real when ``|Im z| <= r``.  Each upper half-plane group, in
+    group order, takes the nearest lower group not yet taken (the lower
+    index on a tie); the pair holds when their distance is within ``r``
+    and their multiplicities agree.
     No spectrum is clustered here: classify the system of a matrix,
     built once by :func:`biorthonormal_system`.
 

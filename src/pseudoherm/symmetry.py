@@ -274,16 +274,16 @@ def kramers_test(matrix, tol: float = DEFAULT_TOL,
     of every real eigenvalue), and when both hold, constructs the witness
     and measures its residuals instead of trusting the construction.
 
-    ``tol`` is the backward-error radius the caller accepts, relative to
-    the spectral radius ``rho``: eigenvalues within ``tol * rho`` of each
-    other count as one level, and a level within ``tol * rho`` of the
-    real axis counts as real (``rho`` reads 1 for an exactly zero
-    spectrum).  A verdict that admits the symmetry stands only while its
-    witness commutes with ``H`` as closely as that radius allows: a
-    commutator residual, relative to ``norm(H, 'fro')``, above
-    ``(tol + 1e3 n eps) cond(V)`` is refused.  At ``tol=0.5``,
-    ``diag(1, 1.6)`` admits, its levels merged at a residual of 0.45,
-    and ``diag(1, 2)`` is refused, at 0.63.
+    ``tol`` enters twice.  Clustering, realness and pairing apply
+    ``tol * rho`` (``rho`` the spectral radius, 1 for an exactly zero
+    spectrum) as a forward radius on the computed eigenvalues; it does not
+    grow with their condition, so a large ``cond(V)`` can split a level or
+    part two partners by more.  Only the residual gate reads ``tol`` as a
+    backward error: a witness whose commutator residual, relative to
+    ``norm(H, 'fro')``, exceeds ``(tol + 1e3 n eps) cond(V)`` is refused;
+    a verdict that denies the symmetry builds none and passes no gate.
+    At ``tol=0.5``, ``diag(1, 1.6)`` admits, its levels merged at a
+    residual of 0.45, and ``diag(1, 2)`` is refused, at 0.63.
 
     Parameters
     ----------

@@ -48,11 +48,33 @@ def bounded_similarity(rng, n):
     return (left * singulars) @ right
 
 
+def conditioned_similarity(rng, n, c):
+    """``Q1 diag(logspace(0, log10 c, n)) Q2`` with Haar unitaries ``Q1``
+    and ``Q2``, drawn in that order: a similarity whose condition number
+    is c."""
+    return (haar_unitary(rng, n) * np.logspace(0, np.log10(c), n)) @ haar_unitary(rng, n)
+
+
 def with_spectrum(rng, eigenvalues):
     """Similarity-transform a diagonal matrix with the given spectrum."""
     values = np.asarray(eigenvalues, dtype=complex)
     s = bounded_similarity(rng, len(values))
     return s @ np.diag(values) @ np.linalg.inv(s)
+
+
+def invariance_transforms(rng, n):
+    """The transforms no verdict may depend on: positive scaling, a real
+    shift, a similarity with cond <= 4, the transpose and the adjoint."""
+    shift = float(rng.uniform(-5.0, 5.0))
+    s = bounded_similarity(rng, n)
+    return {
+        "scale 1e10": lambda h: 1e10 * h,
+        "scale 1e-10": lambda h: 1e-10 * h,
+        "shift": lambda h: h + shift * np.eye(n),
+        "similarity": lambda h: s @ h @ np.linalg.inv(s),
+        "transpose": lambda h: h.T,
+        "adjoint": lambda h: h.conj().T,
+    }
 
 
 def _room(placed, gap, lo, hi):

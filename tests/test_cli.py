@@ -6,6 +6,7 @@ import json
 import math
 import tracemalloc
 import warnings
+from fractions import Fraction
 from itertools import chain, product
 
 import numpy as np
@@ -338,6 +339,20 @@ def test_g12_writer_covers_every_layout():
             _assert_percent_rows(padded.reshape(-1, width))
     _assert_rounds_as_percent(values)
     assert len(cli._g12_tables().templates) == 20 * 12 + 19
+
+
+def test_g12_power_table_rows_are_nearest_doubles():
+    # row i holds 10^k for k = 11 - e, e from the top of _G12_EXPONENTS
+    # down: hi is the double nearest 10^k, lo the double nearest the rest,
+    # and the split halves add up to hi
+    low, high = cli._G12_EXPONENTS
+    powers = cli._g12_tables().powers
+    assert len(powers) == high - low + 1
+    for k, (hi, top, bottom, lo) in zip(range(11 - high, 12 - low), powers.tolist()):
+        exact = Fraction(10) ** k
+        assert hi == float(exact), k
+        assert lo == float(exact - Fraction(hi)), k
+        assert top + bottom == hi, k
 
 
 def _assert_rounds_as_percent(values: np.ndarray) -> None:

@@ -49,8 +49,10 @@ def test_diagonalize_eigen_equation_on_random_corpus():
 def test_cond_ceiling_is_adjustable():
     h = np.array([[1.0, 1.0], [0.0, 1.0 + 1e-3]])
     biorthonormal_system(h)  # fine at the default ceiling
-    with pytest.raises(NotDiagonalizableError):
+    with pytest.raises(NotDiagonalizableError) as refused:
         biorthonormal_system(h, cond_ceiling=1e2)
+    assert str(refused.value) == ("eigenvector matrix condition number 2.000e+03 "
+                                  "exceeds ceiling 1.000e+02")
 
 
 def test_input_validation():
@@ -99,18 +101,20 @@ def test_stacked_pass_equals_single_matrix_calls():
             with_spectrum(rng, 1.0 + 1e-5 * np.arange(n)),
             with_spectrum(rng, kramers_spectrum(rng, n)),
         ])
-        vectors, cond, refusals, perm, groups = spectral._group_stack(stack, 1e-9, 1e12)
+        vectors, cond, kept, perm, groups = spectral._group_stack(stack, 1e-9, 1e12)
         values, mults, counts, radii = groups
-        refused = [r is not None for r in refusals]
-        assert refused == [False, True, False, False, False, False, False]
+        assert kept.tolist() == [True, False, True, True, True, True, True]
         # a matrix's groups and radius alone are its row of the stack's
         start, row = 0, 0
         for e, h in enumerate(stack):
             try:
                 alone = biorthonormal_system(h)
             except NotDiagonalizableError as exc:
-                assert str(refusals[e]) == str(exc)
+                assert not kept[e]
+                assert str(exc) == (f"eigenvector matrix condition number {cond[e]:.3e} "
+                                    "exceeds ceiling 1.000e+12")
                 continue
+            assert kept[e]
             stop = start + counts[row]
             stacked = {"eigenvalues": values[start:stop],
                        "multiplicities": mults[start:stop],
@@ -283,9 +287,9 @@ def test_stacked_classifier_equals_each_system_alone():
         [1.0, 1.0, 2.0, 2.0, 3.0, 3.0],              # real, all even
     ]
     matrices = [with_spectrum(rng, spectrum) for spectrum in spectra]
-    _, _, defective, _, groups = spectral._group_stack(
+    _, _, kept, _, groups = spectral._group_stack(
         np.stack(matrices), spectral.DEFAULT_TOL, spectral.DEFAULT_COND_CEILING)
-    assert defective == [None] * len(matrices)
+    assert kept.tolist() == [True] * len(matrices)
     real, all_even = spectral._real_groups(*groups)
     start = 0
     messages = []

@@ -5,7 +5,8 @@ import pytest
 from conftest import (
     MODEL_REGIMES,
     bounded_similarity,
-    haar_unitary,
+    conditioned_similarity,
+    invariance_transforms,
     kramers_spectrum,
     odd_real_spectrum,
     separated_reals,
@@ -276,7 +277,7 @@ def test_all_even_stack_matches_each_report():
                           [0.0, 0.0, 2.0, 0.0], [0.0, 0.0, 0.0, 3.0]]),
                 np.diag([1j, -1j, 2.0, 2.0]),
                 np.diag([1j, 2j, 3.0, 4.0])]
-    _, _, defective, _, groups = spectral._group_stack(
+    _, _, kept, _, groups = spectral._group_stack(
         np.stack(matrices).astype(complex), spectral.DEFAULT_TOL,
         spectral.DEFAULT_COND_CEILING)
     expected = []
@@ -285,9 +286,9 @@ def test_all_even_stack_matches_each_report():
             expected.append(kramers_test(h).all_even)
         except NotDiagonalizableError:
             expected.append(None)
-    even = iter(spectral._real_groups(*groups)[1])
-    assert [None if refusal is not None else next(even)
-            for refusal in defective] == expected
+    parity = np.full(kept.size, None)
+    parity[kept] = spectral._real_groups(*groups)[1]
+    assert parity.tolist() == expected
     assert expected == [True, False, True, False, None, True, False]
     empty = (np.zeros(0, dtype=complex), np.zeros(0, dtype=int), [], np.zeros(0))
     assert spectral._real_groups(*empty)[1] == []
@@ -504,21 +505,6 @@ def _report_verdict(matrix):
             [mult for _, mult in report.real_degeneracies])
 
 
-def _invariance_transforms(rng, n):
-    """The transforms no verdict may depend on: positive scaling, a real
-    shift, a similarity with cond <= 4, the transpose and the adjoint."""
-    shift = float(rng.uniform(-5.0, 5.0))
-    s = bounded_similarity(rng, n)
-    return {
-        "scale 1e10": lambda h: 1e10 * h,
-        "scale 1e-10": lambda h: 1e-10 * h,
-        "shift": lambda h: h + shift * np.eye(n),
-        "similarity": lambda h: s @ h @ np.linalg.inv(s),
-        "transpose": lambda h: h.T,
-        "adjoint": lambda h: h.conj().T,
-    }
-
-
 def test_verdicts_survive_scaling_shift_similarity_and_transposes():
     rng = np.random.default_rng(4099)
     compared = changed = 0
@@ -529,7 +515,7 @@ def test_verdicts_survive_scaling_shift_similarity_and_transposes():
             for _ in range(3):
                 h = with_spectrum(rng, spectrum(rng, n))
                 expected = _verdict(h), _report_verdict(h)
-                for name, transform in _invariance_transforms(rng, n).items():
+                for name, transform in invariance_transforms(rng, n).items():
                     g = transform(h)
                     for verdict, got in zip(expected, (_verdict(g), _report_verdict(g))):
                         if verdict is not None and got is not None:
@@ -547,7 +533,7 @@ def _similarity_sweep(c):
     values = np.array([1.0, 1.0, -0.5, -0.5, 0.3 + 0.7j, 0.3 - 0.7j])
     for seed in range(10):
         rng = np.random.default_rng(seed)
-        s = (haar_unitary(rng, 6) * np.logspace(0, np.log10(c), 6)) @ haar_unitary(rng, 6)
+        s = conditioned_similarity(rng, 6, c)
         yield s @ np.diag(values) @ np.linalg.inv(s)
 
 
@@ -602,7 +588,7 @@ def _doubled_draws(c):
     rng = np.random.default_rng(4129)
     for regime, h in _doubled_models().items():
         for draw in range(10):
-            s = (haar_unitary(rng, 4) * np.logspace(0, np.log10(c), 4)) @ haar_unitary(rng, 4)
+            s = conditioned_similarity(rng, 4, c)
             yield regime, draw, s @ h @ np.linalg.inv(s)
 
 
@@ -709,7 +695,7 @@ def test_paired_model_admits_under_similarity(c):
     refused, miscounted, compared = [], [], 0
     for pair, (_, _, paired) in enumerate(_paired_models()):
         for draw in range(5):
-            s = (haar_unitary(rng, 4) * np.logspace(0, np.log10(c), 4)) @ haar_unitary(rng, 4)
+            s = conditioned_similarity(rng, 4, c)
             h = s @ paired @ np.linalg.inv(s)
             try:
                 admitted = kramers_test(h).admits_symmetry
@@ -723,3 +709,41 @@ def test_paired_model_admits_under_similarity(c):
                 miscounted.append((pair, draw))
     assert refused == [] and miscounted == []
     assert compared == 45
+
+
+def _odd_real_draws(c):
+    """``(n, draw, S D S^-1)`` for ten draws of ``odd_real_spectrum`` D at
+    each n in (3, 4, 5, 6, 8), under ``conditioned_similarity`` S of
+    condition c; the spectra are the same at every c."""
+    spectra, similarities = np.random.default_rng(7), np.random.default_rng(11)
+    for n in (3, 4, 5, 6, 8):
+        for draw in range(10):
+            values = odd_real_spectrum(spectra, n)
+            s = conditioned_similarity(similarities, n, c)
+            yield n, draw, s @ np.diag(values) @ np.linalg.inv(s)
+
+
+_LEVELS_RADII_MISSING = pytest.mark.xfail(
+    strict=True, raises=AssertionError,
+    reason="ROADMAP item 1: without per-eigenvalue radii, a similarity this "
+           "ill-conditioned splits a level or parts conjugate partners by more "
+           "than the tolerance")
+
+
+@pytest.mark.parametrize("c", [1.0, 1e2, *(pytest.param(c, marks=_LEVELS_RADII_MISSING)
+                                           for c in (1e4, 1e5, 1e6, 1e7, 1e8))])
+def test_odd_real_corpus_is_right_or_refused(c):
+    # pseudohermitian with an odd real level: no T with T^2 = -1; where
+    # the verdict is given and the Sylvester kernel's gap stands clear,
+    # the groups must count its dimension d.  At c = 1e4, 3 of 50 draws
+    # read "not pseudohermitian"; at 1e5 and above, most do
+    wrong, miscounted = [], []
+    for n, draw, h in _odd_real_draws(c):
+        verdict = _verdict(h)
+        if verdict is None:
+            continue
+        if verdict != (True, False, False):
+            wrong.append((n, draw))
+        if _miscounted(h):
+            miscounted.append((n, draw))
+    assert wrong == [] and miscounted == []
