@@ -39,7 +39,7 @@ import functools
 import json
 import math
 import sys
-from dataclasses import dataclass, fields
+from dataclasses import asdict, dataclass, fields
 from itertools import chain
 from pathlib import Path
 from types import SimpleNamespace
@@ -390,15 +390,20 @@ def _metric_block(matrix, head: str = "", tail: str = "") -> str | None:
 
 @dataclass
 class MatrixFile:
-    """Parsed matrix file: dimension plus the row-major entries as one 1-d
-    complex array, which :meth:`to_matrix` views as ``(dim, dim)``.
+    """Parsed matrix file: the row-major entries as one 1-d complex array
+    of ``dim**2`` values, which :meth:`to_matrix` views as ``(dim, dim)``.
 
-    A token is whatever ``complex()`` accepts once ``i``/``I`` read as ``j``,
-    and must be finite; a parse error names the first bad token in file order.
+    :meth:`parse` checks the file's dimension line against its token count;
+    ``dim`` is then read off the entries.  A token is whatever ``complex()``
+    accepts once ``i``/``I`` read as ``j``, and must be finite; a parse error
+    names the first bad token in file order.
     """
 
-    dim: int
     entries: np.ndarray
+
+    @property
+    def dim(self) -> int:
+        return math.isqrt(self.entries.size)
 
     @classmethod
     def parse(cls, text: str) -> "MatrixFile":
@@ -431,7 +436,7 @@ class MatrixFile:
                     raise MatrixFormatError(f"bad complex token {token!r}") from None
                 if not np.isfinite(value):
                     raise MatrixFormatError(f"non-finite entry {token!r}")
-        return cls(dim=dim, entries=entries)
+        return cls(entries)
 
     def to_matrix(self) -> np.ndarray:
         return self.entries.reshape(self.dim, self.dim)
@@ -543,32 +548,28 @@ def build_analysis_report(matrix, tol: float = DEFAULT_TOL,
     )
 
 
-def _parse_range(token: str) -> list[float]:
-    """Parse ``value`` or ``start:stop:count`` into a grid."""
+def _parse_range(token: str) -> np.ndarray:
+    """Parse ``value`` or ``start:stop:count`` into a grid, a float array."""
     parts = token.split(":")
-    values = None
     try:
-        if len(parts) == 1:
-            values = [float(parts[0])]
-        elif len(parts) == 3:
-            start, stop = float(parts[0]), float(parts[1])
-            count = int(parts[2])
-            if count < 1:
-                raise ValueError
-        else:
+        bounds = [float(part) for part in parts[:2]]
+        count = int(parts[2]) if len(parts) == 3 else 1
+        if len(parts) not in (1, 3) or count < 1:
             raise ValueError
     except ValueError:
         raise ValueError(
             f"bad range {token!r}; expected 'value' or 'start:stop:count' "
             f"with count >= 1") from None
-    if values is None:
-        # linspace over a span past the float range warns and fills in NaN
-        if not math.isfinite(stop - start):
-            raise ValueError(f"span stop - start of range {token!r} must be finite")
-        values = [float(v) for v in np.linspace(start, stop, count)]
-    if not all(math.isfinite(v) for v in values):
-        raise ValueError(f"range {token!r} contains non-finite values")
-    return values
+    if len(parts) == 1:
+        if not math.isfinite(bounds[0]):
+            raise ValueError(f"range {token!r} contains non-finite values")
+        return np.array(bounds)
+    start, stop = bounds
+    # linspace over a span past the float range warns and fills in NaN;
+    # with a finite span, every point of the grid is finite
+    if not math.isfinite(stop - start):
+        raise ValueError(f"span stop - start of range {token!r} must be finite")
+    return np.linspace(start, stop, count)
 
 
 def _time_grid(args) -> np.ndarray:
@@ -597,8 +598,7 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_model(args) -> int:
-    params = ModelParams(E=args.E, muB=args.muB, omega2=args.omega2,
-                         k1=args.k1, k2=args.k2)
+    params = ModelParams(**{f.name: getattr(args, f.name) for f in fields(ModelParams)})
     grid = _time_grid(args)
     chi = coupling_ratio(params)            # degenerate regime exits 4
     system = model_eigenbasis(params)       # zero splitting exits 4
@@ -614,9 +614,7 @@ def cmd_model(args) -> int:
     exceeds = bool(max(flip.max(), forward.max(), backward.max()) > 1.0)
     summary = {
         "version": __version__,
-        "params": {"E": _g12(params.E), "muB": _g12(params.muB),
-                   "omega2": _g12(params.omega2),
-                   "k1": _g12(params.k1), "k2": _g12(params.k2)},
+        "params": {name: _g12(value) for name, value in asdict(params).items()},
         "hamiltonian": _pairs(h),
         "eigenvalues": _pairs(system.eigenvalues),
         "coupling_ratio": _g12(chi),
@@ -689,7 +687,7 @@ def _scan_rows(fields, grid: np.ndarray) -> str:
 
 
 def cmd_scan(args) -> int:
-    axes = [np.array(_parse_range(token)) for token in (args.k1, args.k2, args.muB)]
+    axes = [_parse_range(token) for token in (args.k1, args.k2, args.muB)]
     grid = _time_grid(args)
     print("k1,k2,muB,real_spectrum_regime,kramers_all_even,max_abs_asymmetry")
     size = math.prod(map(len, axes))
@@ -729,30 +727,26 @@ def _build_parser() -> argparse.ArgumentParser:
     p_analyze.add_argument("--tol", type=float, default=DEFAULT_TOL,
                            help="relative tolerance (default %(default)g)")
     p_analyze.add_argument("--cond-ceiling", type=float,
-                           default=DEFAULT_COND_CEILING, dest="cond_ceiling",
+                           default=DEFAULT_COND_CEILING,
                            help="eigenvector condition ceiling "
                                 "(default %(default)g)")
 
     def add_time_grid(p):
-        p.add_argument("--t-start", type=float, default=0.0, dest="t_start")
-        p.add_argument("--t-stop", type=float, default=10.0, dest="t_stop")
-        p.add_argument("--t-count", type=int, default=101, dest="t_count")
+        p.add_argument("--t-start", type=float, default=0.0)
+        p.add_argument("--t-stop", type=float, default=10.0)
+        p.add_argument("--t-count", type=int, default=101)
 
     p_model = sub.add_parser("model", help="evaluate the two-level model")
-    p_model.add_argument("--E", type=float, default=1.0, dest="E")
-    p_model.add_argument("--muB", type=float, default=0.0, dest="muB")
-    p_model.add_argument("--omega2", type=float, default=1.0, dest="omega2")
-    p_model.add_argument("--k1", type=float, default=1.0, dest="k1")
-    p_model.add_argument("--k2", type=float, default=1.0, dest="k2")
+    for field in fields(ModelParams):
+        p_model.add_argument(f"--{field.name}", type=float, default=field.default)
     add_time_grid(p_model)
 
     p_scan = sub.add_parser("scan", help="sweep couplings on a grid")
-    p_scan.add_argument("--k1", default="1", help="value or start:stop:count")
-    p_scan.add_argument("--k2", default="1", help="value or start:stop:count")
-    p_scan.add_argument("--muB", default="0", dest="muB",
-                        help="value or start:stop:count")
-    p_scan.add_argument("--omega2", type=float, default=1.0, dest="omega2")
-    p_scan.add_argument("--E", type=float, default=1.0, dest="E")
+    for name in ("k1", "k2", "muB"):
+        p_scan.add_argument(f"--{name}", default=str(getattr(ModelParams, name)),
+                            help="value or start:stop:count")
+    for name in ("omega2", "E"):
+        p_scan.add_argument(f"--{name}", type=float, default=getattr(ModelParams, name))
     add_time_grid(p_scan)
     return parser
 

@@ -58,7 +58,7 @@ arithmetic.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -124,11 +124,11 @@ class ModelParams:
     k2: float = 1.0
 
     def __post_init__(self):
-        for name in ("E", "muB", "omega2", "k1", "k2"):
-            value = float(getattr(self, name))
+        for field in fields(self):
+            value = float(getattr(self, field.name))
             if not math.isfinite(value):
-                raise ValueError(f"{name} must be finite")
-            object.__setattr__(self, name, value)
+                raise ValueError(f"{field.name} must be finite")
+            object.__setattr__(self, field.name, value)
         alpha, beta = _alpha(self), _beta(self)
         for name, coupling in (("k1", alpha), ("k2", beta)):
             if not math.isfinite(coupling):

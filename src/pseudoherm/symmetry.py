@@ -283,7 +283,10 @@ def kramers_test(matrix, tol: float = DEFAULT_TOL,
     ``norm(H, 'fro')``, exceeds ``(tol + 1e3 n eps) cond(V)`` is refused;
     a verdict that denies the symmetry builds none and passes no gate.
     At ``tol=0.5``, ``diag(1, 1.6)`` admits, its levels merged at a
-    residual of 0.45, and ``diag(1, 2)`` is refused, at 0.63.
+    residual of 0.45, and ``diag(1, 2)`` is refused, at 0.63.  No metric
+    is built or gated here, unlike in ``analyze``: at ``tol=0.5``,
+    ``diag(10, 10.4, 1+5.15i)`` reads pseudohermitian here, while
+    ``analyze --tol 0.5`` refuses it (exit 2), its metric residual 0.67.
 
     Parameters
     ----------

@@ -86,20 +86,32 @@ def test_verdict_is_right_or_refused_under_a_conditioned_similarity(
     assert _right_or_refused(spectrum, seed, u, transform)
 
 
-@RADII_MISSING
-def test_verdict_is_right_or_refused_under_an_ill_conditioned_similarity():
-    # the wrong verdicts are counted, not raised: no example fails inside
-    # Hypothesis, so none is shrunk or written out
+def _wrong_verdicts(low, high):
+    """The examples of :data:`HUNT` with ``u`` in ``[low, high]`` whose
+    verdict is neither right nor refused.  They are counted, not raised:
+    no example fails inside Hypothesis, so none is shrunk or written out."""
     wrong = []
 
     @HUNT
-    @given(structured_spectra(), SEEDS, st.floats(5.0, 7.0), st.sampled_from(TRANSFORMS))
+    @given(structured_spectra(), SEEDS, st.floats(low, high), st.sampled_from(TRANSFORMS))
     def hunt(spectrum, seed, u, transform):
         if not _right_or_refused(spectrum, seed, u, transform):
             wrong.append((spectrum[0].tolist(), seed, u, transform))
 
     hunt()
-    assert wrong == []
+    return wrong
+
+
+@RADII_MISSING
+def test_verdict_is_right_or_refused_under_an_ill_conditioned_similarity():
+    assert _wrong_verdicts(5.0, 7.0) == []
+
+
+@RADII_MISSING
+def test_verdict_is_right_or_refused_in_the_band_below():
+    # u in [3, 4) stays unpinned: 4 of its 300 examples are wrong, all at
+    # u > 3.7, too few to hold on every LAPACK
+    assert _wrong_verdicts(4.0, 5.0) == []
 
 
 @RADII_MISSING
