@@ -329,30 +329,18 @@ def _g12_texts(values: np.ndarray) -> list[str]:
     return _csv_rows(np.reshape(values, (-1, 1))).split("\n")[:-1]
 
 
-def _pairs(m) -> list:
-    """``[re, im]`` pairs of a complex vector, or rows of them for a
-    matrix, each part rounded as by :func:`_g12`."""
+def _pairs(m) -> np.ndarray:
+    """``[re, im]`` pairs of a complex array, on a last axis of 2, each
+    part rounded as by :func:`_g12`."""
     m = np.ascontiguousarray(m, dtype=complex)
     # the float view interleaves re and im in row-major order
-    return _g12_round(m.view(float).ravel()).reshape(*m.shape, 2).tolist()
+    return _g12_round(m.view(float).ravel()).reshape(*m.shape, 2)
 
 
-# the metric block sits in the report's "intertwiner" object
-_METRIC_INDENT = " " * 4
-
-
-def _metric_block(matrix, head: str = "", tail: str = "") -> str | None:
-    """The ``json.dumps`` text of a metric nested in a report, between
-    ``head`` and ``tail`` in one join, or None: the writer's texts fill row
-    templates in passes of ``_G12_CHUNK`` cells.
-
-    The metric must be a regular grid of ``[re, im]`` pairs of finite
-    ``float``.  A part whose ``'%.12g'`` text is not json's spelling is
-    written by ``repr``, json's spelling: one that :func:`_g12_round`
-    changes, an integral one below 1e16 (``'%.12g'`` drops its ``.0``,
-    and writes an exponent from 1e12 on) and a subnormal one (``'%.12g'``
-    gives it 12 digits).  Each pass takes that mask of its own parts.
-    """
+def _metric_array(intertwiner) -> np.ndarray | None:
+    """A report's metric as its ``(rows, cols, 2)`` float array, or None
+    unless it is a regular grid of ``[re, im]`` pairs of finite ``float``."""
+    matrix = intertwiner.get("matrix") if isinstance(intertwiner, dict) else None
     if type(matrix) is not list or set(map(type, matrix)) != {list}:
         return None
     cols = len(matrix[0])
@@ -363,29 +351,43 @@ def _metric_block(matrix, head: str = "", tail: str = "") -> str | None:
     values = list(chain.from_iterable(pairs))
     if set(map(type, values)) != {float}:
         return None
-    a = np.array(values)
-    if not np.isfinite(a).all():
-        return None
-    row_nl, pair_nl, value_nl = (f"\n{_METRIC_INDENT}{' ' * k}" for k in (2, 4, 6))
+    a = np.array(values).reshape(len(matrix), cols, 2)
+    return a if np.isfinite(a).all() else None
+
+
+def _metric_text(values: np.ndarray, rounded: np.ndarray, head: str, tail: str) -> str:
+    """The ``json.dumps`` text of a metric nested in a report, between
+    ``head`` and ``tail`` in one join: the writer's texts fill row
+    templates in passes of ``_G12_CHUNK`` cells.
+
+    ``values`` is the metric, a ``(rows, cols, 2)`` array of finite
+    floats, and ``rounded`` their :func:`_g12_round`.  A part whose
+    ``'%.12g'`` text is not json's spelling is written by ``repr``,
+    json's spelling: one that the rounding changes, an integral one below
+    1e16 (``'%.12g'`` drops its ``.0``, and writes an exponent from 1e12
+    on) and a subnormal one (``'%.12g'`` gives it 12 digits).  Each pass
+    takes that mask of its own parts.
+    """
+    cols, values, rounded = values.shape[1], values.ravel(), rounded.ravel()
+    # the block sits in the report's "intertwiner" object, at indent 4
+    row_nl, pair_nl, value_nl = (f"\n{' ' * k}" for k in (6, 8, 10))
     pair = f"[{value_nl}%s,{value_nl}%s{pair_nl}]"
     row = f"[{pair_nl}" + f",{pair_nl}".join([pair] * cols) + f"{row_nl}]"
     step = 2 * cols * max(_G12_CHUNK // (2 * cols), 1)
     pieces = []
-    for start in range(0, a.size, step):
-        part = a[start:start + step]
+    for start in range(0, values.size, step):
+        part = values[start:start + step]
         texts = _g12_texts(part)
         magnitude = np.abs(part)
-        respelled = ((_g12_round(part) != part)
-                     | ((part == np.trunc(part)) & (magnitude < 1e16))
-                     | (magnitude < np.finfo(float).tiny))
-        for k in np.flatnonzero(respelled).tolist():
-            texts[k] = repr(values[start + k])
+        respelled = np.flatnonzero((rounded[start:start + step] != part)
+                                   | ((part == np.trunc(part)) & (magnitude < 1e16))
+                                   | (magnitude < np.finfo(float).tiny))
+        for k, value in zip(respelled.tolist(), part[respelled].tolist()):
+            texts[k] = repr(value)
         pieces += [f",{row_nl}", f",{row_nl}".join([row] * (part.size // (2 * cols)))
                    % tuple(texts)]
     pieces[0] = f"[{row_nl}"  # the first pass opens the block
-    # the floats' array and lists go before the one join
-    del a, part, values, pairs
-    return "".join([head, *pieces, f"\n{_METRIC_INDENT}]", tail])
+    return "".join([head, *pieces, "\n    ]", tail])
 
 
 @dataclass
@@ -407,18 +409,18 @@ class MatrixFile:
 
     @classmethod
     def parse(cls, text: str) -> "MatrixFile":
-        parts = text.split(None, 1)
-        if not parts:
+        # one split of the whole text: int() reads no 'i' and no 'j' either
+        tokens = text.replace("i", "j").replace("I", "j").split()
+        if not tokens:
             raise MatrixFormatError("empty matrix file")
         try:
-            dim = int(parts[0])
+            dim = int(tokens[0])
         except ValueError:
-            raise MatrixFormatError(
-                f"first token must be the dimension, got {parts[0]!r}") from None
+            raise MatrixFormatError(f"first token must be the dimension, "
+                                    f"got {text.split(None, 1)[0]!r}") from None
         if dim <= 0:
             raise MatrixFormatError(f"dimension must be positive, got {dim}")
-        body = parts[1] if len(parts) > 1 else ""
-        tokens = body.replace("i", "j").replace("I", "j").split()
+        del tokens[0]
         if len(tokens) != dim * dim:
             raise MatrixFormatError(
                 f"expected {dim * dim} entries for dimension {dim}, "
@@ -429,7 +431,7 @@ class MatrixFile:
             entries = None
         if entries is None or not np.isfinite(entries).all():
             # some token is bad: raise for the first one in file order
-            for token, spelled in zip(body.split(), tokens):
+            for token, spelled in zip(text.split()[1:], tokens):
                 try:
                     value = complex(spelled)
                 except ValueError:
@@ -460,9 +462,9 @@ class AnalysisReport:
     regular grid of ``[re, im]`` pairs of finite floats from the
     ``'%.12g'`` writer's texts, or ``repr`` where those are not json's
     spelling, in passes of ``_G12_CHUNK`` cells, joined once to json's
-    text of the rest (:func:`_metric_block`), whether the report was
-    built, read back with ``from_json``, copied or edited; any other
-    metric is written by ``json.dumps`` itself.
+    text of the rest (:func:`_metric_text`) and rounded once as one array,
+    whether the report was built, read back with ``from_json``, copied or
+    edited; any other metric is written by ``json.dumps`` itself.
     """
 
     version: str
@@ -478,47 +480,38 @@ class AnalysisReport:
     witness_residuals: dict | None
 
     def to_json(self) -> str:
-        values = {f.name: getattr(self, f.name) for f in fields(self)}
-        # the n x n metric is most of the text, and json's indent=2 encoder
-        # runs in Python: the writer writes it between json's text of the rest
-        if isinstance(self.intertwiner, dict):
-            text = json.dumps({**values, "intertwiner": {
-                **self.intertwiner, "matrix": _MATRIX_MARK}}, indent=2)
-            parts = text.split(json.dumps(_MATRIX_MARK))
-            if len(parts) == 2:
-                written = _metric_block(self.intertwiner.get("matrix"), *parts)
-                if written is not None:
-                    return written
-        return json.dumps(values, indent=2)
+        """The report's text; its metric's lists are checked and rounded once."""
+        a = _metric_array(self.intertwiner)
+        return _report_text(self, a, a if a is None else _g12_round(a.ravel()))
 
     @classmethod
     def from_json(cls, text: str) -> "AnalysisReport":
         return cls(**json.loads(text))
 
 
-def build_analysis_report(matrix, tol: float = DEFAULT_TOL,
-                          cond_ceiling: float = DEFAULT_COND_CEILING) -> AnalysisReport:
-    """Run the full classification pipeline on one matrix.
+def _report_text(report: AnalysisReport, values, rounded) -> str:
+    """``json.dumps(asdict(report), indent=2)``, given the metric as
+    ``values``, a float array (None: json writes it), and ``rounded``, their
+    :func:`_g12_round`: json's indent=2 encoder runs in Python, so the
+    writer writes the metric between json's text of the rest."""
+    rest = {f.name: getattr(report, f.name) for f in fields(report)}
+    if values is not None:
+        rest["intertwiner"] = {**report.intertwiner, "matrix": _MATRIX_MARK}
+        parts = json.dumps(rest, indent=2).split(json.dumps(_MATRIX_MARK))
+        if len(parts) == 2:
+            return _metric_text(values, rounded, *parts)
+        rest["intertwiner"]["matrix"] = values.tolist()
+    return json.dumps(rest, indent=2)
 
-    Raises
-    ------
-    NotDiagonalizableError
-        Propagated from the eigendecomposition.
-    SingularIntertwinerError
-        If the metric is too ill-conditioned to certify; it is refused
-        before it is formatted.
-    AmbiguousSpectrumError
-        If the Kramers witness fails :func:`~pseudoherm.symmetry.kramers_test`'s
-        residual gate, or the metric's intertwining residual exceeds the
-        same bound, ``(tol + 1e3 n eps) cond(V)``; a refused metric is
-        never formatted.
-    """
+
+def _analysis(matrix, tol: float, cond_ceiling: float) -> AnalysisReport:
+    """:func:`build_analysis_report`, its metric the rounded ``(n, n, 2)`` array."""
     system = biorthonormal_system(matrix, tol=tol, cond_ceiling=cond_ceiling)
     verdict, cls = _kramers_verdict(matrix, system)
     real = set(cls.real_group_indices)
     spectrum = [{"value": value, "multiplicity": mult,
                  "kind": "real" if k in real else "complex"}
-                for k, (value, mult) in enumerate(zip(_pairs(system.eigenvalues),
+                for k, (value, mult) in enumerate(zip(_pairs(system.eigenvalues).tolist(),
                                                       cls.multiplicities))]
     intertwiner = witness_residuals = None
     if verdict.pseudohermitian:
@@ -546,6 +539,30 @@ def build_analysis_report(matrix, tol: float = DEFAULT_TOL,
         intertwiner=intertwiner,
         witness_residuals=witness_residuals,
     )
+
+
+def build_analysis_report(matrix, tol: float = DEFAULT_TOL,
+                          cond_ceiling: float = DEFAULT_COND_CEILING) -> AnalysisReport:
+    """Run the full classification pipeline on one matrix; ``analyze``
+    prints the report's ``to_json()`` without building the metric's lists.
+
+    Raises
+    ------
+    NotDiagonalizableError
+        Propagated from the eigendecomposition.
+    SingularIntertwinerError
+        If the metric is too ill-conditioned to certify; it is refused
+        before it is formatted.
+    AmbiguousSpectrumError
+        If the Kramers witness fails :func:`~pseudoherm.symmetry.kramers_test`'s
+        residual gate, or the metric's intertwining residual exceeds the
+        same bound, ``(tol + 1e3 n eps) cond(V)``; a refused metric is
+        never formatted.
+    """
+    report = _analysis(matrix, tol, cond_ceiling)
+    if report.intertwiner is not None:
+        report.intertwiner["matrix"] = report.intertwiner["matrix"].tolist()
+    return report
 
 
 def _parse_range(token: str) -> np.ndarray:
@@ -585,15 +602,17 @@ def _time_grid(args) -> np.ndarray:
 
 
 def cmd_analyze(args) -> int:
+    """Print a matrix file's ``build_analysis_report(...).to_json()``."""
     try:
         text = Path(args.input).read_text()
     except OSError as exc:
         raise ValueError(f"cannot read {args.input}: {exc}") from None
     matrix = MatrixFile.parse(text).to_matrix()
     del text
-    report = build_analysis_report(matrix, tol=args.tol,
-                                   cond_ceiling=args.cond_ceiling)
-    print(report.to_json())
+    report = _analysis(matrix, args.tol, args.cond_ceiling)
+    metric = report.intertwiner and report.intertwiner["matrix"]
+    # the metric is rounded already: the writer's mask needs no rounding
+    print(_report_text(report, metric, metric))
     return 0
 
 
@@ -615,10 +634,10 @@ def cmd_model(args) -> int:
     summary = {
         "version": __version__,
         "params": {name: _g12(value) for name, value in asdict(params).items()},
-        "hamiltonian": _pairs(h),
-        "eigenvalues": _pairs(system.eigenvalues),
+        "hamiltonian": _pairs(h).tolist(),
+        "eigenvalues": _pairs(system.eigenvalues).tolist(),
         "coupling_ratio": _g12(chi),
-        "level_splitting": _pairs([level_splitting(params)])[0],
+        "level_splitting": _pairs([level_splitting(params)])[0].tolist(),
         "real_spectrum_regime": real_spectrum_regime(params),
         "hermitian": _hermitian(params),
         "exceeds_unit_probability": exceeds,

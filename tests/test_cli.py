@@ -1,5 +1,6 @@
 """Command-line interface: parsing, report schema, exit codes, determinism."""
 
+import contextlib
 import copy
 import dataclasses
 import json
@@ -52,6 +53,13 @@ def _write(tmp_path, text):
     path = tmp_path / "matrix.txt"
     path.write_text(text)
     return str(path)
+
+
+def _matrix_text(h):
+    """A matrix file spelling ``h`` exactly: each part by ``repr``."""
+    tokens = " ".join(f"{v.real!r}+{v.imag!r}i".replace("+-", "-")
+                      for v in np.ravel(h).tolist())
+    return f"{len(h)} {tokens}"
 
 
 def _run(capsys, argv):
@@ -108,6 +116,17 @@ def test_matrix_file_rejections():
         with pytest.raises(MatrixFormatError) as caught:
             MatrixFile.parse(text)
         assert str(caught.value) == message
+
+
+def test_matrix_file_dimension_is_quoted_as_written():
+    # 'i' reads as 'j' in every token, but the message quotes the file
+    for text, token in (("2i 1 2 3 4", "2i"), ("3I\n1", "3I"), ("xi", "xi")):
+        with pytest.raises(MatrixFormatError) as caught:
+            MatrixFile.parse(text)
+        assert str(caught.value) == f"first token must be the dimension, got {token!r}"
+    # a bad entry after it is still named as written
+    with pytest.raises(MatrixFormatError, match="bad complex token 'xi'"):
+        MatrixFile.parse("1 xi")
 
 
 # ---------------------------------------------------------------- analyze
@@ -219,9 +238,12 @@ EDGE_VALUES = np.array([
 def test_metric_block_is_what_json_writes():
     # subnormal parts take json's spelling and integral ones its '.0'
     m = np.array([[5e-324 + 2.5e-320j, 1e-310], [123456789012 + 1e16j, -3 + 1e-5j]])
-    matrix = _pairs(m)
-    block = cli._metric_block(matrix)
-    assert block is not None
+    matrix = _pairs(m).tolist()
+    values = cli._metric_array({"matrix": matrix})
+    assert values is not None
+    block = cli._metric_text(values, cli._g12_round(values.ravel()), "", "")
+    # the parts are rounded already: the array serves as its own rounding
+    assert cli._metric_text(_pairs(m), _pairs(m), "", "") == block
     mark = json.dumps(cli._MATRIX_MARK)
     spliced = json.dumps({"intertwiner": {"matrix": cli._MATRIX_MARK}}, indent=2)
     assert spliced.replace(mark, block) == json.dumps(
@@ -246,7 +268,7 @@ def test_metric_of_several_passes_is_what_json_writes():
         assert 2 * n * n > cli._G12_CHUNK and n % _rows_per_pass(n)
         for h in (with_spectrum(rng, np.linspace(-3.0, 3.0, n)), _hermitian_matrix(rng, n)):
             report = build_analysis_report(h)
-            assert cli._metric_block(report.intertwiner["matrix"]) is not None
+            assert cli._metric_array(report.intertwiner) is not None
             assert report.to_json() == json.dumps(dataclasses.asdict(report), indent=2)
 
 
@@ -256,7 +278,7 @@ def test_edge_parts_in_a_later_pass_are_what_json_writes():
     rng = np.random.default_rng(73)
     n = 50
     report = build_analysis_report(with_spectrum(rng, np.linspace(-3.0, 3.0, n)))
-    edges = list(chain.from_iterable(_pairs(EDGE_VALUES)))
+    edges = list(chain.from_iterable(_pairs(EDGE_VALUES).tolist()))
     assert len(edges) == 9
     matrix = copy.deepcopy(report.intertwiner["matrix"])
     for row in (_rows_per_pass(n), n - 2, n - 1):
@@ -264,7 +286,7 @@ def test_edge_parts_in_a_later_pass_are_what_json_writes():
         matrix[row][3:3 + len(edges)] = copy.deepcopy(edges)
     edited = dataclasses.replace(report, intertwiner={**report.intertwiner,
                                                       "matrix": matrix})
-    assert cli._metric_block(matrix) is not None
+    assert cli._metric_array(edited.intertwiner) is not None
     assert edited.to_json() == json.dumps(dataclasses.asdict(edited), indent=2)
     assert AnalysisReport.from_json(edited.to_json()) == edited
 
@@ -412,6 +434,33 @@ def test_to_json_holds_about_two_copies_of_its_text():
     assert _traced_peak(report.to_json) <= 3 * len(text)
 
 
+class _Sink:
+    """A stdout that keeps only the count of characters written to it."""
+
+    size = 0
+
+    def write(self, text):
+        self.size += len(text)
+
+    def flush(self):
+        pass
+
+
+def test_analyze_holds_no_pair_lists(tmp_path):
+    # as lists of pairs, the metric's 2 n^2 floats outweigh its text
+    path = _write(tmp_path, _matrix_text(_hermitian_matrix(np.random.default_rng(97), 128)))
+    with contextlib.redirect_stdout(_Sink()):
+        assert main(["analyze", path]) == 0  # the writer's tables are built on first use
+    sink = _Sink()
+    with contextlib.redirect_stdout(sink):
+        peak = _traced_peak(lambda: main(["analyze", path]))
+    assert sink.size > 10 ** 6
+    # the file's text and its parse, then the rounded metric and the
+    # output: about 2.7 outputs, against about 4.5 with the metric held as
+    # lists of pairs
+    assert peak <= 3.5 * sink.size
+
+
 def test_analyze_report_round_trip():
     rng = np.random.default_rng(43)
     for matrix in (np.diag([2.0, 2.0]), np.diag([1j, 2j]),
@@ -423,7 +472,7 @@ def test_analyze_report_round_trip():
     # metrics holding edge values, unrounded floats, non-finite values,
     # ints, ragged rows and an empty matrix are written as json writes them
     unrounded = rng.standard_normal((3, 5, 2)).tolist()
-    for metric in (_pairs(EDGE_VALUES), unrounded,
+    for metric in (_pairs(EDGE_VALUES).tolist(), unrounded,
                    [[[0.5, float("inf")], [float("-inf"), 1.0]]],
                    [[[1, 0.5]], [[2.0, True]]], [[[0.5, 1.0]], [[1.5, 2.0], [3.0, 4.0]]],
                    [[[0.5, 1.0, 2.0]]], []):
@@ -432,7 +481,8 @@ def test_analyze_report_round_trip():
         assert AnalysisReport.from_json(edited.to_json()) == edited
         assert edited.to_json() == json.dumps(dataclasses.asdict(edited), indent=2)
     # a grid of finite floats takes the writer, rounded or not
-    assert None not in (cli._metric_block(_pairs(EDGE_VALUES)), cli._metric_block(unrounded))
+    for metric in (_pairs(EDGE_VALUES).tolist(), unrounded):
+        assert cli._metric_array({"matrix": metric}) is not None
     # a string field that spells the writer's stand-in for the metric
     odd = dataclasses.replace(report, version="\0intertwiner matrix\0")
     assert odd.to_json() == json.dumps(dataclasses.asdict(odd), indent=2)
@@ -566,6 +616,62 @@ def test_read_back_and_copied_reports_write_the_metric_by_the_writer(monkeypatch
         assert text == json.dumps(dataclasses.asdict(other), indent=2)
 
 
+def test_cli_writes_the_library_bytes(tmp_path, capsys, monkeypatch):
+    rng = np.random.default_rng(89)
+    cases = {
+        "dense64": with_spectrum(rng, kramers_spectrum(rng, 64)),
+        "diag8": np.diag([1, 1, 1, 1, 2j, 2j, -2j, -2j]),
+        # metric parts of -1e-270, below the writer's range
+        "below": np.array([[1, 1e-270], [0, 2]]),
+        # metric parts of 2e12: integral, and past 1e12
+        "integral": np.array([[1, 1e6], [0, 2]]),
+        "odd": with_spectrum(rng, odd_real_spectrum(rng, 5)),
+    }
+    for name, h in cases.items():
+        text = _matrix_text(h)
+        report = build_analysis_report(MatrixFile.parse(text).to_matrix())
+        assert _run(capsys, ["analyze", _write(tmp_path, text)]) == (
+            0, report.to_json() + "\n", ""), name
+        assert report.to_json() == json.dumps(dataclasses.asdict(report), indent=2)
+        parts = np.array(report.intertwiner["matrix"])
+        assert {"dense64": report.admits_symmetry,
+                "diag8": report.admits_symmetry and 0.0 in parts,
+                "below": np.abs(parts[parts != 0]).min() < cli._G12_RANGE[0],
+                "integral": np.abs(parts).max() >= 1e12,
+                "odd": report.pseudohermitian and not report.all_even}[name]
+    # the metric's exact zeros, signed negative, leave its residual as it is
+    intertwiner = cli._intertwiner
+
+    def negative_zeros(system, cls):
+        eta = intertwiner(system, cls)
+        return np.where(eta == 0, complex(-0.0, -0.0), eta)
+
+    monkeypatch.setattr(cli, "_intertwiner", negative_zeros)
+    text = _matrix_text(cases["diag8"])
+    report = build_analysis_report(MatrixFile.parse(text).to_matrix())
+    assert _run(capsys, ["analyze", _write(tmp_path, text)]) == (0, report.to_json() + "\n", "")
+    assert report.to_json() == json.dumps(dataclasses.asdict(report), indent=2)
+    parts = np.array(report.intertwiner["matrix"])
+    assert np.signbit(parts[parts == 0]).any()
+
+
+def test_analyze_rounds_each_metric_part_once(tmp_path, capsys, monkeypatch):
+    rounded = []
+    g12_round = cli._g12_round
+
+    def counted(values):
+        rounded.append(values.size)
+        return g12_round(values)
+
+    monkeypatch.setattr(cli, "_g12_round", counted)
+    rng = np.random.default_rng(61)
+    h = with_spectrum(rng, kramers_spectrum(rng, 6))
+    code, out, _ = _run(capsys, ["analyze", _write(tmp_path, _matrix_text(h))])
+    assert code == 0 and json.loads(out)["admits_symmetry"]
+    # the spectrum's group values, then the metric's 2 n^2 parts, once
+    assert rounded == [2 * len(json.loads(out)["spectrum"]), 2 * 6 * 6]
+
+
 def test_refused_metric_is_never_formatted(tmp_path, capsys, monkeypatch):
     formatted = []
     g12_texts = cli._g12_texts
@@ -596,8 +702,8 @@ def test_matrix_pairs_match_elementwise_rounding():
     for matrix in (m, EDGE_VALUES, EDGE_VALUES.T):
         expected = [[[_g12(z.real), _g12(z.imag)] for z in row] for row in matrix]
         # json spells out -0.0, which == would not tell from 0.0
-        assert json.dumps(_pairs(matrix)) == json.dumps(expected)
-        assert json.dumps(_pairs(matrix[0])) == json.dumps(expected[0])
+        assert json.dumps(_pairs(matrix).tolist()) == json.dumps(expected)
+        assert json.dumps(_pairs(matrix[0]).tolist()) == json.dumps(expected[0])
 
 
 def test_analyze_output_is_deterministic(tmp_path, capsys):
