@@ -685,8 +685,8 @@ def _scan_rows(fields, grid: np.ndarray) -> str:
     spectral pass, and asymmetry passes of at most ``_SCAN_CELLS`` cells;
     a point the model refuses blanks only its cells."""
     # the block's eigenvalue groups, as arrays: no system is built
-    _, _, kept, _, groups = _group_stack(_hamiltonian_stack(fields),
-                                         DEFAULT_TOL, DEFAULT_COND_CEILING)
+    _, _, _, kept, _, groups = _group_stack(_hamiltonian_stack(fields),
+                                            DEFAULT_TOL, DEFAULT_COND_CEILING)
     rows = _SCAN_CELLS // grid.size or 1
     peaks = []
     for start in range(0, fields.k1.size, rows):

@@ -52,8 +52,8 @@ class AmbiguousSpectrumError(PseudohermError):
     level counted as real, are further from it than a backward error of
     ``tol`` relative to the spectral radius explains, so the verdict is
     refused rather than given.  This gate is the one place ``tol`` is
-    read as a backward error; the groups were formed at the forward
-    radius ``tol * rho`` on the computed eigenvalues.
+    read as a backward error; the groups were formed at forward distances
+    ``max(tol * rho, e_i + e_j)``, ``e_i`` each eigenvalue's error bound.
     """
 
 

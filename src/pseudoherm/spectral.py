@@ -14,18 +14,19 @@ metrics, antilinear symmetries, non-unitary propagators) is built on
 these pairs, so this module also carries the eigenvalue bookkeeping:
 clustering the spectrum into degenerate groups once, when the system is
 built, and splitting those groups into real ones and complex-conjugate
-partners.  Each system has one radius, ``tol * _tolerance_scale(rho)``
-with ``rho`` its spectral radius (:func:`_radius`), computed by the
-clustering alone, and that radius decides which values cluster into one
-group, which groups are real (``|Im z|`` within it) and which are
-conjugate partners (distance within it).  :func:`_real_groups` applies
-the "real" rule and the parity to a stack of systems as arrays;
-:func:`_classification` alone pairs, one system at a time: each upper
-half-plane group, in group order, takes the nearest lower group not yet
-taken, within the radius and at equal multiplicity.  One function,
-:func:`_tolerance_scale`, says what a relative tolerance is relative to,
-for the radius, for the residuals of :mod:`pseudoherm.symmetry` and for
-the two-level model's "vanishes" rule.
+partners.  Each system has one radius, ``r = tol * _tolerance_scale(rho)``
+with ``rho`` its spectral radius (:func:`_radius`), and each eigenvalue an
+error bound ``e_i = n eps ||H||_F kappa_i``, ``kappa_i`` the row norm of
+the one ``inv(V)`` each system takes, for unit columns of ``V``.  Values
+join within ``max(r, e_i + e_j)``; a group, ``e_g`` its members' largest
+``e_i``, is real when ``|Im z| <= max(r, e_g)``; two groups pair within
+``max(r, e_u + e_l)``.  :func:`_real_groups` applies the "real" rule and
+the parity to a stack of systems as arrays; :func:`_classification` alone
+pairs, one system at a time: each upper half-plane group, in group order,
+takes the nearest lower group not yet taken, within that distance and at
+equal multiplicity.  One function, :func:`_tolerance_scale`, says what a
+relative tolerance is relative to, for the radius, for the residuals of
+:mod:`pseudoherm.symmetry` and for the two-level model's "vanishes" rule.
 """
 
 from __future__ import annotations
@@ -89,23 +90,23 @@ def _radius(tol: float, values: np.ndarray):
     return tol * _tolerance_scale(np.abs(values).max(axis=-1, initial=0.0))
 
 
-def _cluster_stack(values: np.ndarray, tol: float):
+def _cluster_stack(values: np.ndarray, tol: float, errors: np.ndarray):
     """Group nearly equal eigenvalues, row by row of an ``(N, n)`` stack.
 
-    Values chained within their row's radius ``tol * _tolerance_scale(rho)``
-    of others in the row, with ``rho`` the row's spectral radius, form one
-    group (a connected component), whatever the input order.  A group's
-    representative is ``np.mean`` of its members in (real, imag) order,
-    bit for bit, so the group order does not hang on how the means are
-    summed.
+    Values chained within ``max(r, e_i + e_j)`` of others in the row,
+    with ``r`` the row's radius (:func:`_radius`) and ``e_i`` their
+    ``errors``, form one group (a connected component), whatever the
+    input order.  A group's representative is ``np.mean`` of its members
+    in (real, imag) order, bit for bit, so the group order does not hang
+    on how the means are summed.
 
-    Returns ``(perm, means, mults, counts, radii)``.  ``perm`` reorders
-    each row so that the members of each group are adjacent, in (real,
-    imag) order, and the groups are sorted by (real, imag) of their mean.
-    ``means`` and ``mults`` list the groups' representatives and sizes in
-    that order, row after row; row ``e`` has ``counts[e]`` of them and
-    the radius ``radii[e]``.  The last four are the groups as
-    :func:`_real_groups` takes them.
+    Returns ``(perm, means, mults, counts, radii, errors)``.  ``perm``
+    reorders each row so that the members of each group are adjacent, in
+    (real, imag) order, and the groups are sorted by (real, imag) of
+    their mean.  ``means``, ``mults`` and ``errors`` list the groups'
+    representatives, sizes and largest ``e_i`` in that order, row after
+    row; row ``e`` has ``counts[e]`` of them and the radius ``radii[e]``.
+    The last five are the groups as :func:`_real_groups` takes them.
     """
     count, n = values.shape
     size = count * n
@@ -113,8 +114,10 @@ def _cluster_stack(values: np.ndarray, tol: float):
     offset = np.arange(0, size, n)[:, None]
     order = np.lexsort((values.imag, values.real)) + offset
     ws = values.ravel()[order]
+    es = errors.ravel()[order]
     radii = _radius(tol, ws)
-    near = np.abs(ws[:, :, None] - ws[:, None, :]) <= radii[:, None, None]
+    near = np.abs(ws[:, :, None] - ws[:, None, :]) <= np.maximum(
+        radii[:, None, None], es[:, :, None] + es[:, None, :])
     # label each value with the smallest index it reaches: solver jitter can
     # interleave +ib / -ib members under the sort, so groups need not be runs
     root = np.arange(size).reshape(count, n)
@@ -126,6 +129,8 @@ def _cluster_stack(values: np.ndarray, tol: float):
         root = step
     labels = root.ravel()
     sizes = np.bincount(labels, minlength=size)
+    bounds = np.zeros(size)
+    np.maximum.at(bounds, labels, es.ravel())
     # members by group size, then group, then position: the groups of one
     # size fill a block of that many columns, averaged in one call
     of_size = sizes[labels]
@@ -145,18 +150,16 @@ def _cluster_stack(values: np.ndarray, tol: float):
     first = labels[within] == within
     heads = within[first]
     return (order.ravel()[within] - offset, means[heads], sizes[heads],
-            first.sum(axis=1).tolist(), radii)
+            first.sum(axis=1).tolist(), radii, bounds[heads])
 
 
 @dataclass
 class BiorthonormalSystem:
     """Eigenvalue groups plus paired right/left eigenvector columns.
 
-    Eigenvalues are clustered once, when the system is built: values
-    chained within the system's radius ``tolerance * _tolerance_scale(rho)``,
-    with ``rho`` the spectral radius, form one group, whatever order the
-    solver returns them in.  Analyses of the system classify these groups
-    at that radius, ``radius``, instead of clustering again.
+    Eigenvalues are clustered once, when the system is built, by the
+    module's rule; analyses of the system classify these groups by
+    ``radius`` and ``errors`` instead of clustering again.
 
     Attributes
     ----------
@@ -177,7 +180,9 @@ class BiorthonormalSystem:
         2-norm condition number of ``right_vectors``, the ``cond(V)`` the
         condition ceiling was checked against.
     radius : float
-        The radius the clustering computed and grouped the values at.
+        ``tolerance * rho``, the floor of every distance the groups read.
+    errors : ndarray
+        Each group's largest ``n eps ||H||_F ||phi_i||``; 0 in closed form.
     """
 
     eigenvalues: np.ndarray
@@ -187,6 +192,7 @@ class BiorthonormalSystem:
     tolerance: float = DEFAULT_TOL
     condition: float = field(kw_only=True)
     radius: float = field(kw_only=True)
+    errors: np.ndarray = field(kw_only=True)
 
     @property
     def dim(self) -> int:
@@ -248,10 +254,10 @@ def biorthonormal_system(matrix, tol: float = DEFAULT_TOL,
     condition-number ceiling enforces.
 
     The eigenvalues are grouped by :func:`_group_stack` on a stack of
-    one (N = 1), so a system's groups and radius are bit for bit its row
-    of a larger stack; only here are the vectors inverted.  ``tol`` sets
-    the radius ``tol * rho``, a forward distance between computed
-    eigenvalues, not a backward error of the matrix.
+    one (N = 1), so a system's groups, radius and errors are bit for bit
+    its row of a larger stack; the left vectors are rows of the one
+    inverse it takes.  ``tol`` sets the floor ``tol * rho`` of the
+    distances the module's rule reads, not a backward error of the matrix.
 
     Raises
     ------
@@ -263,33 +269,34 @@ def biorthonormal_system(matrix, tol: float = DEFAULT_TOL,
         not finite and positive.
     """
     a = _square_complex(matrix)
-    v, cond, kept, perm, groups = _group_stack(a[None], tol, cond_ceiling)
+    v, inverse, cond, kept, perm, groups = _group_stack(a[None], tol, cond_ceiling)
     if not kept[0]:
         raise NotDiagonalizableError(
             f"eigenvector matrix condition number {cond[0]:.3e} exceeds "
             f"ceiling {cond_ceiling:.3e}")
-    values, mults, _, (radius,) = groups
+    values, mults, _, (radius,), errors = groups
     # columns gathered as rows: the right vectors are the Fortran-ordered
     # matrix a column gather ``v[:, perm]`` gives, and the products built
     # on them round as they do on that layout
     rows = v[0].T[perm[0]]
     return BiorthonormalSystem(
         eigenvalues=values, multiplicities=mults, right_vectors=rows.T,
-        left_vectors=np.linalg.inv(rows.T).conj().T, tolerance=tol,
-        condition=float(cond[0]), radius=float(radius))
+        left_vectors=inverse[0][perm[0]].conj().T, tolerance=tol,
+        condition=float(cond[0]), radius=float(radius), errors=errors)
 
 
 def _group_stack(stack: np.ndarray, tol: float, cond_ceiling: float):
     """The eigenvalue groups of each matrix of an ``(N, n, n)`` stack, as
     arrays: one eigensolve, unit-norm eigenvector columns, their condition
-    numbers and one clustering, with no inverse and no system built.
+    numbers, one inverse and one clustering, with no system built.
 
-    Returns ``(vectors, condition, kept, perm, groups)``.  Per matrix,
-    ``vectors`` holds its unit right eigenvectors in the solver's order,
-    ``condition`` their ``cond(V)``, and ``kept`` whether it is
+    Returns ``(vectors, inverse, condition, kept, perm, groups)``.  Per
+    matrix, ``vectors`` holds its unit right eigenvectors in the solver's
+    order, ``condition`` their ``cond(V)``, and ``kept`` whether it is
     diagonalizable by the one test, ``cond(V) <= cond_ceiling`` (NaN and
-    inf fail it).  ``perm`` and ``groups`` are :func:`_cluster_stack`'s
-    for the kept matrices; ``groups`` is what :func:`_real_groups` takes.
+    inf fail it).  ``inverse``, ``perm`` and ``groups`` are for the kept
+    matrices: ``inv(V)``, whose row norms give the error bounds, and
+    :func:`_cluster_stack`'s; ``groups`` is what :func:`_real_groups` takes.
 
     Raises
     ------
@@ -303,22 +310,28 @@ def _group_stack(stack: np.ndarray, tol: float, cond_ceiling: float):
     v = v / np.linalg.norm(v, axis=-2, keepdims=True)
     cond = np.linalg.cond(v)
     kept = cond <= cond_ceiling
-    perm, *groups = _cluster_stack(w[kept], tol)
-    return v, cond, kept, perm, groups
+    inverse = np.linalg.inv(v[kept])
+    # ||H||_F over a power of two near the largest part: no square underflows
+    parts = np.ascontiguousarray(stack).reshape(len(stack), -1).view(float)
+    unit = np.ldexp(1.0, np.minimum(-np.frexp(np.abs(parts).max(axis=-1))[1], 1000))
+    norm = np.linalg.norm(parts * unit[:, None], axis=-1) / unit
+    kappa = np.linalg.norm(inverse, axis=-1)
+    errors = stack.shape[-1] * np.finfo(float).eps * norm[kept, None] * kappa
+    perm, *groups = _cluster_stack(w[kept], tol, errors)
+    return v, inverse, cond, kept, perm, groups
 
 
 def classify_spectrum(system: BiorthonormalSystem) -> SpectrumClassification:
     """Split the eigenvalue groups of ``system`` into real groups and
     conjugate pairs.
 
-    The groups are the ones ``system`` was clustered into, classified
-    at the radius they were clustered at, ``r = system.radius``
-    (:func:`_radius`): a forward radius on the computed values, not a
-    backward error, that does not grow with their condition.  A group
-    ``z`` is real when ``|Im z| <= r``.  Each upper half-plane group, in
-    group order, takes the nearest lower group not yet taken (the lower
-    index on a tie); the pair holds when their distance is within ``r``
-    and their multiplicities agree.
+    The groups are the ones ``system`` was clustered into, classified by
+    the radius ``r = system.radius`` and each group's error bound
+    ``e_g = system.errors[g]``, which grows with its condition.  A group
+    ``z`` is real when ``|Im z| <= max(r, e_g)``.  Each upper half-plane
+    group ``u``, in group order, takes the nearest lower group ``l`` not
+    yet taken (the lower index on a tie); the pair holds when their
+    distance is within ``max(r, e_u + e_l)`` and their multiplicities agree.
     No spectrum is clustered here: classify the system of a matrix,
     built once by :func:`biorthonormal_system`.
 
@@ -340,26 +353,27 @@ def classify_spectrum(system: BiorthonormalSystem) -> SpectrumClassification:
 
 
 def _real_groups(values: np.ndarray, mults: np.ndarray, counts: list[int],
-                 radii: np.ndarray):
+                 radii: np.ndarray, errors: np.ndarray):
     """The one "real" rule and the parity, over the groups of a stack of
     systems as :func:`_cluster_stack` returns them: system ``e`` has
     ``counts[e]`` groups and the radius ``radii[e]``.  Returns ``(real,
     all_even)``: ``real`` flags, over the groups of the systems in turn,
-    those with ``|Im z| <= radii[e]``; per system, ``all_even`` is
-    whether none of its real groups is odd.  No group is paired here."""
+    those with ``|Im z| <= max(radii[e], errors[g])``; per system,
+    ``all_even`` is whether none of its real groups is odd."""
     owner = np.repeat(np.arange(len(counts)), counts)
-    real = np.abs(values.imag) <= radii[owner]
+    real = np.abs(values.imag) <= np.maximum(radii[owner], errors)
     odd = np.bincount(owner, weights=real & (mults % 2 == 1), minlength=len(counts))
     return real, (odd == 0).tolist()
 
 
 def _classification(system: BiorthonormalSystem):
-    """Classify ``system``'s own groups at its radius, by
+    """Classify ``system``'s own groups by its radius and errors, by
     :func:`classify_spectrum`'s rule: ``(classification, all_even,
     refusal)``, with ``refusal`` ``None`` or the error.  The real groups
     are always complete; the pairs only when ``refusal`` is ``None``."""
-    values, mults, radius = system.eigenvalues, system.multiplicities, system.radius
-    real, (all_even,) = _real_groups(values, mults, [values.size], np.array([radius]))
+    values, mults, errors = system.eigenvalues, system.multiplicities, system.errors
+    radius = system.radius
+    real, (all_even,) = _real_groups(values, mults, [values.size], np.array([radius]), errors)
     upper = ~real & (values.imag > 0)
     lowers = np.flatnonzero(~real & ~upper)
     free = np.ones(lowers.size, dtype=bool)
@@ -372,7 +386,7 @@ def _classification(system: BiorthonormalSystem):
             dist = np.where(free, np.abs(values[lowers] - np.conj(values[u])), np.inf)
             j = int(dist.argmin())
             low = int(lowers[j])
-            if not dist[j] <= radius:
+            if not dist[j] <= max(radius, errors[u] + errors[low]):
                 message = (f"eigenvalue {values[u]:g} has no conjugate partner "
                            "within tolerance")
             elif mults[u] != mults[low]:

@@ -266,7 +266,7 @@ def model_eigenbasis(params: ModelParams) -> BiorthonormalSystem:
     orders them, by (real, imag) of the eigenvalue.  The right-vector
     matrix is ``diag(i r, 1)`` times a unitary, so its singular values are
     ``|r|`` and 1 and its condition number is ``max(|r|, 1/|r|)``; its
-    radius is the clustering's, by the same rule, :func:`spectral._radius`.
+    radius is the clustering's, :func:`spectral._radius`, and its errors 0.
 
     Raises
     ------
@@ -298,7 +298,7 @@ def model_eigenbasis(params: ModelParams) -> BiorthonormalSystem:
         eigenvalues=np.array(values), multiplicities=np.array([1, 1]),
         right_vectors=np.column_stack(right), left_vectors=np.column_stack(left),
         tolerance=DEFAULT_TOL, condition=max(abs(root), 1.0 / abs(root)),
-        radius=float(_radius(DEFAULT_TOL, np.array(values))))
+        radius=float(_radius(DEFAULT_TOL, np.array(values))), errors=np.zeros(2))
 
 
 def model_intertwiner(params: ModelParams) -> np.ndarray:

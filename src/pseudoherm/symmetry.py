@@ -121,7 +121,7 @@ def build_intertwiner(system: BiorthonormalSystem) -> np.ndarray:
     exactly the intertwining relation after conjugation by ``Phi``.
 
     The system's own eigenvalue groups are classified by
-    :func:`classify_spectrum`, at its radius.
+    :func:`classify_spectrum`, by its radius and errors.
 
     Raises
     ------
@@ -215,8 +215,8 @@ def build_antilinear_symmetry(system: BiorthonormalSystem) -> AntilinearOperator
     pair are paired against each other.  Because ``Phi.T conj(V) = 1``,
     the square ``A conj(A)`` collapses to ``V S S inv(V) = -1`` exactly;
     floating point enters only through ``inv(V)``.  The system's own
-    eigenvalue groups are classified by :func:`classify_spectrum`, at its
-    radius.
+    eigenvalue groups are classified by :func:`classify_spectrum`, by its
+    radius and errors.
 
     Raises
     ------
@@ -274,11 +274,11 @@ def kramers_test(matrix, tol: float = DEFAULT_TOL,
     of every real eigenvalue), and when both hold, constructs the witness
     and measures its residuals instead of trusting the construction.
 
-    ``tol`` enters twice.  Clustering, realness and pairing apply
+    ``tol`` enters twice.  Clustering, realness and pairing read
     ``tol * rho`` (``rho`` the spectral radius, 1 for an exactly zero
-    spectrum) as a forward radius on the computed eigenvalues; it does not
-    grow with their condition, so a large ``cond(V)`` can split a level or
-    part two partners by more.  Only the residual gate reads ``tol`` as a
+    spectrum) as the floor of a forward distance on the computed
+    eigenvalues, above which their error bounds decide
+    (:func:`classify_spectrum`).  Only the residual gate reads ``tol`` as a
     backward error: a witness whose commutator residual, relative to
     ``norm(H, 'fro')``, exceeds ``(tol + 1e3 n eps) cond(V)`` is refused;
     a verdict that denies the symmetry builds none and passes no gate.

@@ -1146,9 +1146,9 @@ def test_scan_classifies_once_per_block(capsys, monkeypatch):
     stacks = []
     classify = cli._real_groups
 
-    def counted(values, mults, counts, radii):
+    def counted(values, mults, counts, radii, errors):
         stacks.append(len(counts))
-        return classify(values, mults, counts, radii)
+        return classify(values, mults, counts, radii, errors)
 
     monkeypatch.setattr(cli, "_real_groups", counted)
     # two blocks; k2 = 0.5 with muB = 0.25 is a Jordan block, left out

@@ -3,7 +3,9 @@
 import numpy as np
 import pytest
 from conftest import (
+    MODEL_REGIMES,
     bounded_similarity,
+    conditioned_similarity,
     kramers_spectrum,
     odd_real_spectrum,
     separated_reals,
@@ -12,11 +14,14 @@ from conftest import (
 )
 
 from pseudoherm import (
+    ModelParams,
     NotDiagonalizableError,
     NotPseudohermitianError,
     biorthonormal_system,
     classify_spectrum,
+    effective_hamiltonian,
     kramers_test,
+    model_eigenbasis,
     reconstruct,
     spectral,
 )
@@ -72,15 +77,17 @@ def test_input_validation():
 
 
 def test_strided_complex_input():
-    # a transposed or column-reversed complex matrix is a view whose last
-    # axis is not contiguous; it is analyzed as its contiguous copy
+    # a transposed, column-reversed or every-other-column complex matrix
+    # is a view whose last axis is not contiguous; it is analyzed as its
+    # contiguous copy
     rng = np.random.default_rng(61)
     h = with_spectrum(rng, kramers_spectrum(rng, 4))
-    for view in (h.T, h[:, ::-1]):
+    for view in (h.T, h[:, ::-1], np.repeat(h, 2, axis=1)[:, ::2]):
         system = biorthonormal_system(view)
         copied = biorthonormal_system(view.copy())
         assert system.eigenvalues.tobytes() == copied.eigenvalues.tobytes()
         assert system.right_vectors.tobytes() == copied.right_vectors.tobytes()
+        assert system.errors.tobytes() == copied.errors.tobytes()
 
 
 def test_stacked_pass_equals_single_matrix_calls():
@@ -101,8 +108,8 @@ def test_stacked_pass_equals_single_matrix_calls():
             with_spectrum(rng, 1.0 + 1e-5 * np.arange(n)),
             with_spectrum(rng, kramers_spectrum(rng, n)),
         ])
-        vectors, cond, kept, perm, groups = spectral._group_stack(stack, 1e-9, 1e12)
-        values, mults, counts, radii = groups
+        vectors, _, cond, kept, perm, groups = spectral._group_stack(stack, 1e-9, 1e12)
+        values, mults, counts, radii, errors = groups
         assert kept.tolist() == [True, False, True, True, True, True, True]
         # a matrix's groups and radius alone are its row of the stack's
         start, row = 0, 0
@@ -118,7 +125,8 @@ def test_stacked_pass_equals_single_matrix_calls():
             stop = start + counts[row]
             stacked = {"eigenvalues": values[start:stop],
                        "multiplicities": mults[start:stop],
-                       "right_vectors": vectors[e][:, perm[row]]}
+                       "right_vectors": vectors[e][:, perm[row]],
+                       "errors": errors[start:stop]}
             for name, mine in stacked.items():
                 single = getattr(alone, name)
                 assert mine.dtype == single.dtype and mine.shape == single.shape
@@ -149,10 +157,60 @@ def test_group_representatives_are_member_means():
         members = [g[np.lexsort((g.imag, g.real))] for g in groups]
         expected.append(sorted((np.mean(m) for m in members),
                                key=lambda z: (z.real, z.imag)))
-    _, means, mults, counts, _ = spectral._cluster_stack(np.array(rows), 1e-9)
+    rows = np.array(rows)
+    _, means, mults, counts, _, _ = spectral._cluster_stack(rows, 1e-9,
+                                                            np.zeros(rows.shape))
     assert counts == [8, 8]
     assert means.tobytes() == np.array(expected).ravel().tobytes()
     assert mults.tolist() == [1, 2, 3, 5, 8, 9, 17, 130, 130, 17, 9, 8, 5, 3, 2, 1]
+
+
+def test_errors_are_read_off_the_left_vectors(monkeypatch):
+    # kappa_i is the norm of the left vector of a unit right one, so a
+    # group's error bound, n eps ||H||_F times its members' largest kappa_i,
+    # follows from the system alone: the one inverse it takes gives both
+    rng = np.random.default_rng(53)
+    s = conditioned_similarity(rng, 8, 1e4)
+    dense = s @ np.diag(kramers_spectrum(rng, 8)) @ np.linalg.inv(s)
+    models = [effective_hamiltonian(ModelParams(*case)) for case in MODEL_REGIMES[:3]]
+    inverses = []
+    inv = np.linalg.inv
+
+    def counted(a):
+        inverses.append(a.shape)
+        return inv(a)
+
+    monkeypatch.setattr(np.linalg, "inv", counted)
+    for h in (dense, *models):
+        inverses.clear()
+        system = biorthonormal_system(h)
+        assert len(inverses) == 1
+        kappa = np.linalg.norm(system.left_vectors, axis=0)
+        ends = np.cumsum(system.multiplicities)
+        scale = system.dim * np.finfo(float).eps * np.linalg.norm(h)
+        expected = [scale * kappa[end - m:end].max()
+                    for end, m in zip(ends, system.multiplicities)]
+        assert system.errors.shape == system.eigenvalues.shape
+        assert np.allclose(system.errors, expected, rtol=1e-12, atol=0)
+        # the dense matrix has doubled levels: some max is over members
+        assert system.multiplicities.max() == (2 if h is dense else 1)
+    # the closed-form system carries no rounding bound
+    for case in MODEL_REGIMES[:3]:
+        assert model_eigenbasis(ModelParams(*case)).errors.tolist() == [0.0, 0.0]
+
+
+def test_errors_scale_with_the_matrix():
+    # ||H||_F is taken over a power of two near the largest part: at
+    # 1e-170 a plain sum of squares underflows to 0, and the pair +-0.25i
+    # under a similarity of condition 1e5 would read "not pseudohermitian"
+    rng = np.random.default_rng(0)
+    s = conditioned_similarity(rng, 2, 1e5)
+    h = s @ np.diag([0.25j, -0.25j]) @ np.linalg.inv(s)
+    base = biorthonormal_system(h)
+    for scale in (1e-170, 1e-300, 1e140):
+        system = biorthonormal_system(scale * h)
+        assert np.allclose(system.errors, scale * base.errors, rtol=1e-6, atol=0)
+        assert kramers_test(scale * h).pseudohermitian
 
 
 def test_biorthonormality_and_completeness():
@@ -287,7 +345,7 @@ def test_stacked_classifier_equals_each_system_alone():
         [1.0, 1.0, 2.0, 2.0, 3.0, 3.0],              # real, all even
     ]
     matrices = [with_spectrum(rng, spectrum) for spectrum in spectra]
-    _, _, kept, _, groups = spectral._group_stack(
+    _, _, _, kept, _, groups = spectral._group_stack(
         np.stack(matrices), spectral.DEFAULT_TOL, spectral.DEFAULT_COND_CEILING)
     assert kept.tolist() == [True] * len(matrices)
     real, all_even = spectral._real_groups(*groups)
@@ -298,7 +356,7 @@ def test_stacked_classifier_equals_each_system_alone():
         stop = start + len(system.eigenvalues)
         alone = spectral._real_groups(
             system.eigenvalues, system.multiplicities, [len(system.eigenvalues)],
-            np.array([system.radius]))
+            np.array([system.radius]), system.errors)
         assert np.array_equal(real[start:stop], alone[0])
         assert [all_even[e]] == alone[1]
         # the N = 1 call is the one classify_spectrum pairs after
@@ -326,7 +384,7 @@ def test_stacked_classifier_equals_each_system_alone():
     assert messages[4].endswith("has no conjugate partner")
     assert messages[5].endswith("within tolerance")
     empty = spectral._real_groups(np.zeros(0, dtype=complex), np.zeros(0, dtype=int),
-                                  [], np.zeros(0))
+                                  [], np.zeros(0), np.zeros(0))
     assert empty[0].size == 0 and empty[1] == []
 
 
