@@ -557,7 +557,8 @@ def build_analysis_report(matrix, tol: float = DEFAULT_TOL,
         If the Kramers witness fails :func:`~pseudoherm.symmetry.kramers_test`'s
         residual gate, or the metric's intertwining residual exceeds the
         same bound, ``(tol + 1e3 n eps) cond(V)``; a refused metric is
-        never formatted.
+        never formatted.  Also where a join, real call or pair resting on
+        the error bounds does not hold up.
     """
     report = _analysis(matrix, tol, cond_ceiling)
     if report.intertwiner is not None:
@@ -696,7 +697,8 @@ def _scan_rows(fields, grid: np.ndarray) -> str:
             texts = _g12_texts(np.abs(values).max(axis=1))
         peaks += ["" if refusal is not None else text
                   for text, refusal in zip(texts, refusals)]
-    # a defective point's generator has no groups to classify
+    # a defective point's generator has no groups to classify, nor has one
+    # whose groups rest on error bounds that do not hold up
     parity = np.full(kept.size, "", dtype=object)
     parity[kept] = np.where(_real_groups(*groups)[1], "true", "false")
     regime = ["true" if real else "false" for real in _in_real_regime(fields).tolist()]

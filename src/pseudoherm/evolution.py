@@ -99,18 +99,9 @@ def _state(state, dim: int) -> np.ndarray:
 
 
 def evolution_operator(system: BiorthonormalSystem, t: float) -> np.ndarray:
-    """Build the propagator at time ``t`` from an eigensystem.
-
-    Parameters
-    ----------
-    system : BiorthonormalSystem
-    t : float
-        Evolution time; may be negative (the inverse propagator).
-
-    Returns
-    -------
-    numpy.ndarray
-        The n x n matrix ``U(t)``; ``U(t) @ state`` evolves a state.
+    """Build the propagator at time ``t`` from an eigensystem: the n x n
+    matrix ``U(t)``, with ``U(t) @ state`` the evolved state.  ``t`` may be
+    negative (the inverse propagator).
 
     Raises
     ------
@@ -148,10 +139,8 @@ def transition_probability(system: BiorthonormalSystem, initial, final, t):
     given; callers supply unit-norm vectors when a probability reading is
     intended.  For non-Hermitian generators the result is not bounded by
     one and the forward and backward values generally differ.  ``U(t)``
-    itself is never formed, and within one call each extra time costs
-    O(n).  Each call forms its two O(n^2) projections of the states
-    again, so a scalar call per time costs far more than one call on an
-    array of times: pass a grid as one array.
+    itself is never formed: a call projects the states once, at O(n^2),
+    and each time then costs O(n), so pass a grid as one array.
 
     ``t`` is a float or an ndarray of times; a float gives a float and an
     array gives an array of the same shape.

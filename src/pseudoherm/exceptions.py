@@ -46,14 +46,13 @@ class OddDegeneracyError(PseudohermError):
 class AmbiguousSpectrumError(PseudohermError):
     """The eigenvalue groups do not hold up at the requested tolerance.
 
-    The antilinear witness built on the groups leaves a commutator
-    residual, or the metric built on them an intertwining residual, above
-    ``(tol + 1e3 n eps) cond(V)``: the levels merged into one group, or a
-    level counted as real, are further from it than a backward error of
-    ``tol`` relative to the spectral radius explains, so the verdict is
-    refused rather than given.  This gate is the one place ``tol`` is
-    read as a backward error; the groups were formed at forward distances
-    ``max(tol * rho, e_i + e_j)``, ``e_i`` each eigenvalue's error bound.
+    A witness or metric built on the groups, formed at forward distances
+    ``max(tol * rho, e_i + e_j)``, leaves a residual above the gate
+    ``(tol + 1e3 n eps) cond(V)``, which reads ``tol`` as a backward error:
+    merged levels, or a level counted as real, lie further apart than
+    ``tol`` explains.  Or a group the error bounds ``e_i`` join past ``tol *
+    rho`` is not one level up to rounding, or the gate is 1 or more, and so
+    checks nothing, where the bounds decide a join, real call or pair.
     """
 
 

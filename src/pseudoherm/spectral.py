@@ -9,24 +9,22 @@ The standard replacement is a biorthonormal system: right eigenvectors
     <phi_m | psi_n> = delta_mn,      sum_n |psi_n><phi_n| = 1,
 
 which restores a resolution of the identity and the spectral expansion
-``H = sum_n E_n |psi_n><phi_n|``.  Everything downstream (intertwining
-metrics, antilinear symmetries, non-unitary propagators) is built on
-these pairs, so this module also carries the eigenvalue bookkeeping:
-clustering the spectrum into degenerate groups once, when the system is
-built, and splitting those groups into real ones and complex-conjugate
-partners.  Each system has one radius, ``r = tol * _tolerance_scale(rho)``
-with ``rho`` its spectral radius (:func:`_radius`), and each eigenvalue an
-error bound ``e_i = n eps ||H||_F kappa_i``, ``kappa_i`` the row norm of
-the one ``inv(V)`` each system takes, for unit columns of ``V``.  Values
-join within ``max(r, e_i + e_j)``; a group, ``e_g`` its members' largest
-``e_i``, is real when ``|Im z| <= max(r, e_g)``; two groups pair within
-``max(r, e_u + e_l)``.  :func:`_real_groups` applies the "real" rule and
-the parity to a stack of systems as arrays; :func:`_classification` alone
-pairs, one system at a time: each upper half-plane group, in group order,
-takes the nearest lower group not yet taken, within that distance and at
-equal multiplicity.  One function, :func:`_tolerance_scale`, says what a
-relative tolerance is relative to, for the radius, for the residuals of
-:mod:`pseudoherm.symmetry` and for the two-level model's "vanishes" rule.
+``H = sum_n E_n |psi_n><phi_n|``.  Everything downstream is built on
+these pairs, so this module also clusters the spectrum into degenerate
+groups once, when the system is built, and splits them into real ones
+and conjugate partners.  Each system has one radius, ``r = tol *
+_tolerance_scale(rho)``, ``rho`` its spectral radius, and each eigenvalue
+an error bound ``e_i = n eps ||H||_F kappa_i``, ``kappa_i`` the row norm
+of the one ``inv(V)`` each system takes, for unit columns of ``V``.
+Values join within ``max(r, e_i + e_j)``; a group, ``e_g`` its members'
+largest ``e_i``, is real when ``|Im z| <= max(r, e_g)``; two groups pair
+within ``max(r, e_u + e_l)``.  Bounds past ``r`` must hold up
+(:func:`_bounds_hold`), or the matrix is refused: a join must leave one
+level, and nothing may rest on them where the residual gate reaches 1.
+:func:`_real_groups` applies the "real" rule and the parity to a stack
+of systems as arrays; :func:`_classification` alone pairs, one system at
+a time: each upper half-plane group, in group order, takes the nearest
+lower group not yet taken, within that distance and at equal multiplicity.
 """
 
 from __future__ import annotations
@@ -35,7 +33,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .exceptions import NotDiagonalizableError, NotPseudohermitianError
+from .exceptions import AmbiguousSpectrumError, NotDiagonalizableError, NotPseudohermitianError
 
 __all__ = [
     "BiorthonormalSystem",
@@ -47,6 +45,8 @@ __all__ = [
 
 DEFAULT_TOL = 1e-9
 DEFAULT_COND_CEILING = 1e12
+# rounding allowance of the residual gate, in units of n * eps
+_GATE_ROUNDING = 1e3
 
 
 def _square_complex(matrix) -> np.ndarray:
@@ -72,22 +72,33 @@ def _check_tolerance(name: str, value: float) -> None:
 
 
 def _tolerance_scale(magnitude):
-    """The scale a relative tolerance is taken against: ``magnitude``
-    itself, and 1 only where it is exactly zero, so that a zero spectrum
-    or a zero matrix still has a scale.
-
-    Its callers: the clustering radius here, the residuals of
-    :mod:`pseudoherm.symmetry`, and the two-level model's one "vanishes"
-    rule, ``spin_rotation._vanishes``, against the model's coupling
-    scale."""
+    """The scale a relative tolerance is taken against, for the radius,
+    the residuals of :mod:`pseudoherm.symmetry` and the model's "vanishes"
+    rule: ``magnitude`` itself, and 1 only where it is exactly zero, so
+    that a zero spectrum or a zero matrix still has a scale."""
     return np.where(magnitude == 0, 1.0, magnitude)
 
 
 def _radius(tol: float, values: np.ndarray):
-    """The radius of each row of ``values``, ``tol * _tolerance_scale(rho)``
-    with ``rho`` the row's spectral radius: the one rule that both the
-    clustering and the two-level model's closed-form system apply."""
+    """The radius ``tol * _tolerance_scale(rho)`` of each row of ``values``,
+    ``rho`` its spectral radius, for clustering and the model's system."""
     return tol * _tolerance_scale(np.abs(values).max(axis=-1, initial=0.0))
+
+
+def _frobenius(stack):
+    """``||H||_F`` of each matrix of a stack, or of one matrix, over a power
+    of two near its largest part: no square under- or overflows."""
+    parts = np.ascontiguousarray(stack).reshape(*np.shape(stack)[:-2], -1).view(float)
+    unit = np.ldexp(1.0, np.minimum(-np.frexp(np.abs(parts).max(axis=-1))[1], 1000))
+    return np.linalg.norm(parts * unit[..., None], axis=-1) / unit
+
+
+def _gate_bound(tol: float, n: int, cond):
+    """The residual gate, ``(tol + 1e3 n eps) cond(V)`` relative to
+    ``||H||_F``: a backward error of ``tol`` plus rounding, amplified by
+    ``cond(V)``.  At 1 or more it passes a commutator as large as ``H``:
+    no decision may rest on the error bounds there."""
+    return (tol + _GATE_ROUNDING * n * np.finfo(float).eps) * cond
 
 
 def _cluster_stack(values: np.ndarray, tol: float, errors: np.ndarray):
@@ -155,11 +166,9 @@ def _cluster_stack(values: np.ndarray, tol: float, errors: np.ndarray):
 
 @dataclass
 class BiorthonormalSystem:
-    """Eigenvalue groups plus paired right/left eigenvector columns.
-
-    Eigenvalues are clustered once, when the system is built, by the
-    module's rule; analyses of the system classify these groups by
-    ``radius`` and ``errors`` instead of clustering again.
+    """Eigenvalue groups plus paired right/left eigenvector columns,
+    clustered once, when the system is built, by the module's rule;
+    analyses classify these groups by ``radius`` and ``errors``.
 
     Attributes
     ----------
@@ -206,11 +215,9 @@ class BiorthonormalSystem:
 @dataclass
 class SpectrumClassification:
     """Partition of a system's eigenvalue groups into real and
-    conjugate-paired ones, as :func:`classify_spectrum` returns it.
-
-    Holds the groups of the classified :class:`BiorthonormalSystem`, in
-    its order, and the positions of the real and the paired ones among
-    them; the value lists are derived from these.
+    conjugate-paired ones, as :func:`classify_spectrum` returns it: the
+    system's groups and the positions of the real and the paired ones, from
+    which the value lists are derived.
 
     Attributes
     ----------
@@ -248,36 +255,36 @@ def biorthonormal_system(matrix, tol: float = DEFAULT_TOL,
                          cond_ceiling: float = DEFAULT_COND_CEILING) -> BiorthonormalSystem:
     """Build the biorthonormal eigensystem of a diagonalizable matrix.
 
-    The left vectors are the columns of ``inv(V).conj().T`` where ``V``
-    holds the right eigenvectors, so biorthonormality and completeness
-    hold to machine precision whenever the inverse is accurate, which the
-    condition-number ceiling enforces.
-
-    The eigenvalues are grouped by :func:`_group_stack` on a stack of
-    one (N = 1), so a system's groups, radius and errors are bit for bit
-    its row of a larger stack; the left vectors are rows of the one
-    inverse it takes.  ``tol`` sets the floor ``tol * rho`` of the
-    distances the module's rule reads, not a backward error of the matrix.
+    The eigenvalues are grouped by :func:`_group_stack` on a stack of one,
+    so a system's groups, radius and errors are bit for bit its row of a
+    larger stack.  The left vectors, the columns of ``inv(V).conj().T``,
+    are rows of the one inverse it takes: biorthonormality and
+    completeness hold to machine precision while the condition-number
+    ceiling keeps that inverse accurate.  ``tol`` sets the floor ``tol *
+    rho`` of the distances the module's rule reads, not a backward error.
 
     Raises
     ------
     NotDiagonalizableError
-        If the eigenvector matrix has condition number above
-        ``cond_ceiling``.
+        If the eigenvector matrix's condition number exceeds ``cond_ceiling``.
+    AmbiguousSpectrumError
+        If a join or real call that rests on the error bounds does not hold
+        up (:func:`_bounds_hold`).
     ValueError
         If the input is not a finite square matrix or the tolerances are
         not finite and positive.
     """
     a = _square_complex(matrix)
     v, inverse, cond, kept, perm, groups = _group_stack(a[None], tol, cond_ceiling)
+    if not kept[0] and cond[0] <= cond_ceiling:
+        raise AmbiguousSpectrumError(f"ambiguous spectrum: at cond(V) {cond[0]:.3e} a join "
+                                     "or real call resting on the error bounds fails")
     if not kept[0]:
-        raise NotDiagonalizableError(
-            f"eigenvector matrix condition number {cond[0]:.3e} exceeds "
-            f"ceiling {cond_ceiling:.3e}")
+        raise NotDiagonalizableError(f"eigenvector matrix condition number {cond[0]:.3e} "
+                                     f"exceeds ceiling {cond_ceiling:.3e}")
     values, mults, _, (radius,), errors = groups
     # columns gathered as rows: the right vectors are the Fortran-ordered
-    # matrix a column gather ``v[:, perm]`` gives, and the products built
-    # on them round as they do on that layout
+    # matrix ``v[:, perm]`` gives, and products on them round as on that layout
     rows = v[0].T[perm[0]]
     return BiorthonormalSystem(
         eigenvalues=values, multiplicities=mults, right_vectors=rows.T,
@@ -293,10 +300,10 @@ def _group_stack(stack: np.ndarray, tol: float, cond_ceiling: float):
     Returns ``(vectors, inverse, condition, kept, perm, groups)``.  Per
     matrix, ``vectors`` holds its unit right eigenvectors in the solver's
     order, ``condition`` their ``cond(V)``, and ``kept`` whether it is
-    diagonalizable by the one test, ``cond(V) <= cond_ceiling`` (NaN and
-    inf fail it).  ``inverse``, ``perm`` and ``groups`` are for the kept
-    matrices: ``inv(V)``, whose row norms give the error bounds, and
-    :func:`_cluster_stack`'s; ``groups`` is what :func:`_real_groups` takes.
+    diagonalizable, ``cond(V) <= cond_ceiling`` (NaN and inf fail it), and
+    its groups hold up by :func:`_bounds_hold`.  For the kept matrices,
+    ``inverse`` is ``inv(V)``, whose row norms give the error bounds, and
+    ``perm`` and ``groups`` :func:`_cluster_stack`'s.
 
     Raises
     ------
@@ -311,14 +318,41 @@ def _group_stack(stack: np.ndarray, tol: float, cond_ceiling: float):
     cond = np.linalg.cond(v)
     kept = cond <= cond_ceiling
     inverse = np.linalg.inv(v[kept])
-    # ||H||_F over a power of two near the largest part: no square underflows
-    parts = np.ascontiguousarray(stack).reshape(len(stack), -1).view(float)
-    unit = np.ldexp(1.0, np.minimum(-np.frexp(np.abs(parts).max(axis=-1))[1], 1000))
-    norm = np.linalg.norm(parts * unit[:, None], axis=-1) / unit
-    kappa = np.linalg.norm(inverse, axis=-1)
-    errors = stack.shape[-1] * np.finfo(float).eps * norm[kept, None] * kappa
+    n = stack.shape[-1]
+    errors = n * np.finfo(float).eps * _frobenius(stack)[kept, None] * np.linalg.norm(
+        inverse, axis=-1)
     perm, *groups = _cluster_stack(w[kept], tol, errors)
-    return v, inverse, cond, kept, perm, groups
+    held = _bounds_hold(stack[kept], v[kept], w[kept], perm, groups, tol, cond[kept])
+    kept[kept] = held
+    means, mults, counts, radii, bounds = groups
+    member = np.repeat(held, counts)
+    return v, inverse[held], cond, kept, perm[held], [
+        means[member], mults[member], np.array(counts)[held].tolist(), radii[held], bounds[member]]
+
+
+def _bounds_hold(stack, vectors, values, perm, groups, tol: float, cond):
+    """Whether each row's groups hold where their error bounds reach past
+    the floor ``r``.  A real call past ``r`` holds only where the residual
+    gate (:func:`_gate_bound`) is below 1 and so checks it.  A group whose
+    ``2 e_g`` passes ``r`` must also be one level up to rounding: with ``Q``
+    an orthonormal basis of its eigenvectors, ``||Q^H H Q - z I||_F <=
+    (tol + 1e3 n eps cond(V)) ||H||_F``.  A split multiple level meets it;
+    a near-Jordan pair, its eigenvectors all but parallel, misses by about
+    ``||H||_F``."""
+    means, mults, counts, radii, bounds = groups
+    count, n = values.shape
+    owner = np.repeat(np.arange(count), counts)
+    gate = _gate_bound(tol, n, cond)
+    past = (radii[owner] < np.abs(means.imag)) & (np.abs(means.imag) <= bounds)
+    held = (gate < 1) | (np.bincount(owner, past, count) == 0)
+    rounding = tol + _GATE_ROUNDING * n * np.finfo(float).eps * cond
+    start = np.cumsum(mults) - mults - owner * n
+    for g in np.flatnonzero((mults > 1) & (2 * bounds > radii[owner])).tolist():
+        e, h = owner[g], stack[owner[g]]
+        q = np.linalg.qr(vectors[e][:, perm[e][start[g]:start[g] + mults[g]]])[0]
+        departure = _frobenius(q.conj().T @ h @ q - means[g] * np.eye(mults[g]))
+        held[e] &= gate[e] < 1 and departure <= rounding[e] * _frobenius(h)
+    return held
 
 
 def classify_spectrum(system: BiorthonormalSystem) -> SpectrumClassification:
@@ -335,16 +369,15 @@ def classify_spectrum(system: BiorthonormalSystem) -> SpectrumClassification:
     No spectrum is clustered here: classify the system of a matrix,
     built once by :func:`biorthonormal_system`.
 
-    Returns
-    -------
-    SpectrumClassification
-
     Raises
     ------
     NotPseudohermitianError
         If some complex group has no conjugate partner within tolerance,
         or partners disagree in multiplicity.  Such a spectrum cannot
         belong to an operator similar to its own adjoint.
+    AmbiguousSpectrumError
+        If the error bounds pair two groups the floor would not, and the
+        residual gate, at 1 or more, cannot check them.
     """
     cls, _, refusal = _classification(system)
     if refusal is not None:
@@ -392,6 +425,11 @@ def _classification(system: BiorthonormalSystem):
             elif mults[u] != mults[low]:
                 message = (f"conjugate pair {values[u]:g} / {values[low]:g} has mismatched "
                            f"multiplicities {mults[u]} and {mults[low]}")
+            elif dist[j] > radius and _gate_bound(system.tolerance, system.dim,
+                                                  system.condition) >= 1:
+                raise AmbiguousSpectrumError(
+                    f"ambiguous spectrum: at cond(V) {system.condition:.3e} the gate "
+                    f"cannot check the bounds that pair {values[u]:g}")
             else:
                 free[j] = False
                 pairs.append((u, low))

@@ -38,6 +38,8 @@ from .spectral import (
     BiorthonormalSystem,
     SpectrumClassification,
     _classification,
+    _frobenius,
+    _gate_bound,
     _square_complex,
     _tolerance_scale,
     biorthonormal_system,
@@ -56,8 +58,6 @@ __all__ = [
 ]
 
 SINGULAR_COND = 1e14
-# rounding allowance of the residual gate, in units of n * eps
-_GATE_ROUNDING = 1e3
 
 
 @dataclass
@@ -90,9 +90,7 @@ class KramersReport:
         A commuting antilinear operator squaring to minus the identity,
         present exactly when ``pseudohermitian and all_even``.
     commutator_residual : float or None
-        ``norm(H A - A conj(H), 'fro') / _tolerance_scale(norm(H, 'fro'))``
-        for the witness: relative to ``norm(H, 'fro')``, and absolute
-        only for the zero matrix.
+        :func:`commutator_residual` of the witness, relative to ``||H||_F``.
     square_residual : float or None
         ``norm(A conj(A) + 1, 'fro')`` for the witness.
     """
@@ -163,15 +161,11 @@ def _intertwiner(system: BiorthonormalSystem,
 
 
 def intertwining_residual(matrix, metric) -> float:
-    """Relative departure from the pseudohermiticity relation.
-
-    ``metric`` is the matrix ``eta`` (array_like), as
-    :func:`build_intertwiner` and
-    :func:`~pseudoherm.spin_rotation.model_intertwiner` return it.
-    Returns ``norm(eta H inv(eta) - H.conj().T, 'fro')`` divided by
-    ``_tolerance_scale(norm(H, 'fro'))``: relative to ``norm(H, 'fro')``,
-    so that scaling ``H`` leaves it unchanged, and divided by 1 only for
-    the zero matrix.
+    """Relative departure from the pseudohermiticity relation:
+    ``norm(eta H inv(eta) - H.conj().T, 'fro')`` for the metric ``eta``
+    (array_like, as :func:`build_intertwiner` returns it), over
+    ``_tolerance_scale(norm(H, 'fro'))``, so that scaling ``H`` leaves it
+    unchanged.
 
     The metric's 2-norm condition number, its largest over its smallest
     singular value, decides whether it can be inverted.  A metric that
@@ -202,8 +196,7 @@ def intertwining_residual(matrix, metric) -> float:
             f"metric condition number {cond:.3e} exceeds {SINGULAR_COND:.1e}")
     # X = eta H inv(eta), computed as the solution of X eta = eta H.
     x = np.linalg.solve(eta.T, (eta @ h).T).T
-    return float(np.linalg.norm(x - h.conj().T)
-                 / _tolerance_scale(np.linalg.norm(h)))
+    return float(_frobenius(x - h.conj().T) / _tolerance_scale(_frobenius(h)))
 
 
 def build_antilinear_symmetry(system: BiorthonormalSystem) -> AntilinearOperator:
@@ -243,20 +236,15 @@ def _antilinear_witness(system: BiorthonormalSystem,
 
 
 def commutator_residual(matrix, operator: AntilinearOperator) -> float:
-    """Relative size of the commutator of ``matrix`` with an antilinear map.
-
-    For an antilinear operator with matrix ``A`` the commutator condition
-    reads ``H A = A conj(H)``; returns the Frobenius norm of the
-    difference over ``_tolerance_scale(norm(H, 'fro'))``: relative to
-    ``norm(H, 'fro')``, so that scaling ``H`` leaves it unchanged, and
-    divided by 1 only for the zero matrix.
-    """
+    """Relative size of the commutator of ``matrix`` with an antilinear map
+    ``A``, whose condition reads ``H A = A conj(H)``: the Frobenius norm of
+    the difference over ``_tolerance_scale(norm(H, 'fro'))``, so that
+    scaling ``H`` leaves it unchanged."""
     h = _square_complex(matrix)
     a = operator.matrix
     if a.shape != h.shape:
         raise ValueError("operator and matrix dimensions disagree")
-    return float(np.linalg.norm(h @ a - a @ np.conj(h))
-                 / _tolerance_scale(np.linalg.norm(h)))
+    return float(_frobenius(h @ a - a @ np.conj(h)) / _tolerance_scale(_frobenius(h)))
 
 
 def square_residual(operator: AntilinearOperator) -> float:
@@ -269,35 +257,24 @@ def kramers_test(matrix, tol: float = DEFAULT_TOL,
                  cond_ceiling: float = DEFAULT_COND_CEILING) -> KramersReport:
     """Decide whether a matrix admits an antilinear symmetry with square -1.
 
-    Diagonalizes the matrix, classifies its groups once, checks the two
-    structural requirements (real-or-paired spectrum, even multiplicity
-    of every real eigenvalue), and when both hold, constructs the witness
-    and measures its residuals instead of trusting the construction.
+    Classifies the matrix's groups once, checks the two requirements
+    (a real-or-paired spectrum, every real level even), and where both
+    hold builds the witness and measures its residuals.
 
     ``tol`` enters twice.  Clustering, realness and pairing read
     ``tol * rho`` (``rho`` the spectral radius, 1 for an exactly zero
     spectrum) as the floor of a forward distance on the computed
-    eigenvalues, above which their error bounds decide
-    (:func:`classify_spectrum`).  Only the residual gate reads ``tol`` as a
-    backward error: a witness whose commutator residual, relative to
-    ``norm(H, 'fro')``, exceeds ``(tol + 1e3 n eps) cond(V)`` is refused;
+    eigenvalues, above which their error bounds decide.  The checks on the
+    bounds and the residual gate read ``tol`` as a backward error: a witness
+    whose commutator residual, relative to ``norm(H, 'fro')``, exceeds
+    ``(tol + 1e3 n eps) cond(V)`` is refused;
     a verdict that denies the symmetry builds none and passes no gate.
     At ``tol=0.5``, ``diag(1, 1.6)`` admits, its levels merged at a
     residual of 0.45, and ``diag(1, 2)`` is refused, at 0.63.  No metric
     is built or gated here, unlike in ``analyze``: at ``tol=0.5``,
     ``diag(10, 10.4, 1+5.15i)`` reads pseudohermitian here, while
     ``analyze --tol 0.5`` refuses it (exit 2), its metric residual 0.67.
-
-    Parameters
-    ----------
-    matrix : array_like
-        Square complex matrix; must be numerically diagonalizable.
-    tol, cond_ceiling : float
-        Forwarded to the eigendecomposition and classification.
-
-    Returns
-    -------
-    KramersReport
+    ``tol`` and ``cond_ceiling`` are :func:`biorthonormal_system`'s.
 
     Raises
     ------
@@ -305,7 +282,9 @@ def kramers_test(matrix, tol: float = DEFAULT_TOL,
         If the eigenvector matrix is too ill-conditioned.
     AmbiguousSpectrumError
         If the witness's commutator residual exceeds the bound above:
-        the groups it was built on merge levels ``tol`` does not cover.
+        the groups it was built on merge levels ``tol`` does not cover;
+        or if a join, real call or pair resting on the error bounds does
+        not hold up (:func:`~pseudoherm.spectral._bounds_hold`).
     ValueError
         If the input is not a finite square matrix or a tolerance is not
         finite and positive.
@@ -316,12 +295,10 @@ def kramers_test(matrix, tol: float = DEFAULT_TOL,
 
 
 def _residual_gate(system: BiorthonormalSystem, residual: float, what: str) -> None:
-    """Refuse a construction on ``system``'s groups whose relative
-    ``residual`` exceeds ``(tol + 1e3 n eps) cond(V)``: a backward error
-    of ``tol`` plus rounding, amplified by cond(V).  Raises
-    :class:`AmbiguousSpectrumError` naming ``what`` was refused."""
-    rounding = _GATE_ROUNDING * system.dim * np.finfo(float).eps
-    bound = (system.tolerance + rounding) * system.condition
+    """Raise :class:`AmbiguousSpectrumError`, naming ``what`` was refused,
+    where a relative ``residual`` on ``system``'s groups exceeds the gate,
+    :func:`~pseudoherm.spectral._gate_bound`."""
+    bound = _gate_bound(system.tolerance, system.dim, system.condition)
     if not residual <= bound:
         raise AmbiguousSpectrumError(
             f"ambiguous spectrum: {what} residual {residual:.3e} "
@@ -343,12 +320,7 @@ def _kramers_verdict(matrix, system: BiorthonormalSystem
         comm = commutator_residual(matrix, witness)
         _residual_gate(system, comm, "witness commutator")
         square = square_residual(witness)
-    report = KramersReport(
-        pseudohermitian=refusal is None,
-        real_degeneracies=cls.real_groups,
-        all_even=all_even,
-        witness=witness,
-        commutator_residual=comm,
-        square_residual=square,
-    )
+    report = KramersReport(pseudohermitian=refusal is None, real_degeneracies=cls.real_groups,
+                           all_even=all_even, witness=witness, commutator_residual=comm,
+                           square_residual=square)
     return report, cls

@@ -457,6 +457,67 @@ def test_residual_gate_refuses_and_admits_at_coarse_tol():
     assert 0.44 < report.commutator_residual <= 0.5
 
 
+def test_bounds_the_gate_cannot_check_are_refused():
+    # 1 and 1.01 under a 1e8 coupling: cond(V) 2e10 puts the gate at 20,
+    # above any residual, and the levels' error bounds, ~444, would join
+    # them into one even level that passes it.  The floor keeps them apart,
+    # so the bounds would decide: refused, here, scaled, shifted and
+    # transposed
+    h = np.array([[1.0, 1e8], [0.0, 1.01]])
+    for matrix in (h, 1e-170 * h, 1e140 * h, 3 * np.eye(2) - h, h.T):
+        with pytest.raises(AmbiguousSpectrumError, match="resting on the error bounds"):
+            kramers_test(matrix)
+    with pytest.raises(AmbiguousSpectrumError):
+        build_analysis_report(h)
+
+
+def test_joins_that_leave_no_one_level_are_refused():
+    # 1 and 1.0001 under a 1e4 coupling: cond(V) 2e8 puts the gate at 0.2,
+    # their witness would pass it at 1.4e-8, and their error bounds join
+    # them into one even level.  Their eigenvectors all but coincide, so
+    # the group is off one level by about ||H||_F: refused, under every
+    # transform no verdict may depend on
+    bad = np.array([[1.0, 1e4], [0.0, 1.0001]])
+    for transform in invariance_transforms(np.random.default_rng(0), 2).values():
+        with pytest.raises(AmbiguousSpectrumError, match="resting on the error bounds"):
+            kramers_test(transform(bad))
+    # a double level split a thousand radii by a similarity of condition
+    # 1e6 is one level up to rounding: joined, and the symmetry admitted
+    s = conditioned_similarity(np.random.default_rng(0), 4, 1e6)
+    h = s @ np.diag([1.0, 1.0, 2.0, 2.0]) @ np.linalg.inv(s)
+    w = np.sort_complex(np.linalg.eigvals(h))
+    system = biorthonormal_system(h)
+    assert abs(w[1] - w[0]) > 1e3 * system.radius
+    assert system.multiplicities.tolist() == [2, 2]
+    assert kramers_test(h).admits_symmetry
+    # in a stack, only the matrix whose join fails is dropped
+    block = np.zeros((4, 4))
+    block[:2, :2], block[2:, 2:] = bad, np.diag([5.0, 7.0])
+    assert spectral._group_stack(np.stack([h, block, h]), 1e-9, 1e12)[3].tolist() == [
+        True, False, True]
+
+
+def test_unchecked_real_calls_and_pairs_are_refused(monkeypatch):
+    # a real call beyond the floor: 1 + 1e-6i lies within an error bound
+    # inflated to ~4e-4, and the gate, forced to 1, cannot check it
+    h = np.diag([1 + 1e-6j, 3.0])
+    monkeypatch.setattr(spectral, "_frobenius", lambda stack: np.full(len(stack), 1e12))
+    assert biorthonormal_system(h).eigenvalues[0].imag == 1e-6
+    monkeypatch.setattr(spectral, "_gate_bound", lambda tol, n, cond: np.ones_like(cond))
+    with pytest.raises(AmbiguousSpectrumError, match="resting on the error bounds"):
+        biorthonormal_system(h)
+    # a pair beyond the floor, within the bounds, at cond(V) 1e10: refused
+    monkeypatch.undo()
+    eye = np.eye(2, dtype=complex)
+    system = spectral.BiorthonormalSystem(
+        np.array([1 + 1j, 1.001 - 1j]), np.array([1, 1]), eye, eye,
+        condition=1e10, radius=1e-9, errors=np.array([0.01, 0.01]))
+    with pytest.raises(AmbiguousSpectrumError, match="pair 1\\+1j"):
+        spectral.classify_spectrum(system)
+    system.condition = 1e5
+    assert spectral.classify_spectrum(system).pair_group_indices == [(0, 1)]
+
+
 @pytest.mark.parametrize("values", [[0, 0, 1, 1, 2j, -2j], [1e-12, 1e-12, 1, 1],
                                     [0, 0, 0, 0]])
 def test_zero_and_tiny_levels_admit(values):
@@ -476,7 +537,8 @@ def test_residuals_are_relative_to_the_matrix_norm():
                            + 1j * rng.standard_normal((4, 4)))
     eta = bounded_similarity(rng, 4)
     eta = eta @ eta.conj().T
-    for scale in (1e-10, 1e10):
+    # 1e-170 and 1e-300: every square of an entry underflows
+    for scale in (1e-10, 1e10, 1e-170, 1e-300, 1e140):
         assert np.isclose(commutator_residual(scale * h, a),
                           commutator_residual(h, a), rtol=1e-12, atol=0)
         assert np.isclose(intertwining_residual(scale * h, eta),

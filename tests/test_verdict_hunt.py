@@ -112,7 +112,8 @@ def test_verdict_is_right_or_refused_in_the_band_below():
                           "disks of distinct levels overlap, so groups merge or "
                           "split without a count certificate")
 def test_verdict_is_right_or_refused_in_the_band_above():
-    # about a dozen of its 300 examples are wrong
+    # five of its 300 examples are wrong: distinct levels joined, their
+    # departure from one level within rounding, and read as unpaired
     assert _wrong_verdicts(7.0, 8.0) == []
 
 
